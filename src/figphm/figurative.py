@@ -403,7 +403,6 @@ class FigurativeDetector:
                  k: int = DEFAULT_RELATED_WORDS,
                  threshold: float = DEFAULT_THRESHOLD,
                  tagger: Tagger = pos_tag,
-                 include_score_feature: bool = True,
                  include_target: bool = False):
         self.table = table
         self.keywords = set(keywords)
@@ -412,7 +411,6 @@ class FigurativeDetector:
         self.k = k
         self.threshold = threshold
         self.tagger = tagger
-        self.include_score_feature = include_score_feature
         self.include_target = include_target
         self.representations = {
             kw: build_literal_representation(table, kw, k)
@@ -441,18 +439,6 @@ class FigurativeDetector:
         return FigurativeVerdict(literal_score=score,
                                  label=classify(score, self.threshold),
                                  features=features)
-
-    def feature_vector(self, verdict: FigurativeVerdict) -> np.ndarray:
-        """The block fed to the feature-augmented classifier: label bit,
-        linguistic features, and (by default) the raw literal score."""
-        parts = [np.array([1.0 if verdict.label == FIGURATIVE else 0.0]),
-                 verdict.features.to_vector()]
-        if self.include_score_feature:
-            parts.append(np.array([verdict.literal_score]))
-        return np.concatenate(parts)
-
-    def feature_length(self) -> int:
-        return 1 + LinguisticFeatures.vector_length() + int(self.include_score_feature)
 
 
 def dump_verdicts(documents: Sequence[Document], verdicts: Sequence[FigurativeVerdict],

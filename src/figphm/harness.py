@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,10 +22,10 @@ from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
 from .embeddings import (EmbeddingTable, load_ontology, load_table,
                          project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
-from .figurative import (FigurativeDetector, lda_estimate, load_word_list,
-                         mark_symptoms)
+from .figurative import (FigurativeDetector, FigurativeVerdict, lda_estimate,
+                         load_word_list, mark_symptoms)
 from .phm import (ModelConfig, Prediction, build_feataug, build_phmd,
-                  feataug_predict, predict_phmd, train, verdict_feature_vector)
+                  feataug_predict, predict_phmd, train)
 
 APPROACHES = ("phmd", "pipeline", "feataug")
 APPROACH_DISPLAY = {"phmd": "PHMD", "pipeline": "+Pipeline", "feataug": "+FeatAug"}
@@ -430,7 +431,6 @@ def build_detector(config: ExperimentConfig) -> FigurativeDetector:
     lexicon = load_word_list(fig.health_lexicon) if fig.health_lexicon else None
     return FigurativeDetector(
         table, keywords, health_lexicon=lexicon, k=fig.k, threshold=fig.threshold,
-        include_score_feature=config.model.include_score_feature,
         include_target=fig.include_target)
 
 
@@ -582,7 +582,7 @@ def _structured_row(approach, emb, scope, metrics: Metrics, delta_f) -> str:
 
 
 def _cell_payload(config, spec_index, fold_index, table, fold_docs, sequences,
-                  gate_labels, feature_vectors, verdict_labels):
+                  verdicts, gate_labels):
     spec = config.embeddings[spec_index]
     train_docs = [d for j, docs in enumerate(fold_docs) if j != fold_index
                   for d in docs]
@@ -596,11 +596,10 @@ def _cell_payload(config, spec_index, fold_index, table, fold_docs, sequences,
         "model_config": config.model,
         "approaches": config.approaches,
         "cell_seed": derive_seed(config.seed, spec.name, fold_index),
-        "train": [(sequences[d.id].token_ids, d.label,
-                   feature_vectors.get(d.id)) for d in train_docs],
-        "test": [(d.id, sequences[d.id].token_ids,
-                  feature_vectors.get(d.id), gate_labels.get(d.id),
-                  verdict_labels.get(d.id)) for d in test_docs],
+        "train": [(sequences[d.id].token_ids, d.label, verdicts.get(d.id))
+                  for d in train_docs],
+        "test": [(d.id, sequences[d.id].token_ids, verdicts.get(d.id),
+                  gate_labels.get(d.id)) for d in test_docs],
     }
 
 
@@ -612,36 +611,30 @@ def _run_cell(payload: dict) -> dict:
     approaches = payload["approaches"]
     cell_seed = payload["cell_seed"]
 
-    train_pairs = [(PaddedSequence(ids, len(ids)), label)
-                   for ids, label, _ in payload["train"]]
+    # PHMD training reads (sequence, label) and ignores the verdict.
+    corpus = [(PaddedSequence(ids, len(ids)), label, verdict)
+              for ids, label, verdict in payload["train"]]
     phmd = build_phmd(table, config, seed=cell_seed)
-    train(phmd, train_pairs, seed=derive_seed(cell_seed, "train-phmd"))
+    train(phmd, corpus, seed=derive_seed(cell_seed, "train-phmd"))
 
     feataug = None
     if "feataug" in approaches:
-        triples = [(PaddedSequence(ids, len(ids)), label, features)
-                   for ids, label, features in payload["train"]]
-        feataug = build_feataug(table, config, seed=derive_seed(cell_seed, "init-feataug"),
-                                feature_length=len(triples[0][2]))
-        train(feataug, triples, seed=derive_seed(cell_seed, "train-feataug"))
+        feataug = build_feataug(table, config, seed=derive_seed(cell_seed, "init-feataug"))
+        train(feataug, corpus, seed=derive_seed(cell_seed, "train-feataug"))
 
     results: dict[str, list] = {approach: [] for approach in approaches}
-    for doc_id, ids, features, gate_label, verdict_label in payload["test"]:
+    for doc_id, ids, verdict, gate_label in payload["test"]:
         seq = PaddedSequence(ids, len(ids))
-        if "phmd" in approaches:
-            pred = predict_phmd(phmd, seq, doc_id)
-            results["phmd"].append((doc_id, pred.probability, pred.label, None))
-        if "pipeline" in approaches:
-            if gate_label == FIGURATIVE:
-                results["pipeline"].append((doc_id, 0.0, NONPHM, FIGURATIVE))
-            else:
-                pred = predict_phmd(phmd, seq, doc_id)
-                results["pipeline"].append((doc_id, pred.probability, pred.label,
-                                            gate_label))
+        pred = predict_phmd(phmd, seq, doc_id)
+        results["phmd"].append((doc_id, pred.probability, pred.label, None))
+        if "pipeline" in approaches:  # literal docs reuse the PHMD prediction
+            results["pipeline"].append(
+                (doc_id, 0.0, NONPHM, FIGURATIVE) if gate_label == FIGURATIVE
+                else (doc_id, pred.probability, pred.label, gate_label))
         if "feataug" in approaches:
-            pred = feataug_predict(feataug, seq, np.asarray(features), doc_id)
+            pred = feataug_predict(feataug, seq, verdict, doc_id)
             results["feataug"].append((doc_id, pred.probability, pred.label,
-                                       verdict_label))
+                                       pred.figurative_label))
     return {"spec_index": payload["spec_index"], "fold_index": payload["fold_index"],
             "predictions": results}
 
@@ -668,48 +661,32 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     sequences = {d.id: pad(d.tokens, vocab, config.model.max_sequence_length)
                  for d in documents}
 
-    feature_vectors: dict[str, np.ndarray] = {}
+    verdicts: dict[str, FigurativeVerdict] = {}
     gate_labels: dict[str, str] = {}
-    verdict_labels: dict[str, str] = {}
     if config.needs_detector():
         detector = build_detector(config)
         mark_symptoms(documents, detector.keywords)
         verdicts = {d.id: detector.verdict(d) for d in documents}
         flip = _noise_flips(config, [d.id for d in documents])
-        for d in documents:
-            verdict = verdicts[d.id]
-            feature_vectors[d.id] = verdict_feature_vector(
-                verdict, config.model.include_score_feature)
-            verdict_labels[d.id] = verdict.label
-            gate_labels[d.id] = _flip_label(verdict.label) if flip[d.id] else verdict.label
+        gate_labels = {doc_id: _flip_label(v.label) if flip[doc_id] else v.label
+                       for doc_id, v in verdicts.items()}
 
     fold_docs = stratified_kfold(documents, config.folds, config.seed)
     tables = [build_spec_table(spec, vocab_list, config.seed)
               for spec in config.embeddings]
     payloads = [
         _cell_payload(config, spec_index, fold_index, tables[spec_index],
-                      fold_docs, sequences, gate_labels, feature_vectors,
-                      verdict_labels)
+                      fold_docs, sequences, verdicts, gate_labels)
         for spec_index in range(len(config.embeddings))
         for fold_index in range(config.folds)
     ]
 
     cells = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_cell, p) for p in payloads]
-            for payload, future in zip(payloads, futures):
-                try:
-                    cells.append(future.result())
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"experiment cell failed (embedding="
-                        f"{payload['spec_name']}, fold={payload['fold_index']}): "
-                        f"{exc}") from exc
-    else:
-        for payload in payloads:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        futures = [None if pool is None else pool.submit(_run_cell, p) for p in payloads]
+        for payload, future in zip(payloads, futures):
             try:
-                cells.append(_run_cell(payload))
+                cells.append(_run_cell(payload) if future is None else future.result())
             except Exception as exc:
                 raise RuntimeError(
                     f"experiment cell failed (embedding={payload['spec_name']}, "
@@ -828,10 +805,7 @@ def evaluate_model(model, documents: list[Document],
     for doc in documents:
         seq = pad(doc.tokens, vocab, max_len)
         if model.kind == "feataug":
-            verdict = detector.verdict(doc)
-            pred = feataug_predict(model, seq, verdict_feature_vector(
-                verdict, model.config.include_score_feature), doc.id)
-            pred.figurative_label = verdict.label
+            pred = feataug_predict(model, seq, detector.verdict(doc), doc.id)
         else:
             pred = predict_phmd(model, seq, doc.id)
         rows.append((doc.id, pred.probability, pred.label, pred.figurative_label))

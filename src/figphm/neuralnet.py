@@ -10,6 +10,7 @@ verifies any parameterized scalar-loss model against central differences.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -275,23 +276,34 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
+    size = path.stat().st_size
     with path.open("rb") as handle:
         raw_len = handle.read(8)
         if len(raw_len) != 8:
             raise DataError(f"{path}: truncated checkpoint header")
         (header_len,) = struct.unpack("<Q", raw_len)
+        if header_len > size - 8:
+            raise DataError(f"{path}: truncated checkpoint header")
         try:
             manifest = json.loads(handle.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: bad checkpoint manifest ({exc})") from None
+        if not isinstance(manifest, dict):
+            raise DataError(f"{path}: checkpoint manifest is not a JSON object")
         if manifest.get("version") != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version "
                             f"{manifest.get('version')!r}")
-        arrays = []
-        for shape in manifest["shapes"]:
-            count = int(np.prod(shape)) if shape else 1
-            data = handle.read(count * 8)
-            if len(data) != count * 8:
-                raise DataError(f"{path}: truncated parameter data")
-            arrays.append(np.frombuffer(data, dtype="<f8").reshape(shape).copy())
+        shapes = manifest.get("shapes")
+        if not (isinstance(shapes, list) and all(
+                isinstance(shape, list) and all(
+                    type(n) is int and n >= 0 for n in shape) for shape in shapes)):
+            raise DataError(f"{path}: checkpoint 'shapes' is not a list of integer shapes")
+        counts = [math.prod(shape) for shape in shapes]
+        data_len = 8 * sum(counts)
+        if data_len > size - 8 - header_len:
+            raise DataError(f"{path}: truncated parameter data")
+        if data_len < size - 8 - header_len:
+            raise DataError(f"{path}: trailing bytes after the last parameter array")
+        arrays = [np.frombuffer(handle.read(count * 8), dtype="<f8").reshape(shape).copy()
+                  for shape, count in zip(shapes, counts)]
     return Checkpoint(manifest=manifest, arrays=arrays)

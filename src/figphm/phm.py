@@ -1,8 +1,10 @@
-"""PHM classifiers: the three-branch sentence CNN, the figurative-gated
-pipeline combiner, and the feature-augmented two-branch variant.
+"""PHM classifiers: one sentence CNN with an optional feature branch, and
+the figurative-gated pipeline combiner.
 
-Models own their Parameters; training is single-threaded per model with
-sequential, order-fixed gradient accumulation so traces are reproducible.
+``PhmdModel`` is the text-only CNN; ``FeatAugModel`` is the same CNN with
+one more conv branch over the figurative-usage feature vector. Models own
+their Parameters; training is single-threaded per model with sequential,
+order-fixed gradient accumulation so traces are reproducible.
 """
 
 from __future__ import annotations
@@ -74,11 +76,8 @@ class _ConvBranch:
         self.dropout_rate = dropout_rate
         self.pool = pool
 
-    def out_length(self, seq_len: int) -> int:
-        return (seq_len - self.width + 1) // self.pool
-
     def flat_size(self, seq_len: int) -> int:
-        return self.out_length(seq_len) * self.kernels.value.shape[0]
+        return (seq_len - self.width + 1) // self.pool * self.kernels.value.shape[0]
 
     def forward(self, x: np.ndarray, train: bool, rng, cache: dict) -> np.ndarray:
         pre = nn.conv1d(x, self.kernels.value, self.bias.value)
@@ -128,15 +127,55 @@ def _pool_gap(act: np.ndarray, pool: int) -> float:
     return float(gaps.min()) if gaps.size else math.inf
 
 
-class _CnnBase:
-    """Shared machinery: parameter registry, loss plumbing, eval counter."""
+class _SentenceCnn:
+    """Embedding lookup into parallel conv/relu/pool/dropout text branches,
+    plus, when ``feature_length`` is set, one conv branch over the
+    figurative-usage feature vector; a single sigmoid unit reads the
+    concatenated pooled features. Parameters are declared (and drawn from
+    the seed) in checkpoint order: embedding, text branches, feature
+    branch, dense head.
+    """
 
     kind = ""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int,
+                 dropout_rates: tuple[float, ...], feature_length: int | None):
+        if config.max_sequence_length < max(config.kernel_widths):
+            raise ValueError(
+                f"max_sequence_length {config.max_sequence_length} shorter than "
+                f"largest kernel {max(config.kernel_widths)}")
+        if len(dropout_rates) != len(config.kernel_widths):
+            raise ValueError("need one dropout rate per kernel width")
+        if feature_length is not None and feature_length < config.right_kernel_width:
+            raise ValueError(f"feature vector of length {feature_length} "
+                             f"shorter than right kernel {config.right_kernel_width}")
         self.config = config
+        self.feature_length = feature_length
         self.forward_count = 0
         self._params: list[Parameter] = []
+        self.vocab = dict(table.vocab)
+        rng = np.random.default_rng(seed)
+        self.embedding = self._register(table.matrix.copy(), "embedding")
+        self.branches = [self._add_branch(f"conv{width}", width, table.dim, rate, rng)
+                         for width, rate in zip(config.kernel_widths, dropout_rates)]
+        self.right = None if feature_length is None else \
+            self._add_branch("right", config.right_kernel_width, 1, 0.0, rng)
+        self._all_branches = self.branches + ([self.right] if self.right else [])
+        flat = sum(b.flat_size(config.max_sequence_length) for b in self.branches)
+        if self.right is not None:
+            flat += self.right.flat_size(feature_length)
+        self.dense_w = self._register(
+            nn.uniform_init((1, flat), config.init_bound, rng), "dense_w")
+        self.dense_b = self._register(np.zeros(1), "dense_b")
+
+    def _add_branch(self, name: str, width: int, depth: int, dropout_rate: float,
+                    rng) -> _ConvBranch:
+        config = self.config
+        kernels = self._register(
+            nn.uniform_init((config.filters, width, depth), config.init_bound, rng),
+            f"{name}_kernels")
+        bias = self._register(np.zeros(config.filters), f"{name}_bias")
+        return _ConvBranch(kernels, bias, width, dropout_rate, config.pool)
 
     def _register(self, value: np.ndarray, name: str) -> Parameter:
         param = Parameter(value, name=name)
@@ -175,49 +214,29 @@ class _CnnBase:
         return loss
 
     def predict_proba(self, inputs) -> float:
+        """``inputs`` is the token-id sequence, or the pair (ids, feature
+        vector) when the model has a feature branch."""
         prob, _ = self._forward(inputs, train=False, rng=None, want_cache=False)
         return prob
 
-    def _forward(self, inputs, train: bool, rng, want_cache: bool):
-        raise NotImplementedError
-
-    def _backward(self, dprob: float, cache: dict, grad_scale: float) -> None:
-        raise NotImplementedError
-
-
-class PhmdModel(_CnnBase):
-    """Embedding lookup into three parallel conv/pool/dropout branches, then
-    a single sigmoid unit over the concatenated pooled features."""
-
-    kind = "phmd"
-
-    def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int = 0):
-        super().__init__(config)
-        if config.max_sequence_length < max(config.kernel_widths):
-            raise ValueError(
-                f"max_sequence_length {config.max_sequence_length} shorter than "
-                f"largest kernel {max(config.kernel_widths)}")
-        if len(config.dropout_rates) != len(config.kernel_widths):
-            raise ValueError("need one dropout rate per kernel width")
-        self.vocab = dict(table.vocab)
-        rng = np.random.default_rng(seed)
-        self.embedding = self._register(table.matrix.copy(), "embedding")
-        self.branches = _build_branches(self, config.kernel_widths,
-                                        config.dropout_rates, table.dim, config, rng)
-        flat = sum(b.flat_size(config.max_sequence_length) for b in self.branches)
-        self.dense_w = self._register(
-            nn.uniform_init((1, flat), config.init_bound, rng), "dense_w")
-        self.dense_b = self._register(np.zeros(1), "dense_b")
-
     def _forward(self, inputs, train, rng, want_cache):
-        ids = np.asarray(inputs, dtype=np.intp)
+        ids, features = inputs if self.right is not None else (inputs, None)
+        ids = np.asarray(ids, dtype=np.intp)
         if ids.shape[0] != self.config.max_sequence_length:
             raise ValueError(f"expected sequence of length "
                              f"{self.config.max_sequence_length}, got {ids.shape[0]}")
-        self.forward_count += 1
         x = self.embedding.value[ids]
-        caches = [dict() for _ in self.branches]
-        flats = [b.forward(x, train, rng, c) for b, c in zip(self.branches, caches)]
+        branch_inputs = [x] * len(self.branches)
+        if self.right is not None:
+            features = np.asarray(features, dtype=np.float64)
+            if features.shape[0] != self.feature_length:
+                raise ValueError(f"expected feature vector of length "
+                                 f"{self.feature_length}, got {features.shape[0]}")
+            branch_inputs.append(features[:, None])
+        self.forward_count += 1
+        caches = [dict() for _ in self._all_branches]
+        flats = [b.forward(bx, train, rng, c)
+                 for b, bx, c in zip(self._all_branches, branch_inputs, caches)]
         hidden = np.concatenate(flats)
         out = nn.dense(hidden, self.dense_w.value, self.dense_b.value, "sigmoid")
         prob = float(np.clip(out[0], 1e-12, 1.0 - 1e-12))
@@ -232,15 +251,14 @@ class PhmdModel(_CnnBase):
                                             "sigmoid", cache["out"])
         self.dense_w.grad += grad_scale * dw
         self.dense_b.grad += grad_scale * db
-        dx_total = None
+        dxs = []
         offset = 0
-        for branch, bcache, size in zip(self.branches, cache["caches"], cache["sizes"]):
-            dx = branch.backward(dhidden[offset:offset + size], bcache, grad_scale)
-            dx_total = dx if dx_total is None else dx_total + dx
+        for branch, bcache, size in zip(self._all_branches, cache["caches"], cache["sizes"]):
+            dxs.append(branch.backward(dhidden[offset:offset + size], bcache, grad_scale))
             offset += size
         if self.config.trainable_embeddings:
             demb = np.zeros_like(self.embedding.value)
-            np.add.at(demb, cache["ids"], dx_total)
+            np.add.at(demb, cache["ids"], sum(dxs[1:len(self.branches)], dxs[0]))
             self.embedding.grad += grad_scale * demb
 
     def activation_margins(self, inputs) -> tuple[float, float]:
@@ -249,120 +267,34 @@ class PhmdModel(_CnnBase):
         gradient check."""
         _, cache = self._forward(inputs, train=False, rng=None, want_cache=True)
         self.forward_count -= 1  # diagnostics only
-        relu_margin = math.inf
-        pool_gap = math.inf
-        for branch, bcache in zip(self.branches, cache["caches"]):
-            r, g = branch.margins(bcache)
-            relu_margin = min(relu_margin, r)
-            pool_gap = min(pool_gap, g)
-        return relu_margin, pool_gap
+        margins = [b.margins(c) for b, c in zip(self._all_branches, cache["caches"])]
+        return min(r for r, _ in margins), min(g for _, g in margins)
 
 
-class FeatAugModel(_CnnBase):
-    """PHMD-shaped text branches plus a convolutional branch over the
-    figurative-usage feature vector, joined in a single sigmoid head."""
+# PhmdModel and FeatAugModel are siblings, never parent and child, so that
+# per-class method patches (e.g. tracing wrappers) apply exactly once.
+
+class PhmdModel(_SentenceCnn):
+    """The PHMD classifier: text branches only."""
+
+    kind = "phmd"
+
+    def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int = 0):
+        super().__init__(table, config, seed, config.dropout_rates, None)
+
+
+class FeatAugModel(_SentenceCnn):
+    """PHMD plus the feature branch over the figurative-usage vector, with
+    its own dropout rates; inputs are (ids, feature vector) pairs."""
 
     kind = "feataug"
 
     def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int = 0,
                  feature_length: int | None = None):
-        super().__init__(config)
-        if config.max_sequence_length < max(config.kernel_widths):
-            raise ValueError(
-                f"max_sequence_length {config.max_sequence_length} shorter than "
-                f"largest kernel {max(config.kernel_widths)}")
-        if len(config.feataug_dropout_rates) != len(config.kernel_widths):
-            raise ValueError("need one dropout rate per kernel width")
-        self.feature_length = feature_length if feature_length is not None \
-            else feature_vector_length(config.include_score_feature)
-        if self.feature_length < config.right_kernel_width:
-            raise ValueError(f"feature vector of length {self.feature_length} "
-                             f"shorter than right kernel {config.right_kernel_width}")
-        self.vocab = dict(table.vocab)
-        rng = np.random.default_rng(seed)
-        self.embedding = self._register(table.matrix.copy(), "embedding")
-        self.branches = _build_branches(self, config.kernel_widths,
-                                        config.feataug_dropout_rates, table.dim,
-                                        config, rng)
-        self.right = _ConvBranch(
-            self._register(nn.uniform_init(
-                (config.filters, config.right_kernel_width, 1),
-                config.init_bound, rng), "right_kernels"),
-            self._register(np.zeros(config.filters), "right_bias"),
-            config.right_kernel_width, 0.0, config.pool)
-        flat = sum(b.flat_size(config.max_sequence_length) for b in self.branches)
-        flat += self.right.flat_size(self.feature_length)
-        self.dense_w = self._register(
-            nn.uniform_init((1, flat), config.init_bound, rng), "dense_w")
-        self.dense_b = self._register(np.zeros(1), "dense_b")
-
-    def _forward(self, inputs, train, rng, want_cache):
-        ids, features = inputs
-        ids = np.asarray(ids, dtype=np.intp)
-        features = np.asarray(features, dtype=np.float64)
-        if ids.shape[0] != self.config.max_sequence_length:
-            raise ValueError(f"expected sequence of length "
-                             f"{self.config.max_sequence_length}, got {ids.shape[0]}")
-        if features.shape[0] != self.feature_length:
-            raise ValueError(f"expected feature vector of length "
-                             f"{self.feature_length}, got {features.shape[0]}")
-        self.forward_count += 1
-        x = self.embedding.value[ids]
-        caches = [dict() for _ in self.branches]
-        flats = [b.forward(x, train, rng, c) for b, c in zip(self.branches, caches)]
-        right_cache: dict = {}
-        flats.append(self.right.forward(features[:, None], train, rng, right_cache))
-        hidden = np.concatenate(flats)
-        out = nn.dense(hidden, self.dense_w.value, self.dense_b.value, "sigmoid")
-        prob = float(np.clip(out[0], 1e-12, 1.0 - 1e-12))
-        if not want_cache:
-            return prob, None
-        return prob, dict(ids=ids, caches=caches, right_cache=right_cache,
-                          hidden=hidden, out=out, sizes=[f.size for f in flats])
-
-    def _backward(self, dprob, cache, grad_scale):
-        dout = np.array([dprob])
-        dhidden, dw, db = nn.dense_backward(dout, cache["hidden"], self.dense_w.value,
-                                            "sigmoid", cache["out"])
-        self.dense_w.grad += grad_scale * dw
-        self.dense_b.grad += grad_scale * db
-        dx_total = None
-        offset = 0
-        for branch, bcache, size in zip(self.branches, cache["caches"], cache["sizes"]):
-            dx = branch.backward(dhidden[offset:offset + size], bcache, grad_scale)
-            dx_total = dx if dx_total is None else dx_total + dx
-            offset += size
-        right_size = cache["sizes"][-1]
-        self.right.backward(dhidden[offset:offset + right_size],
-                            cache["right_cache"], grad_scale)
-        if self.config.trainable_embeddings:
-            demb = np.zeros_like(self.embedding.value)
-            np.add.at(demb, cache["ids"], dx_total)
-            self.embedding.grad += grad_scale * demb
-
-    def activation_margins(self, inputs) -> tuple[float, float]:
-        _, cache = self._forward(inputs, train=False, rng=None, want_cache=True)
-        self.forward_count -= 1  # diagnostics only
-        relu_margin = math.inf
-        pool_gap = math.inf
-        for branch, bcache in zip(self.branches + [self.right],
-                                  cache["caches"] + [cache["right_cache"]]):
-            r, g = branch.margins(bcache)
-            relu_margin = min(relu_margin, r)
-            pool_gap = min(pool_gap, g)
-        return relu_margin, pool_gap
-
-
-def _build_branches(model: _CnnBase, widths, rates, dim, config: ModelConfig,
-                    rng) -> list[_ConvBranch]:
-    branches = []
-    for width, rate in zip(widths, rates):
-        kernels = model._register(
-            nn.uniform_init((config.filters, width, dim), config.init_bound, rng),
-            f"conv{width}_kernels")
-        bias = model._register(np.zeros(config.filters), f"conv{width}_bias")
-        branches.append(_ConvBranch(kernels, bias, width, rate, config.pool))
-    return branches
+        if feature_length is None:
+            feature_length = feature_vector_length(config.include_score_feature)
+        super().__init__(table, config, seed, config.feataug_dropout_rates,
+                         feature_length)
 
 
 def build_phmd(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
@@ -465,8 +397,8 @@ def pipeline_predict(verdict: FigurativeVerdict, model: PhmdModel,
 
 def feataug_predict(model: FeatAugModel, seq: PaddedSequence, verdict,
                     doc_id: str = "") -> Prediction:
-    """Two-branch forward pass; ``verdict`` may be a FigurativeVerdict or a
-    pre-built feature vector of the architecture's expected length."""
+    """Forward pass with the feature branch; ``verdict`` may be a
+    FigurativeVerdict or a pre-built feature vector of the model's length."""
     features = _as_feature_vector(verdict, model.config)
     prob = model.predict_proba((np.asarray(seq.token_ids, dtype=np.intp), features))
     figurative_label = verdict.label if isinstance(verdict, FigurativeVerdict) else None
@@ -490,20 +422,26 @@ def save_model(model, path) -> None:
 def load_model(path):
     checkpoint = nn.load_checkpoint(path)
     manifest = checkpoint.manifest
-    raw = dict(manifest["config"])
-    for key in ("kernel_widths", "dropout_rates", "feataug_dropout_rates"):
-        raw[key] = tuple(raw[key])
-    config = ModelConfig(**raw)
-    vocab = {word: i for i, word in enumerate(manifest["vocab"])}
-    dim = checkpoint.arrays[0].shape[1]
-    table = EmbeddingTable(vocab=vocab, matrix=np.zeros((len(vocab), dim)))
-    if manifest["kind"] == "phmd":
-        model = PhmdModel(table, config)
-    elif manifest["kind"] == "feataug":
-        model = FeatAugModel(table, config,
-                             feature_length=manifest["feature_length"])
-    else:
-        raise DataError(f"unknown model kind {manifest['kind']!r} in checkpoint")
+    kind = manifest.get("kind")
+    if kind not in ("phmd", "feataug"):
+        raise DataError(f"unknown model kind {kind!r} in checkpoint")
+    if not checkpoint.arrays or checkpoint.arrays[0].ndim != 2:
+        raise DataError(f"{path}: checkpoint has no embedding matrix")
+    try:
+        raw = dict(manifest["config"])
+        for key in ("kernel_widths", "dropout_rates", "feataug_dropout_rates"):
+            raw[key] = tuple(raw[key])
+        config = ModelConfig(**raw)
+        vocab = {word: i for i, word in enumerate(manifest["vocab"])}
+        dim = checkpoint.arrays[0].shape[1]
+        table = EmbeddingTable(vocab=vocab, matrix=np.zeros((len(vocab), dim)))
+        if kind == "phmd":
+            model = PhmdModel(table, config)
+        else:
+            model = FeatAugModel(table, config, feature_length=manifest["feature_length"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad checkpoint manifest "
+                        f"({type(exc).__name__}: {exc})") from None
     params = model.all_parameters()
     if len(params) != len(checkpoint.arrays):
         raise DataError(f"checkpoint has {len(checkpoint.arrays)} arrays, "

@@ -248,13 +248,6 @@ class TestFigurativeDetector:
         verdict = det.verdict(doc)
         assert verdict.label == LITERAL
 
-    def test_feature_vector_length(self):
-        det = self._detector()
-        doc = Document("5", "other", "", ["doctor", "cough"], "PHM")
-        verdict = det.verdict(doc)
-        assert det.feature_vector(verdict).shape == (det.feature_length(),)
-        assert det.feature_length() == 1 + LinguisticFeatures.vector_length() + 1
-
     def test_verdict_respects_threshold_invariant(self):
         det = self._detector()
         for tokens in (["doctor", "cough"], ["market", "cough"], ["drop"]):

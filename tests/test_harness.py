@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from figphm.harness import (ExperimentReport, Metrics, compute_metrics,
                             derive_seed, evaluate_figurative, load_config,
                             load_figurative_gold, parse_config_sections,
                             run_experiment, stratified_kfold)
+from figphm.phm import ModelConfig, build_feataug, build_phmd, save_model
 from figphm.synthetic import write_planted_fixture
 
 from conftest import make_table
@@ -309,6 +313,30 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "report.tsv").read_bytes() == \
             (tmp_path / "b" / "report.tsv").read_bytes()
 
+    def test_pipeline_reuses_phmd_forward(self, tmp_path, monkeypatch):
+        import figphm.harness as harness_mod
+        config = _experiment_config(tmp_path, approaches="pipeline")
+        calls = []
+        real_predict = harness_mod.predict_phmd
+
+        def counting_predict(model, seq, doc_id=""):
+            calls.append(doc_id)
+            return real_predict(model, seq, doc_id)
+        monkeypatch.setattr(harness_mod, "predict_phmd", counting_predict)
+        run_experiment(config, out_dir=tmp_path / "out", jobs=1)
+        # one embedding, so every doc is a test doc in exactly one cell
+        assert sorted(calls) == sorted(f"d{i}" for i in range(12))
+
+        def rows(approach):
+            dump = tmp_path / "out" / "predictions" / f"tiny__{approach}.tsv"
+            return {r[0]: r[1:] for r in
+                    (line.split("\t") for line in dump.read_text().splitlines())}
+        phmd, pipeline = rows("phmd"), rows("pipeline")
+        literal = [d for d, (_, _, fig) in pipeline.items() if fig == LITERAL]
+        assert literal  # the fixture gates some docs through to the classifier
+        for doc_id in literal:
+            assert pipeline[doc_id][:2] == phmd[doc_id][:2]
+
     def test_cell_failure_names_coordinate(self, tmp_path, monkeypatch):
         config = _experiment_config(tmp_path)
         import figphm.harness as harness_mod
@@ -437,6 +465,45 @@ class TestCli:
                          "--out", str(tmp_path / "preds.tsv")])
         assert code == 0
         assert (tmp_path / "preds.tsv").read_text().count("\n") == 12
+
+    @pytest.mark.parametrize("damage", [
+        "no_shapes", "bad_shapes", "unknown_config_key", "config_not_a_dict",
+        "zero_arrays", "trailing_bytes", "not_a_dict", "no_kind", "no_config",
+        "no_vocab", "no_feature_length",
+    ])
+    def test_evaluate_malformed_checkpoint_exit_2(self, tmp_path, capsys, damage):
+        _experiment_config(tmp_path)
+        table = make_table({"cough": [0.1, 0.2], "doctor": [0.3, 0.4]})
+        build = build_feataug if damage == "no_feature_length" else build_phmd
+        save_model(build(table, ModelConfig(max_sequence_length=6, filters=2), seed=0),
+                   tmp_path / "good.ckpt")
+        raw = (tmp_path / "good.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[:8])
+        manifest = json.loads(raw[8:8 + header_len])
+        data = raw[8 + header_len:]
+        if damage == "no_shapes":
+            del manifest["shapes"]
+        elif damage == "bad_shapes":
+            manifest["shapes"][0] = ["4", 2]
+        elif damage == "unknown_config_key":
+            manifest["config"]["bogus"] = 1
+        elif damage == "config_not_a_dict":
+            manifest["config"] = 5
+        elif damage == "zero_arrays":
+            manifest["shapes"], data = [], b""
+        elif damage == "trailing_bytes":
+            data += bytes(8)
+        elif damage == "not_a_dict":
+            manifest = [manifest]
+        else:
+            del manifest[damage.removeprefix("no_")]
+        header = json.dumps(manifest).encode("utf-8")
+        (tmp_path / "bad.ckpt").write_bytes(struct.pack("<Q", len(header)) + header + data)
+        for name, expected in (("good.ckpt", 0), ("bad.ckpt", 2)):
+            assert cli_main(["evaluate", "--model", str(tmp_path / name),
+                             "--dataset", str(tmp_path / "data.tsv"),
+                             "--config", str(tmp_path / "cfg.ini")]) == expected
+        assert "error:" in capsys.readouterr().err
 
     def test_fig_score_and_eval_cli(self, tmp_path, capsys):
         _experiment_config(tmp_path)

@@ -259,3 +259,62 @@ class TestModelCheckpoint:
         assert isinstance(loaded, FeatAugModel)
         assert loaded.feature_length == model.feature_length
         assert feataug_predict(loaded, seq, verdict).probability == expected
+
+
+class TestGoldenValues:
+    """Parameter layout, seeded initialisation and the eval forward, pinned
+    to values recorded before PHMD and FeatAug shared one CNN class. Any
+    change to the declaration order, the RNG draw order or the eval forward
+    shows here; float changes must stay within 1e-12."""
+
+    CONV = [("embedding", (8, 5)),
+            ("conv3_kernels", (3, 3, 5)), ("conv3_bias", (3,)),
+            ("conv4_kernels", (3, 4, 5)), ("conv4_bias", (3,)),
+            ("conv5_kernels", (3, 5, 5)), ("conv5_bias", (3,))]
+    LAYOUT = {
+        "phmd": CONV + [("dense_w", (1, 21)), ("dense_b", (1,))],
+        "feataug": CONV + [("right_kernels", (3, 2, 1)), ("right_bias", (3,)),
+                           ("dense_w", (1, 63)), ("dense_b", (1,))],
+    }
+    CONV_SUMS = [-0.11146155163294963, -1.651367112016358, 0.0,
+                 -2.4795479573027843, 0.0, -2.7543565762611553, 0.0]
+    PARAM_SUMS = {
+        "phmd": CONV_SUMS + [1.469353062868758, 0.0],
+        "feataug": CONV_SUMS + [0.19482592041525226, 0.0, -2.002211351590214, 0.0],
+    }
+    PROBABILITY = {"phmd": 0.5081460968188543, "feataug": 0.41441659685950255}
+
+    @staticmethod
+    def _model_and_inputs(kind):
+        table = random_table([f"w{i}" for i in range(6)], 5, seed=7)
+        config = ModelConfig(max_sequence_length=8, filters=3, init_bound=0.5)
+        ids = np.array([2, 3, 4, 5, 6, 7, 0, 0], dtype=np.intp)
+        if kind == "phmd":
+            return build_phmd(table, config, seed=11), ids
+        model = build_feataug(table, config, seed=11)
+        return model, (ids, np.linspace(-0.5, 1.0, model.feature_length))
+
+    @pytest.mark.parametrize("kind", ["phmd", "feataug"])
+    def test_parameter_layout_and_init(self, kind):
+        model, _ = self._model_and_inputs(kind)
+        params = model.all_parameters()
+        assert [(p.name, p.value.shape) for p in params] == self.LAYOUT[kind]
+        sums = [float(p.value.sum()) for p in params]
+        assert sums == pytest.approx(self.PARAM_SUMS[kind], abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["phmd", "feataug"])
+    def test_eval_forward(self, kind):
+        model, inputs = self._model_and_inputs(kind)
+        assert model.predict_proba(inputs) == pytest.approx(self.PROBABILITY[kind],
+                                                            abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["phmd", "feataug"])
+    def test_checkpoint_round_trip(self, kind, tmp_path):
+        model, inputs = self._model_and_inputs(kind)
+        save_model(model, tmp_path / "m.ckpt")
+        loaded = load_model(tmp_path / "m.ckpt")
+        assert type(loaded) is type(model)
+        assert [(p.name, p.value.shape) for p in loaded.all_parameters()] == \
+            self.LAYOUT[kind]
+        assert loaded.predict_proba(inputs) == pytest.approx(self.PROBABILITY[kind],
+                                                             abs=1e-12)
