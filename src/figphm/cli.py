@@ -29,12 +29,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrofit", help="retrofit an embedding file to an ontology")
     p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--format", choices=("glove_text", "word2vec_text"),
+    p.add_argument("--format", choices=embeddings.TABLE_FORMATS,
                    default="glove_text")
     p.add_argument("--ontology", type=Path, required=True)
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta-mode", choices=("inverse_degree", "uniform"),
+    p.add_argument("--beta-mode", choices=embeddings.BETA_MODES,
                    default="inverse_degree")
     p.add_argument("--out", type=Path, required=True)
 

@@ -91,11 +91,11 @@ def tokenize(raw_text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def load_dataset(path: str | Path, keep_empty: bool = False) -> list[Document]:
+def load_dataset(path: str | Path) -> list[Document]:
     """Load a 4-column TSV dataset (id, disease, text, label).
 
-    Rows whose text tokenizes to nothing are dropped (garbled-text filter)
-    unless ``keep_empty`` is set. Labels and disease tags are parsed strictly.
+    Rows whose text tokenizes to nothing are dropped (garbled-text filter).
+    Labels and disease tags are parsed strictly.
     """
     path = Path(path)
     if not path.exists():
@@ -115,7 +115,7 @@ def load_dataset(path: str | Path, keep_empty: bool = False) -> list[Document]:
             if label not in LABELS:
                 raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
             tokens = tokenize(text)
-            if not tokens and not keep_empty:
+            if not tokens:
                 continue
             documents.append(Document(doc_id, disease, text, tokens, label))
     return documents

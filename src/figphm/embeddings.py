@@ -23,6 +23,9 @@ RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN)
 # Kim-style uniform range for randomly initialised word vectors.
 RANDOM_INIT_BOUND = 0.25
 
+TABLE_FORMATS = ("glove_text", "word2vec_text")
+BETA_MODES = ("inverse_degree", "uniform")
+
 
 @dataclass
 class EmbeddingTable:
@@ -86,7 +89,7 @@ def load_table(path: str | Path, format: str = "glove_text",
     to drop its language prefix). Duplicate words keep the first occurrence.
     """
     path = Path(path)
-    if format not in ("word2vec_text", "glove_text"):
+    if format not in TABLE_FORMATS:
         raise ValueError(f"unknown embedding format: {format!r}")
     if not path.exists():
         raise DataError(f"embedding file not found: {path}")
@@ -256,7 +259,7 @@ def retrofit(table: EmbeddingTable, graph: OntologyGraph, iterations: int = 10,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    if beta_mode not in ("inverse_degree", "uniform"):
+    if beta_mode not in BETA_MODES:
         raise ValueError(f"unknown beta_mode: {beta_mode!r}")
 
     original = table.matrix

@@ -19,8 +19,8 @@ import numpy as np
 from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
                      Document, PaddedSequence, build_vocab, load_dataset, pad,
                      tokenize)
-from .embeddings import (EmbeddingTable, load_ontology, load_table,
-                         project_table, random_table, retrofit)
+from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
+                         load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
 from .figurative import (FigurativeDetector, FigurativeVerdict, lda_estimate,
                          load_word_list, mark_symptoms)
@@ -109,12 +109,16 @@ def compute_metrics(predictions, golds, positive_class: str = PHM) -> Metrics:
 # ---------------------------------------------------------------------------
 # configuration
 
+# embedding source -> the path fields it requires
+EMBEDDING_SOURCES = {"random": (), "file": ("path",), "retrofit": ("path", "ontology")}
+
+
 @dataclass
 class EmbeddingSpec:
     """One word-embedding initialisation: random, loaded, or retrofitted."""
 
     name: str
-    source: str                       # random | file | retrofit
+    source: str                       # a key of EMBEDDING_SOURCES
     dim: int = 0
     seed: int | None = None
     path: Path | None = None
@@ -175,20 +179,21 @@ class ExperimentConfig:
     def _referenced_files(self) -> list[Path]:
         files = [self.dataset]
         if self.needs_detector():
-            if self.figurative.embedding is None:
-                raise ConfigError("[figurative] embedding is required for the "
-                                  "pipeline/feataug approaches")
-            if self.figurative.keywords is None:
-                raise ConfigError("[figurative] keywords is required for the "
-                                  "pipeline/feataug approaches")
+            for key in ("embedding", "keywords"):
+                if getattr(self.figurative, key) is None:
+                    raise ConfigError(f"[figurative] {key} is required for the "
+                                      f"pipeline/feataug approaches")
             files += [self.figurative.embedding, self.figurative.keywords]
             if self.figurative.health_lexicon is not None:
                 files.append(self.figurative.health_lexicon)
         for spec in self.embeddings:
-            if spec.source in ("file", "retrofit"):
-                files.append(spec.path)
-                if spec.source == "retrofit":
-                    files.append(spec.ontology)
+            if spec.source == "random" and spec.dim < 1:
+                raise ConfigError(f"[embedding {spec.name}] random source needs dim >= 1")
+            for key in EMBEDDING_SOURCES[spec.source]:
+                if getattr(spec, key) is None:
+                    raise ConfigError(f"[embedding {spec.name}] source = {spec.source} "
+                                      f"needs {key}")
+                files.append(getattr(spec, key))
         return files
 
 
@@ -217,166 +222,107 @@ def parse_config_sections(text: str, origin: str = "<config>") -> list[tuple[str
     return sections
 
 
-class _SectionReader:
-    def __init__(self, name: str, values: dict[str, str], origin: str):
-        self.name = name
-        self.values = values
-        self.origin = origin
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# value kind -> (converter from the raw string, what an error says was expected)
+_KINDS = {
+    "int": (int, "integer"), "float": (float, "number"), "str": (str, "text"),
+    "bool": (lambda raw: _BOOLS[raw.lower()], "boolean"),
+    "ints": (lambda raw: tuple(map(int, raw.split(","))), "comma-separated integers"),
+    "floats": (lambda raw: tuple(map(float, raw.split(","))), "comma-separated numbers"),
+}
 
-    def _get(self, key, default):
-        value = self.values.get(key, None)
-        if value is None or value == "":
-            return default
-        return value
+# section -> key -> value kind: a key of _KINDS, "path" (resolved against the
+# config file's directory), or a closed set of allowed strings. Absent or
+# empty keys keep the dataclass default.
+_SCHEMA = {
+    "experiment": {"dataset": "path", "folds": "int", "seed": "int", "approaches": "str",
+                   "jobs": "int"},
+    "model": {"max_sequence_length": "int", "filters": "int", "kernels": "ints",
+              "pool": "int", "dropout": "floats", "feataug_dropout": "floats",
+              "right_kernel": "int", "include_score_feature": "bool",
+              "trainable_embeddings": "bool", "epochs": "int", "batch": "int",
+              "lr": "float"},
+    "figurative": {"embedding": "path", "embedding_format": TABLE_FORMATS,
+                   "strip_prefix": "str", "keywords": "path", "health_lexicon": "path",
+                   "k": "int", "threshold": "float", "use_lda": "bool",
+                   "lda_iterations": "int", "include_target": "bool",
+                   "pipeline_noise": "float"},
+    "embedding": {"source": tuple(EMBEDDING_SOURCES), "dim": "int", "seed": "int",
+                  "path": "path", "format": TABLE_FORMATS, "strip_prefix": "str",
+                  "ontology": "path", "iterations": "int", "alpha": "float",
+                  "beta_mode": BETA_MODES},
+}
+# config keys whose dataclass field is named differently
+_FIELD_NAMES = {"kernels": "kernel_widths", "dropout": "dropout_rates",
+                "feataug_dropout": "feataug_dropout_rates",
+                "right_kernel": "right_kernel_width", "batch": "batch_size",
+                "lr": "learning_rate"}
 
-    def get_str(self, key, default=None):
-        return self._get(key, default)
 
-    def get_int(self, key, default=None):
-        value = self._get(key, default)
-        if value is default:
-            return default
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self.origin}: [{self.name}] {key}: expected integer, "
-                              f"got {value!r}") from None
-
-    def get_float(self, key, default=None):
-        value = self._get(key, default)
-        if value is default:
-            return default
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self.origin}: [{self.name}] {key}: expected number, "
-                              f"got {value!r}") from None
-
-    def get_bool(self, key, default=None):
-        value = self._get(key, default)
-        if value is default:
-            return default
-        lowered = str(value).lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{self.origin}: [{self.name}] {key}: expected boolean, "
-                          f"got {value!r}")
-
-    def get_numbers(self, key, default, kind=float):
-        value = self._get(key, None)
-        if value is None:
-            return default
-        try:
-            return tuple(kind(v.strip()) for v in value.split(","))
-        except ValueError:
-            raise ConfigError(f"{self.origin}: [{self.name}] {key}: expected "
-                              f"comma-separated numbers, got {value!r}") from None
-
-    def get_path(self, key, base: Path, default=None):
-        value = self._get(key, None)
-        if value is None:
-            return default
-        return (base / value).resolve() if not Path(value).is_absolute() else Path(value)
+def _read_section(where: str, kind: str, values: dict[str, str], base: Path) -> dict:
+    """Convert one section's raw strings into dataclass keyword arguments."""
+    fields = {}
+    for key, raw in values.items():
+        value_kind = _SCHEMA[kind].get(key)
+        if value_kind is None:
+            raise ConfigError(f"{where} unknown key {key!r}")
+        if raw == "":
+            continue
+        if isinstance(value_kind, tuple):
+            if raw not in value_kind:
+                raise ConfigError(f"{where} {key}: must be one of "
+                                  f"{'/'.join(value_kind)}, got {raw!r}")
+            value = raw
+        elif value_kind == "path":
+            value = Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
+        else:
+            convert, expected = _KINDS[value_kind]
+            try:
+                value = convert(raw)
+            except (KeyError, ValueError):
+                raise ConfigError(f"{where} {key}: expected {expected}, "
+                                  f"got {raw!r}") from None
+        fields[_FIELD_NAMES.get(key, key)] = value
+    return fields
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment config file.
+    """Parse and validate an experiment config file against ``_SCHEMA``.
 
-    Relative paths are resolved against the config file's directory.
+    Unknown sections and keys, and repeated sections, are errors. Relative
+    paths are resolved against the config file's directory.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    base = path.parent
-    sections = parse_config_sections(path.read_text(encoding="utf-8"), origin=str(path))
-    by_name = {name: values for name, values in sections
-               if not name.startswith("embedding")}
-    origin = str(path)
-
-    exp = _SectionReader("experiment", by_name.get("experiment", {}), origin)
-    dataset = exp.get_path("dataset", base)
-    if dataset is None:
-        raise ConfigError(f"{origin}: [experiment] dataset is required")
-    approaches_raw = exp.get_str("approaches", "all")
-    approaches = APPROACHES if approaches_raw == "all" else \
-        tuple(a.strip() for a in approaches_raw.split(","))
-
-    model_r = _SectionReader("model", by_name.get("model", {}), origin)
-    defaults = ModelConfig()
-    model = ModelConfig(
-        max_sequence_length=model_r.get_int("max_sequence_length",
-                                            defaults.max_sequence_length),
-        filters=model_r.get_int("filters", defaults.filters),
-        kernel_widths=model_r.get_numbers("kernels", defaults.kernel_widths, int),
-        pool=model_r.get_int("pool", defaults.pool),
-        dropout_rates=model_r.get_numbers("dropout", defaults.dropout_rates),
-        feataug_dropout_rates=model_r.get_numbers("feataug_dropout",
-                                                  defaults.feataug_dropout_rates),
-        right_kernel_width=model_r.get_int("right_kernel", defaults.right_kernel_width),
-        include_score_feature=model_r.get_bool("include_score_feature",
-                                               defaults.include_score_feature),
-        trainable_embeddings=model_r.get_bool("trainable_embeddings",
-                                              defaults.trainable_embeddings),
-        epochs=model_r.get_int("epochs", defaults.epochs),
-        batch_size=model_r.get_int("batch", defaults.batch_size),
-        learning_rate=model_r.get_float("lr", defaults.learning_rate),
-    )
-
-    fig_r = _SectionReader("figurative", by_name.get("figurative", {}), origin)
-    fig_defaults = FigurativeConfig()
-    figurative = FigurativeConfig(
-        embedding=fig_r.get_path("embedding", base),
-        embedding_format=fig_r.get_str("embedding_format", fig_defaults.embedding_format),
-        strip_prefix=fig_r.get_str("strip_prefix", None),
-        keywords=fig_r.get_path("keywords", base),
-        health_lexicon=fig_r.get_path("health_lexicon", base),
-        k=fig_r.get_int("k", fig_defaults.k),
-        threshold=fig_r.get_float("threshold", fig_defaults.threshold),
-        use_lda=fig_r.get_bool("use_lda", fig_defaults.use_lda),
-        lda_iterations=fig_r.get_int("lda_iterations", fig_defaults.lda_iterations),
-        include_target=fig_r.get_bool("include_target", fig_defaults.include_target),
-        pipeline_noise=fig_r.get_float("pipeline_noise", fig_defaults.pipeline_noise),
-    )
-
-    specs = []
-    for name, values in sections:
-        if not name.startswith("embedding"):
-            continue
-        spec_name = name[len("embedding"):].strip().strip('"')
-        if not spec_name:
-            raise ConfigError(f"{origin}: embedding section needs a name: "
-                              f"[embedding NAME]")
-        reader = _SectionReader(name, values, origin)
-        source = reader.get_str("source")
-        if source not in ("random", "file", "retrofit"):
-            raise ConfigError(f"{origin}: [{name}] source must be "
-                              f"random/file/retrofit, got {source!r}")
-        specs.append(EmbeddingSpec(
-            name=spec_name,
-            source=source,
-            dim=reader.get_int("dim", 0),
-            seed=reader.get_int("seed", None),
-            path=reader.get_path("path", base),
-            format=reader.get_str("format", "glove_text"),
-            strip_prefix=reader.get_str("strip_prefix", None),
-            ontology=reader.get_path("ontology", base),
-            iterations=reader.get_int("iterations", 10),
-            alpha=reader.get_float("alpha", 1.0),
-            beta_mode=reader.get_str("beta_mode", "inverse_degree"),
-        ))
-
+    sections: dict[tuple[str, str], dict] = {}
+    for name, values in parse_config_sections(path.read_text(encoding="utf-8"), str(path)):
+        kind, _, label = name.partition(" ")
+        label = label.strip().strip('"')
+        where = f"{path}: [{name}]"
+        if kind not in _SCHEMA or (kind == "embedding") != bool(label):
+            raise ConfigError(f"{where} unknown section; expected [experiment], [model], "
+                              f"[figurative] or [embedding NAME]")
+        if (kind, label) in sections:
+            raise ConfigError(f"{where} duplicate section")
+        sections[(kind, label)] = fields = _read_section(where, kind, values, path.parent)
+        if kind == "embedding" and "source" not in fields:
+            raise ConfigError(f"{where} source is required")
+    experiment = sections.get(("experiment", ""), {})
+    if "dataset" not in experiment:
+        raise ConfigError(f"{path}: [experiment] dataset is required")
+    approaches = experiment.pop("approaches", "all")
+    if approaches != "all":
+        experiment["approaches"] = tuple(a.strip() for a in approaches.split(","))
+    try:
+        model = ModelConfig(**sections.get(("model", ""), {}))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [model] {exc}") from None
     config = ExperimentConfig(
-        dataset=dataset,
-        embeddings=specs,
-        figurative=figurative,
-        model=model,
-        folds=exp.get_int("folds", 10),
-        seed=exp.get_int("seed", 42),
-        approaches=approaches,
-        jobs=exp.get_int("jobs", 1),
-    )
+        embeddings=[EmbeddingSpec(name=label, **fields)
+                    for (kind, label), fields in sections.items() if kind == "embedding"],
+        figurative=FigurativeConfig(**sections.get(("figurative", ""), {})),
+        model=model, **experiment)
     config.validate()
     return config
 
@@ -412,8 +358,6 @@ def stratified_kfold(corpus: list[Document], k: int, seed: int) -> list[list[Doc
 def build_spec_table(spec: EmbeddingSpec, vocab: list[str], run_seed: int) -> EmbeddingTable:
     """Materialize one embedding initialisation over the corpus vocabulary."""
     if spec.source == "random":
-        if spec.dim < 1:
-            raise ConfigError(f"embedding {spec.name!r}: random source needs dim >= 1")
         seed = spec.seed if spec.seed is not None else derive_seed(run_seed, spec.name)
         return random_table(vocab, spec.dim, seed)
     table = load_table(spec.path, spec.format, strip_prefix=spec.strip_prefix)
@@ -649,6 +593,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     prediction dumps.
     """
     config.validate()
+    if config.figurative.use_lda:
+        raise ConfigError("[figurative] use_lda is read only by fig-eval; "
+                          "experiment does not use the LDA posterior")
     jobs = config.jobs if jobs is None else jobs
     approaches = tuple(a for a in APPROACHES if a in set(config.approaches) | {"phmd"})
     config = replace(config, approaches=approaches)
@@ -656,6 +603,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     documents = load_dataset(config.dataset)
     if not documents:
         raise DataError(f"dataset {config.dataset} is empty")
+    if config.folds > len(documents):
+        raise ConfigError(f"folds = {config.folds} exceeds the {len(documents)} "
+                          f"documents in {config.dataset}")
     vocab = build_vocab(documents)
     vocab_list = sorted(vocab, key=vocab.get)
     sequences = {d.id: pad(d.tokens, vocab, config.model.max_sequence_length)

@@ -306,4 +306,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise DataError(f"{path}: trailing bytes after the last parameter array")
         arrays = [np.frombuffer(handle.read(count * 8), dtype="<f8").reshape(shape).copy()
                   for shape, count in zip(shapes, counts)]
+    names = manifest.get("param_names")
+    for index, array in enumerate(arrays):
+        if not np.isfinite(array).all():
+            name = names[index] if isinstance(names, list) and index < len(names) else index
+            raise DataError(f"{path}: parameter array {name!r} has non-finite values")
     return Checkpoint(manifest=manifest, arrays=arrays)

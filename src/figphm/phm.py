@@ -41,6 +41,23 @@ class ModelConfig:
     batch_size: int = 128
     learning_rate: float = 1e-3
 
+    def __post_init__(self):
+        if min(self.pool, self.filters, self.epochs, self.batch_size,
+               *self.kernel_widths, self.right_kernel_width) < 1:
+            raise ValueError("pool, filters, epochs, batch and kernel widths must be >= 1")
+        if self.max_sequence_length - max(self.kernel_widths) + 1 < self.pool:
+            raise ValueError(f"max_sequence_length {self.max_sequence_length} shorter than "
+                             f"largest kernel {max(self.kernel_widths)} plus pool - 1")
+        if feature_vector_length(self.include_score_feature) \
+                - self.right_kernel_width + 1 < self.pool:
+            raise ValueError(f"feature vector shorter than right kernel "
+                             f"{self.right_kernel_width} plus pool - 1")
+        for rates in (self.dropout_rates, self.feataug_dropout_rates):
+            if len(rates) != len(self.kernel_widths):
+                raise ValueError("need one dropout rate per kernel width")
+            if not all(0.0 <= rate < 1.0 for rate in rates):
+                raise ValueError(f"dropout rates must lie in [0, 1), got {rates}")
+
 
 @dataclass
 class Prediction:
@@ -140,15 +157,10 @@ class _SentenceCnn:
 
     def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int,
                  dropout_rates: tuple[float, ...], feature_length: int | None):
-        if config.max_sequence_length < max(config.kernel_widths):
-            raise ValueError(
-                f"max_sequence_length {config.max_sequence_length} shorter than "
-                f"largest kernel {max(config.kernel_widths)}")
-        if len(dropout_rates) != len(config.kernel_widths):
-            raise ValueError("need one dropout rate per kernel width")
-        if feature_length is not None and feature_length < config.right_kernel_width:
-            raise ValueError(f"feature vector of length {feature_length} "
-                             f"shorter than right kernel {config.right_kernel_width}")
+        if feature_length is not None and \
+                feature_length - config.right_kernel_width + 1 < config.pool:
+            raise ValueError(f"feature vector of length {feature_length} shorter than "
+                             f"right kernel {config.right_kernel_width} plus pool - 1")
         self.config = config
         self.feature_length = feature_length
         self.forward_count = 0

@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -220,6 +222,18 @@ class TestLoadConfig:
             encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown approach"):
             load_config(tmp_path / "cfg.ini")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        for _, values in parse_config_sections(text):
+            for key in ("dataset", "embedding", "keywords", "path", "ontology"):
+                if key in values:
+                    (tmp_path / values[key]).touch()
+        (tmp_path / "cfg.ini").write_text(text, encoding="utf-8")
+        config = load_config(tmp_path / "cfg.ini")
+        assert [s.name for s in config.embeddings] == ["rand", "glove", "glove+mesh"]
+        assert config.model.dropout_rates == (0.2, 0.3, 0.5)
 
 
 class TestReportRoundTrip:
@@ -454,6 +468,32 @@ class TestCli:
         assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),
                          "--out", str(tmp_path / "run")]) == 1
 
+    @pytest.mark.parametrize("edit", [
+        ("[model]", "[modle]"),
+        ("epochs = 1", "epoch = 1"),
+        ("[embedding tiny]", "[embedding a]\nsource = random\ndim = 4\n[embedding a]"),
+        ("[embedding tiny]", "[embedding f]\nsource = file\n[embedding tiny]"),
+        ("[embedding tiny]", "[embedding r]\nsource = retrofit\npath = fig_vec.txt\n"
+                             "[embedding tiny]"),
+        ("max_sequence_length = 6", "max_sequence_length = 4"),
+        ("filters = 4", "filters = 4\ndropout = 0.5,0.5"),
+        ("[embedding tiny]", "[embedding r]\nsource = retrofit\npath = fig_vec.txt\n"
+                             "ontology = kw.txt\nbeta_mode = flat\n[embedding tiny]"),
+        ("[embedding tiny]", "[embedding g]\nsource = file\npath = fig_vec.txt\n"
+                             "format = xml\n[embedding tiny]"),
+        ("folds = 2", "folds = 13"),
+        ("k = 1", "k = 1\nuse_lda = true"),
+    ], ids=["unknown_section", "unknown_key", "duplicate_embedding", "file_without_path",
+            "retrofit_without_ontology", "sequence_too_short", "dropout_count",
+            "beta_mode_flat", "format_xml", "folds_above_docs", "use_lda"])
+    def test_experiment_rejects_bad_config_exit_1(self, tmp_path, capsys, edit):
+        write_min_dataset(tmp_path / "data.tsv", n=12)
+        write_min_figfiles(tmp_path)
+        (tmp_path / "cfg.ini").write_text(MIN_CONFIG.replace(*edit), encoding="utf-8")
+        assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_train_evaluate_cli(self, tmp_path, capsys):
         _experiment_config(tmp_path)
         code = cli_main(["train", "--config", str(tmp_path / "cfg.ini"),
@@ -469,7 +509,7 @@ class TestCli:
     @pytest.mark.parametrize("damage", [
         "no_shapes", "bad_shapes", "unknown_config_key", "config_not_a_dict",
         "zero_arrays", "trailing_bytes", "not_a_dict", "no_kind", "no_config",
-        "no_vocab", "no_feature_length",
+        "no_vocab", "no_feature_length", "nan_dense_b",
     ])
     def test_evaluate_malformed_checkpoint_exit_2(self, tmp_path, capsys, damage):
         _experiment_config(tmp_path)
@@ -495,6 +535,8 @@ class TestCli:
             data += bytes(8)
         elif damage == "not_a_dict":
             manifest = [manifest]
+        elif damage == "nan_dense_b":  # the last array
+            data = data[:-8] + struct.pack("<d", float("nan"))
         else:
             del manifest[damage.removeprefix("no_")]
         header = json.dumps(manifest).encode("utf-8")
