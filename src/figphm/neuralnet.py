@@ -3,7 +3,9 @@ valid 1-D convolution, ReLU, non-overlapping max pooling, inverted dropout,
 dense layers, sigmoid + binary cross-entropy, and Adam.
 
 Everything runs in float64. Each forward function has a matching backward
-that consumes the upstream gradient and the forward inputs; ``gradient_check``
+that consumes the upstream gradient and the forward inputs. The kernels take
+an optional leading batch axis; backward passes sum parameter gradients over
+it. ``gradient_check``
 verifies any parameterized scalar-loss model against central differences.
 """
 
@@ -21,6 +23,7 @@ from .errors import DataError
 
 CHECKPOINT_VERSION = "figphm-ckpt-1"
 BCE_EPS = 1e-7
+ADAM_BLOCK = 1 << 16        # entries per in-place Adam block
 
 
 class Parameter:
@@ -29,7 +32,8 @@ class Parameter:
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, value: np.ndarray, name: str = ""):
-        self.value = np.asarray(value, dtype=np.float64)
+        # contiguous, so Adam can update it in place through a flat view
+        self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.name = name
 
@@ -61,74 +65,92 @@ def sigmoid(x):
 
 
 def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid-padding stride-1 convolution.
+    """Valid-padding stride-1 convolution over the last two axes, as one
+    GEMM for the whole batch.
 
-    x: (T, d) sequence, kernels: (F, w, d), bias: (F,) -> output (T-w+1, F)
-    with out[t, f] = bias[f] + sum_{i,j} x[t+i, j] * kernels[f, i, j].
+    x: (..., T, d) sequences, kernels: (F, w, d), bias: (F,) -> output
+    (..., T-w+1, F) with out[..., t, f] = bias[f] + sum_{i,j} x[..., t+i, j] * kernels[f, i, j].
     """
-    seq_len, width = x.shape[0], kernels.shape[1]
+    seq_len, width = x.shape[-2], kernels.shape[1]
     if seq_len < width:
         raise ValueError(f"sequence shorter than kernel: {seq_len} < {width}")
-    windows = _windows(x, width)                     # (T-w+1, w*d)
-    return windows @ kernels.reshape(kernels.shape[0], -1).T + bias
+    windows = _windows(x, width)                     # (..., T-w+1, w*d)
+    out = windows.reshape(-1, windows.shape[-1]) @ kernels.reshape(kernels.shape[0], -1).T
+    out += bias
+    return out.reshape(windows.shape[:-1] + (kernels.shape[0],))
 
 
-def conv1d_backward(dout: np.ndarray, x: np.ndarray, kernels: np.ndarray):
-    """Gradients of conv1d w.r.t. input, kernels, and bias."""
+def conv1d_backward(dout: np.ndarray, x: np.ndarray, kernels: np.ndarray,
+                    input_grad: bool = True):
+    """Gradients of conv1d w.r.t. input, kernels, and bias, summed over the
+    batch; the input gradient is None when ``input_grad`` is false."""
     n_filters, width, dim = kernels.shape
-    windows = _windows(x, width)
-    dbias = dout.sum(axis=0)
-    dkernels = (dout.T @ windows).reshape(n_filters, width, dim)
-    contrib = (dout @ kernels.reshape(n_filters, -1)).reshape(-1, width, dim)
+    flat_dout = dout.reshape(-1, n_filters)
+    dbias = flat_dout.sum(axis=0)
+    dkernels = (flat_dout.T @ _windows(x, width).reshape(-1, width * dim)
+                ).reshape(n_filters, width, dim)
+    if not input_grad:
+        return None, dkernels, dbias
+    contrib = (flat_dout @ kernels.reshape(n_filters, -1)).reshape(
+        dout.shape[:-1] + (width, dim))
     dx = np.zeros_like(x)
-    out_len = dout.shape[0]
+    out_len = dout.shape[-2]
     for i in range(width):
-        dx[i:i + out_len] += contrib[:, i, :]
+        dx[..., i:i + out_len, :] += contrib[..., i, :]
     return dx, dkernels, dbias
 
 
 def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(x, (width, x.shape[1]))
-    return view.reshape(x.shape[0] - width + 1, width * x.shape[1])
+    view = np.lib.stride_tricks.sliding_window_view(x, (width, x.shape[-1]), axis=(-2, -1))
+    return view.reshape(x.shape[:-2] + (x.shape[-2] - width + 1, width * x.shape[-1]))
 
 
 def maxpool1d(x: np.ndarray, pool: int) -> np.ndarray:
-    """Non-overlapping max pooling with stride = pool; the tail beyond
-    floor(T/pool)*pool is dropped."""
-    out, _ = _maxpool_with_argmax(x, pool)
-    return out
+    """Non-overlapping max pooling along axis -2 with stride = pool; the
+    tail beyond floor(T/pool)*pool is dropped."""
+    return _pool_view(x, pool).max(axis=-2)
 
 
 def maxpool1d_backward(dout: np.ndarray, x: np.ndarray, pool: int) -> np.ndarray:
-    """Routes each window's gradient to its argmax (first index on ties)."""
-    _, argmax = _maxpool_with_argmax(x, pool)
-    n_windows = argmax.shape[0]
-    dwindows = np.zeros((n_windows, pool, x.shape[1]))
-    np.put_along_axis(dwindows, argmax[:, None, :], dout[:, None, :], axis=1)
+    """Routes each window's gradient to its argmax (first index on ties),
+    found by comparison: entry i wins if no earlier entry won and it is at
+    least the maximum of the entries after it."""
+    view = _pool_view(x, pool)
     dx = np.zeros_like(x)
-    dx[:n_windows * pool] = dwindows.reshape(n_windows * pool, x.shape[1])
+    dwindows = dx[..., :view.shape[-3] * pool, :].reshape(view.shape)   # a view of dx
+    unrouted = np.ones(dout.shape, dtype=bool)
+    for i in range(pool - 1):
+        rest = view[..., i + 1, :] if i + 2 == pool else view[..., i + 1:, :].max(axis=-2)
+        wins = (view[..., i, :] >= rest) & unrouted
+        np.multiply(dout, wins, out=dwindows[..., i, :])
+        unrouted &= ~wins
+    np.multiply(dout, unrouted, out=dwindows[..., pool - 1, :])
     return dx
 
 
-def _maxpool_with_argmax(x: np.ndarray, pool: int):
-    seq_len = x.shape[0]
+def _pool_view(x: np.ndarray, pool: int) -> np.ndarray:
+    """x (..., T, F) as non-overlapping windows (..., T // pool, pool, F)."""
+    seq_len = x.shape[-2]
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
     if seq_len < pool:
         raise ValueError(f"sequence shorter than pool window: {seq_len} < {pool}")
     n_windows = seq_len // pool
-    view = x[:n_windows * pool].reshape(n_windows, pool, x.shape[1])
-    return view.max(axis=1), view.argmax(axis=1)
+    return x[..., :n_windows * pool, :].reshape(
+        x.shape[:-2] + (n_windows, pool, x.shape[-1]))
 
 
-def make_dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+def make_dropout_mask(shape, rate, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability rate, survivors scaled
-    by 1/(1-rate) so the expectation matches the input."""
-    if not 0.0 <= rate < 1.0:
+    by 1/(1-rate) so the expectation matches the input. ``rate`` may be an
+    array of per-column rates along the last axis."""
+    rate = np.asarray(rate, dtype=np.float64)
+    if not np.all((0.0 <= rate) & (rate < 1.0)):
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if rate == 0.0:
+    if not rate.any():
         return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    mask = rng.random(shape)
+    return np.divide(mask >= rate, 1.0 - rate, out=mask)
 
 
 def dropout(x: np.ndarray, rate: float, mode: str = "train",
@@ -145,10 +167,11 @@ def dropout(x: np.ndarray, rate: float, mode: str = "train",
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
           activation: str = "none") -> np.ndarray:
-    """activation(W @ x + b) with activation in {relu, sigmoid, none}."""
-    if weights.shape[1] != x.shape[0]:
+    """activation(W @ x + b) over the last axis of x, with activation in
+    {relu, sigmoid, none}."""
+    if weights.shape[1] != x.shape[-1]:
         raise ValueError(f"shape mismatch: W is {weights.shape}, x is {x.shape}")
-    z = weights @ x + bias
+    z = x @ weights.T + bias
     if activation == "none":
         return z
     if activation == "relu":
@@ -160,39 +183,45 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray,
                    activation: str, out: np.ndarray):
-    """Gradients of dense(); ``out`` is the forward output (used for the
-    activation derivative)."""
+    """Gradients of dense(), summed over the batch; ``out`` is the forward
+    output (used for the activation derivative)."""
     if activation == "relu":
         dout = dout * (out > 0.0)
     elif activation == "sigmoid":
         dout = dout * out * (1.0 - out)
     elif activation != "none":
         raise ValueError(f"unknown activation: {activation!r}")
-    dweights = np.outer(dout, x)
-    dx = weights.T @ dout
-    return dx, dweights, dout.copy()
+    flat_dout = dout.reshape(-1, weights.shape[0])
+    dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
+    return dout @ weights, dweights, flat_dout.sum(axis=0)
 
 
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross-entropy -(y ln p + (1-y) ln(1-p)); p is clamped to
-    [1e-7, 1-1e-7] before the logs."""
-    p = min(max(float(p), BCE_EPS), 1.0 - BCE_EPS)
+def bce_loss(p, y):
+    """Binary cross-entropy -(y ln p + (1-y) ln(1-p)), elementwise; p is
+    clamped to [1e-7, 1-1e-7] before the logs."""
+    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
-def bce_grad(p: float, y: int) -> float:
-    """dL/dp for bce_loss; zero outside the clamp region (the loss is flat there)."""
-    p = float(p)
-    if p < BCE_EPS or p > 1.0 - BCE_EPS:
-        return 0.0
-    return (p - y) / (p * (1.0 - p))
+def bce_grad(p, y):
+    """dL/dp for bce_loss, elementwise; zero outside the clamp region (the
+    loss is flat there)."""
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = np.where((p < BCE_EPS) | (p > 1.0 - BCE_EPS), 0.0,
+                        (p - y) / (p * (1.0 - p)))
+    return float(grad) if grad.ndim == 0 else grad
 
 
 class Adam:
     """Bias-corrected Adam over a list of Parameters.
 
     Defaults lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8; epsilon is added
-    outside the square root.
+    outside the square root. ``step`` updates the moments and the values in
+    place, one block of ADAM_BLOCK entries at a time through two scratch
+    buffers, with the same floating-point operations as the textbook form
+    m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g**2;
+    p -= lr (m / c1) / (sqrt(v / c2) + eps).
     """
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
@@ -205,17 +234,36 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
+        block = min(ADAM_BLOCK, max((p.value.size for p in params), default=0))
+        self._scratch = (np.empty(block), np.empty(block))
 
     def step(self) -> None:
         self.step_count += 1
         correction1 = 1.0 - self.beta1 ** self.step_count
         correction2 = 1.0 - self.beta2 ** self.step_count
-        for i, p in enumerate(self.params):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * p.grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * p.grad ** 2
-            m_hat = self.m[i] / correction1
-            v_hat = self.v[i] / correction2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        for p, m, v in zip(self.params, self.m, self.v):
+            value, grad, m, v = (a.reshape(-1) for a in (p.value, p.grad, m, v))
+            for start in range(0, value.size, ADAM_BLOCK):
+                block = slice(start, start + ADAM_BLOCK)
+                self._update(value[block], grad[block], m[block], v[block],
+                             correction1, correction2)
+
+    def _update(self, value, grad, m, v, correction1, correction2) -> None:
+        a, b = (buf[:value.size] for buf in self._scratch)
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.square(grad, out=a)
+        np.multiply(a, 1.0 - self.beta2, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, correction1, out=a)
+        np.multiply(a, self.lr, out=a)
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.epsilon, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(value, a, out=value)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -226,7 +274,8 @@ def gradient_check(model, inputs, target, epsilon: float = 1e-4) -> float:
     """Max relative error between backprop and central finite differences.
 
     ``model`` must expose parameters() and two dropout-free evaluations:
-    loss(inputs, target) and loss_and_grad(inputs, target). The relative
+    loss(inputs, target) and loss_and_grad(inputs, target); for a batch of
+    inputs the loss is the sum over its examples. The relative
     error per parameter entry is |a - n| / max(1e-8, |a| + |n|). Call this
     only at safe points (no ReLU kink or pooling near-tie within epsilon;
     see the models' activation_margins()).

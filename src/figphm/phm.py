@@ -3,12 +3,14 @@ the figurative-gated pipeline combiner.
 
 ``PhmdModel`` is the text-only CNN; ``FeatAugModel`` is the same CNN with
 one more conv branch over the figurative-usage feature vector. Models own
-their Parameters; training is single-threaded per model with sequential,
-order-fixed gradient accumulation so traces are reproducible.
+their Parameters; training runs one forward/backward per minibatch over the
+stacked examples, with the shuffle and every dropout mask drawn from one
+seeded generator in a fixed order, so traces are reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -20,6 +22,8 @@ from .errors import DataError
 from .figurative import FIGURATIVE, FigurativeVerdict, LinguisticFeatures
 from . import neuralnet as nn
 from .neuralnet import Parameter
+
+PASS_BYTES = 1 << 19        # ReLU activations cached per training pass
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,8 @@ class ModelConfig:
         if min(self.pool, self.filters, self.epochs, self.batch_size,
                *self.kernel_widths, self.right_kernel_width) < 1:
             raise ValueError("pool, filters, epochs, batch and kernel widths must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.max_sequence_length - max(self.kernel_widths) + 1 < self.pool:
             raise ValueError(f"max_sequence_length {self.max_sequence_length} shorter than "
                              f"largest kernel {max(self.kernel_widths)} plus pool - 1")
@@ -83,7 +89,8 @@ def feature_vector_length(include_score: bool = True) -> int:
 
 
 class _ConvBranch:
-    """conv -> relu -> maxpool -> dropout over one kernel width."""
+    """conv -> relu -> maxpool over one kernel width, for a batch; the
+    model applies the branch's dropout to the pooled output."""
 
     def __init__(self, kernels: Parameter, bias: Parameter, width: int,
                  dropout_rate: float, pool: int):
@@ -96,36 +103,25 @@ class _ConvBranch:
     def flat_size(self, seq_len: int) -> int:
         return (seq_len - self.width + 1) // self.pool * self.kernels.value.shape[0]
 
-    def forward(self, x: np.ndarray, train: bool, rng, cache: dict) -> np.ndarray:
-        pre = nn.conv1d(x, self.kernels.value, self.bias.value)
-        act = nn.relu(pre)
-        pooled = nn.maxpool1d(act, self.pool)
-        if train and self.dropout_rate > 0.0:
-            mask = nn.make_dropout_mask(pooled.shape, self.dropout_rate, rng)
-            out = pooled * mask
-        else:
-            mask = None
-            out = pooled
-        cache.update(x=x, pre=pre, act=act, mask=mask)
-        return out.ravel()
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x (B, T, depth) -> (ReLU activations, pooled (B, windows, F))."""
+        act = nn.relu(nn.conv1d(x, self.kernels.value, self.bias.value))
+        return act, nn.maxpool1d(act, self.pool)
 
-    def backward(self, dflat: np.ndarray, cache: dict, grad_scale: float) -> np.ndarray:
-        act = cache["act"]
-        n_windows = act.shape[0] // self.pool
-        dpooled = dflat.reshape(n_windows, -1)
-        if cache["mask"] is not None:
-            dpooled = dpooled * cache["mask"]
-        dact = nn.maxpool1d_backward(dpooled, act, self.pool)
-        dpre = nn.relu_backward(dact, cache["pre"])
-        dx, dkernels, dbias = nn.conv1d_backward(dpre, cache["x"], self.kernels.value)
+    def backward(self, dpooled: np.ndarray, x: np.ndarray, act: np.ndarray,
+                 grad_scale: float, input_grad: bool) -> np.ndarray | None:
+        # act > 0 exactly where the pre-activation is, so act stands in for it
+        dpre = nn.relu_backward(nn.maxpool1d_backward(dpooled, act, self.pool), act)
+        dx, dkernels, dbias = nn.conv1d_backward(dpre, x, self.kernels.value,
+                                                 input_grad=input_grad)
         self.kernels.grad += grad_scale * dkernels
         self.bias.grad += grad_scale * dbias
         return dx
 
-    def margins(self, cache: dict) -> tuple[float, float]:
+    def margins(self, x: np.ndarray) -> tuple[float, float]:
         """(min |relu pre-activation|, min active pooling-window gap)."""
-        relu_margin = float(np.abs(cache["pre"]).min())
-        return relu_margin, _pool_gap(cache["act"], self.pool)
+        pre = nn.conv1d(x, self.kernels.value, self.bias.value)
+        return float(np.abs(pre).min()), _pool_gap(nn.relu(pre), self.pool)
 
 
 def _pool_gap(act: np.ndarray, pool: int) -> float:
@@ -136,10 +132,11 @@ def _pool_gap(act: np.ndarray, pool: int) -> float:
     """
     if pool < 2:
         return math.inf
-    n_windows = act.shape[0] // pool
-    view = np.sort(act[:n_windows * pool].reshape(n_windows, pool, act.shape[1]), axis=1)
-    top1 = view[:, -1, :]
-    top2 = view[:, -2, :]
+    n_windows = act.shape[-2] // pool
+    view = np.sort(act[..., :n_windows * pool, :].reshape(
+        act.shape[:-2] + (n_windows, pool, act.shape[-1])), axis=-2)
+    top1 = view[..., -1, :]
+    top2 = view[..., -2, :]
     gaps = np.where(top1 > 0.0, top1 - top2, math.inf)
     return float(gaps.min()) if gaps.size else math.inf
 
@@ -151,6 +148,11 @@ class _SentenceCnn:
     concatenated pooled features. Parameters are declared (and drawn from
     the seed) in checkpoint order: embedding, text branches, feature
     branch, dense head.
+
+    Every forward and backward runs on a batch. ``inputs`` is one example
+    (token ids (T,), or the pair (ids, feature vector)) or a batch of them
+    stacked along a leading axis; losses and gradients are sums over the
+    batch, and one example is a batch of one.
     """
 
     kind = ""
@@ -173,12 +175,26 @@ class _SentenceCnn:
         self.right = None if feature_length is None else \
             self._add_branch("right", config.right_kernel_width, 1, 0.0, rng)
         self._all_branches = self.branches + ([self.right] if self.right else [])
-        flat = sum(b.flat_size(config.max_sequence_length) for b in self.branches)
+        seq_lens = [config.max_sequence_length] * len(self.branches)
         if self.right is not None:
-            flat += self.right.flat_size(feature_length)
+            seq_lens.append(feature_length)
+        sizes = [b.flat_size(n) for b, n in zip(self._all_branches, seq_lens)]
+        ends = list(itertools.accumulate(sizes))
+        self._columns = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        # Dropout masks are drawn as one block, example-major, over the
+        # pooled-feature columns of the branches with rate > 0, in branch order.
+        column_rates = np.repeat([b.dropout_rate for b in self._all_branches], sizes)
+        self._dropout_columns = np.flatnonzero(column_rates)
+        self._dropout_rates = column_rates[self._dropout_columns]
         self.dense_w = self._register(
-            nn.uniform_init((1, flat), config.init_bound, rng), "dense_w")
+            nn.uniform_init((1, ends[-1]), config.init_bound, rng), "dense_w")
         self.dense_b = self._register(np.zeros(1), "dense_b")
+        # The backward needs every branch's ReLU activations, so training
+        # runs a minibatch in passes whose activations fit in PASS_BYTES;
+        # this bounds training memory whatever the batch size.
+        act_bytes = 8 * config.filters * sum(n - b.width + 1
+                                             for b, n in zip(self._all_branches, seq_lens))
+        self._pass_size = max(1, PASS_BYTES // act_bytes)
 
     def _add_branch(self, name: str, width: int, depth: int, dropout_rate: float,
                     rng) -> _ConvBranch:
@@ -211,75 +227,117 @@ class _SentenceCnn:
         for p in self._params:
             p.zero_grad()
 
-    def loss(self, inputs, target: int) -> float:
-        prob, _ = self._forward(inputs, train=False, rng=None, want_cache=False)
-        return float(nn.bce_loss(prob, target))
+    def loss(self, inputs, target) -> float:
+        """Summed BCE over the batch, dropout-free."""
+        ids, features, _ = self._batch(inputs)
+        probs, _ = self._forward(ids, features, train=False, rng=None)
+        return float(nn.bce_loss(probs, self._targets(target, ids.shape[0])).sum())
 
-    def loss_and_grad(self, inputs, target: int, train: bool = False, rng=None,
+    def loss_and_grad(self, inputs, target, train: bool = False, rng=None,
                       grad_scale: float = 1.0, accumulate: bool = False) -> float:
+        """Summed BCE over the batch; adds grad_scale times its gradient to
+        every parameter's grad (after zeroing them, unless accumulating)."""
         if not accumulate:
             self.zero_grad()
-        prob, cache = self._forward(inputs, train=train, rng=rng, want_cache=True)
-        loss = float(nn.bce_loss(prob, target))
-        dprob = nn.bce_grad(prob, target)
-        self._backward(dprob, cache, grad_scale)
+        ids, features, _ = self._batch(inputs)
+        targets = self._targets(target, ids.shape[0])
+        loss = 0.0
+        for start in range(0, ids.shape[0], self._pass_size):
+            rows = slice(start, start + self._pass_size)
+            probs, cache = self._forward(ids[rows], None if features is None else features[rows],
+                                         train=train, rng=rng)
+            self._backward(nn.bce_grad(probs, targets[rows]), cache, grad_scale)
+            loss += float(nn.bce_loss(probs, targets[rows]).sum())
         return loss
 
-    def predict_proba(self, inputs) -> float:
-        """``inputs`` is the token-id sequence, or the pair (ids, feature
-        vector) when the model has a feature branch."""
-        prob, _ = self._forward(inputs, train=False, rng=None, want_cache=False)
-        return prob
+    def predict_proba(self, inputs):
+        """Eval-mode probability: a float for one example, an array for a
+        batch."""
+        ids, features, single = self._batch(inputs)
+        probs, _ = self._forward(ids, features, train=False, rng=None)
+        return float(probs[0]) if single else probs
 
-    def _forward(self, inputs, train, rng, want_cache):
+    @staticmethod
+    def _targets(target, batch: int) -> np.ndarray:
+        targets = np.asarray(target, dtype=np.float64).reshape(-1)
+        if targets.size != batch:
+            raise ValueError(f"{targets.size} targets for a batch of {batch}")
+        return targets
+
+    def _batch(self, inputs):
+        """(ids (B, T), features (B, n) or None, single) from one example or
+        a batch."""
         ids, features = inputs if self.right is not None else (inputs, None)
         ids = np.asarray(ids, dtype=np.intp)
-        if ids.shape[0] != self.config.max_sequence_length:
-            raise ValueError(f"expected sequence of length "
-                             f"{self.config.max_sequence_length}, got {ids.shape[0]}")
-        x = self.embedding.value[ids]
-        branch_inputs = [x] * len(self.branches)
+        if ids.ndim not in (1, 2) or ids.shape[-1] != self.config.max_sequence_length:
+            raise ValueError(f"expected sequences of length "
+                             f"{self.config.max_sequence_length}, got shape {ids.shape}")
+        single = ids.ndim == 1
+        ids = ids.reshape(1, -1) if single else ids
         if self.right is not None:
             features = np.asarray(features, dtype=np.float64)
-            if features.shape[0] != self.feature_length:
+            if features.shape[-1] != self.feature_length:
                 raise ValueError(f"expected feature vector of length "
-                                 f"{self.feature_length}, got {features.shape[0]}")
-            branch_inputs.append(features[:, None])
-        self.forward_count += 1
-        caches = [dict() for _ in self._all_branches]
-        flats = [b.forward(bx, train, rng, c)
-                 for b, bx, c in zip(self._all_branches, branch_inputs, caches)]
-        hidden = np.concatenate(flats)
-        out = nn.dense(hidden, self.dense_w.value, self.dense_b.value, "sigmoid")
-        prob = float(np.clip(out[0], 1e-12, 1.0 - 1e-12))
-        if not want_cache:
-            return prob, None
-        return prob, dict(ids=ids, caches=caches, hidden=hidden, out=out,
-                          sizes=[f.size for f in flats])
+                                 f"{self.feature_length}, got {features.shape[-1]}")
+            features = features.reshape(ids.shape[0], self.feature_length)
+        return ids, features, single
 
-    def _backward(self, dprob, cache, grad_scale):
-        dout = np.array([dprob])
-        dhidden, dw, db = nn.dense_backward(dout, cache["hidden"], self.dense_w.value,
-                                            "sigmoid", cache["out"])
+    def _branch_inputs(self, ids, features) -> list[np.ndarray]:
+        x = self.embedding.value[ids]
+        return [x] * len(self.branches) + ([] if features is None else [features[:, :, None]])
+
+    def _forward(self, ids, features, train, rng):
+        branch_inputs = self._branch_inputs(ids, features)
+        batch = ids.shape[0]
+        self.forward_count += batch
+        hidden = np.empty((batch, self.dense_w.value.shape[1]))
+        acts = []
+        for branch, x, columns in zip(self._all_branches, branch_inputs, self._columns):
+            act, pooled = branch.forward(x)
+            acts.append(act)
+            hidden[:, columns] = pooled.reshape(batch, -1)
+        mask = None
+        if train and self._dropout_columns.size:
+            mask = np.ones_like(hidden)
+            mask[:, self._dropout_columns] = nn.make_dropout_mask(
+                (batch, self._dropout_columns.size), self._dropout_rates, rng)
+            hidden *= mask
+        out = nn.dense(hidden, self.dense_w.value, self.dense_b.value, "sigmoid")
+        probs = np.clip(out[:, 0], 1e-12, 1.0 - 1e-12)
+        return probs, dict(ids=ids, inputs=branch_inputs, acts=acts, hidden=hidden,
+                           mask=mask, out=out)
+
+    def _backward(self, dprobs, cache, grad_scale):
+        dhidden, dw, db = nn.dense_backward(dprobs[:, None], cache["hidden"],
+                                            self.dense_w.value, "sigmoid", cache["out"])
         self.dense_w.grad += grad_scale * dw
         self.dense_b.grad += grad_scale * db
-        dxs = []
-        offset = 0
-        for branch, bcache, size in zip(self._all_branches, cache["caches"], cache["sizes"]):
-            dxs.append(branch.backward(dhidden[offset:offset + size], bcache, grad_scale))
-            offset += size
-        if self.config.trainable_embeddings:
-            demb = np.zeros_like(self.embedding.value)
-            np.add.at(demb, cache["ids"], sum(dxs[1:len(self.branches)], dxs[0]))
-            self.embedding.grad += grad_scale * demb
+        if cache["mask"] is not None:
+            dhidden *= cache["mask"]
+        trainable = self.config.trainable_embeddings
+        dembedded = None
+        for branch, x, act, columns in zip(self._all_branches, cache["inputs"],
+                                           cache["acts"], self._columns):
+            dpooled = dhidden[:, columns].reshape(act.shape[0], -1, act.shape[-1])
+            dx = branch.backward(dpooled, x, act, grad_scale,
+                                 input_grad=trainable and branch is not self.right)
+            if dx is None:
+                continue
+            if dembedded is None:
+                dembedded = dx
+            else:
+                dembedded += dx
+        if dembedded is not None:
+            dembedded *= grad_scale
+            np.add.at(self.embedding.grad, cache["ids"], dembedded)
 
     def activation_margins(self, inputs) -> tuple[float, float]:
-        """(min ReLU pre-activation magnitude, min active pool gap) at this
-        input; both must clear the finite-difference step for a safe
+        """(min ReLU pre-activation magnitude, min active pool gap) over the
+        batch; both must clear the finite-difference step for a safe
         gradient check."""
-        _, cache = self._forward(inputs, train=False, rng=None, want_cache=True)
-        self.forward_count -= 1  # diagnostics only
-        margins = [b.margins(c) for b, c in zip(self._all_branches, cache["caches"])]
+        ids, features, _ = self._batch(inputs)
+        margins = [b.margins(x) for b, x in zip(self._all_branches,
+                                                self._branch_inputs(ids, features))]
         return min(r for r, _ in margins), min(g for _, g in margins)
 
 
@@ -366,6 +424,9 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
     examples = _canonical_examples(model, corpus)
+    ids = np.stack([e[0] for e in examples])
+    targets = np.array([e[1] for e in examples], dtype=np.float64)
+    features = np.stack([e[2] for e in examples]) if model.kind == "feataug" else None
     optimizer = nn.Adam(model.parameters(), lr=lr)
     rng = np.random.default_rng(seed)
     trace = []
@@ -375,17 +436,22 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
         for start in range(0, len(examples), batch):
             chunk = order[start:start + batch]
             optimizer.zero_grad()
-            scale = 1.0 / len(chunk)
-            for i in chunk:
-                ids, y, features = examples[i]
-                inputs = (ids, features) if model.kind == "feataug" else ids
-                epoch_loss += model.loss_and_grad(inputs, y, train=True, rng=rng,
-                                                  grad_scale=scale, accumulate=True)
+            inputs = ids[chunk] if features is None else (ids[chunk], features[chunk])
+            epoch_loss += model.loss_and_grad(inputs, targets[chunk], train=True, rng=rng,
+                                              grad_scale=1.0 / len(chunk), accumulate=True)
             if not math.isfinite(epoch_loss):
                 raise FloatingPointError("non-finite training loss")
             optimizer.step()
+            _check_finite(optimizer.params)
         trace.append(epoch_loss / len(examples))
     return trace
+
+
+def _check_finite(params: list[Parameter]) -> None:
+    for param in params:
+        if not np.isfinite(param.value).all():
+            raise FloatingPointError(f"non-finite values in parameter {param.name!r} "
+                                     f"after an Adam step")
 
 
 def predict_phmd(model: PhmdModel, seq: PaddedSequence, doc_id: str = "") -> Prediction:

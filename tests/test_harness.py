@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 from pathlib import Path
@@ -327,6 +328,16 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "report.tsv").read_bytes() == \
             (tmp_path / "b" / "report.tsv").read_bytes()
 
+    def test_pool_workers_share_blas_threads(self, monkeypatch):
+        from figphm.harness import BLAS_THREAD_VARIABLES, _cell_pool
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        with _cell_pool(2) as pool:
+            seen = [pool.submit(os.getenv, name).result(timeout=120)
+                    for name in BLAS_THREAD_VARIABLES]
+        assert seen == [str(max(1, (os.cpu_count() or 1) // 2))] * len(seen)
+        assert not any(name in os.environ for name in BLAS_THREAD_VARIABLES)
+
     def test_pipeline_reuses_phmd_forward(self, tmp_path, monkeypatch):
         import figphm.harness as harness_mod
         config = _experiment_config(tmp_path, approaches="pipeline")
@@ -483,9 +494,17 @@ class TestCli:
                              "format = xml\n[embedding tiny]"),
         ("folds = 2", "folds = 13"),
         ("k = 1", "k = 1\nuse_lda = true"),
+        ("k = 1", "k = 0"),
+        ("[embedding tiny]", "[embedding r]\nsource = retrofit\npath = fig_vec.txt\n"
+                             "ontology = kw.txt\niterations = -1\n[embedding tiny]"),
+        ("[embedding tiny]", "[embedding r]\nsource = retrofit\npath = fig_vec.txt\n"
+                             "ontology = kw.txt\nalpha = 0\n[embedding tiny]"),
+        ("batch = 8", "batch = 8\nlr = -1"),
+        ("batch = 8", "batch = 8\nlr = nan"),
     ], ids=["unknown_section", "unknown_key", "duplicate_embedding", "file_without_path",
             "retrofit_without_ontology", "sequence_too_short", "dropout_count",
-            "beta_mode_flat", "format_xml", "folds_above_docs", "use_lda"])
+            "beta_mode_flat", "format_xml", "folds_above_docs", "use_lda",
+            "k_zero", "iterations_negative", "alpha_zero", "lr_negative", "lr_nan"])
     def test_experiment_rejects_bad_config_exit_1(self, tmp_path, capsys, edit):
         write_min_dataset(tmp_path / "data.tsv", n=12)
         write_min_figfiles(tmp_path)

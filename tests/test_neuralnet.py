@@ -265,3 +265,101 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
             nn.load_checkpoint(path)
+
+
+def _maxpool_backward_reference(dout, x, pool):
+    """Per-example argmax routing through put_along_axis."""
+    n_windows = x.shape[0] // pool
+    view = x[:n_windows * pool].reshape(n_windows, pool, x.shape[1])
+    dwindows = np.zeros((n_windows, pool, x.shape[1]))
+    np.put_along_axis(dwindows, view.argmax(axis=1)[:, None, :], dout[:, None, :], axis=1)
+    dx = np.zeros_like(x)
+    dx[:n_windows * pool] = dwindows.reshape(n_windows * pool, x.shape[1])
+    return dx
+
+
+class TestBatchedKernels:
+    """A leading batch axis gives the per-example results stacked, and
+    gradients summed over the batch."""
+
+    def test_conv1d_batch_equals_examples(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(0, 1, (4, 7, 3))
+        kernels, bias = rng.normal(0, 1, (5, 3, 3)), rng.normal(0, 1, 5)
+        dout = rng.normal(0, 1, (4, 5, 5))
+        out = nn.conv1d(x, kernels, bias)
+        assert out.shape == (4, 5, 5)
+        dx, dk, db = nn.conv1d_backward(dout, x, kernels)
+        singles = [nn.conv1d_backward(dout[b], x[b], kernels) for b in range(4)]
+        for b in range(4):
+            assert np.abs(out[b] - nn.conv1d(x[b], kernels, bias)).max() < 1e-12
+            assert np.abs(dx[b] - singles[b][0]).max() < 1e-12
+        assert np.abs(dk - sum(s[1] for s in singles)).max() < 1e-12
+        assert np.abs(db - sum(s[2] for s in singles)).max() < 1e-12
+        no_dx, dk2, db2 = nn.conv1d_backward(dout, x, kernels, input_grad=False)
+        assert no_dx is None
+        assert np.array_equal(dk2, dk) and np.array_equal(db2, db)
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_maxpool_backward_matches_reference_with_ties(self, pool):
+        rng = np.random.default_rng(pool)
+        x = rng.integers(0, 3, size=(3, 8, 4)).astype(float)   # many ties
+        out = nn.maxpool1d(x, pool)
+        dout = rng.normal(0, 1, out.shape)
+        dx = nn.maxpool1d_backward(dout, x, pool)
+        assert dx.shape == x.shape
+        for b in range(3):
+            assert np.array_equal(out[b], nn.maxpool1d(x[b], pool))
+            assert np.array_equal(dx[b], _maxpool_backward_reference(dout[b], x[b], pool))
+
+    def test_dense_batch_equals_examples(self):
+        rng = np.random.default_rng(8)
+        x, weights, bias = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (2, 4)), np.ones(2)
+        out = nn.dense(x, weights, bias, "sigmoid")
+        dout = rng.normal(0, 1, (3, 2))
+        dx, dw, db = nn.dense_backward(dout, x, weights, "sigmoid", out)
+        singles = [nn.dense_backward(dout[b], x[b], weights, "sigmoid", out[b])
+                   for b in range(3)]
+        for b in range(3):
+            assert np.abs(out[b] - nn.dense(x[b], weights, bias, "sigmoid")).max() < 1e-12
+            assert np.abs(dx[b] - singles[b][0]).max() < 1e-12
+        assert np.abs(dw - sum(s[1] for s in singles)).max() < 1e-12
+        assert np.abs(db - sum(s[2] for s in singles)).max() < 1e-12
+
+    def test_bce_elementwise(self):
+        p, y = np.array([0.3, 0.9, 1.0]), np.array([1, 0, 1])
+        assert nn.bce_loss(p, y).tolist() == [nn.bce_loss(a, b) for a, b in zip(p, y)]
+        assert nn.bce_grad(p, y).tolist() == [nn.bce_grad(a, b) for a, b in zip(p, y)]
+
+    def test_column_rates_draw_like_per_block_masks(self):
+        rates = np.repeat([0.2, 0.5], [3, 2])
+        mask = nn.make_dropout_mask((4, 5), rates, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for row in mask:
+            assert np.array_equal(row[:3], nn.make_dropout_mask(3, 0.2, rng))
+            assert np.array_equal(row[3:], nn.make_dropout_mask(2, 0.5, rng))
+
+
+class TestAdamInPlace:
+    def test_bitwise_equal_to_textbook_form(self):
+        rng = np.random.default_rng(10)
+        shapes = [(nn.ADAM_BLOCK + 37,), (3, 5)]         # one spans two blocks
+        params = [nn.Parameter(rng.normal(0, 1, s)) for s in shapes]
+        values = [p.value.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = nn.Adam(params, lr=0.01)
+        beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
+        for t in range(1, 4):
+            for i, p in enumerate(params):
+                p.grad[...] = rng.normal(0, 1, p.value.shape)
+                m[i] = beta1 * m[i] + (1.0 - beta1) * p.grad
+                v[i] = beta2 * v[i] + (1.0 - beta2) * p.grad ** 2
+                m_hat, v_hat = m[i] / (1.0 - beta1 ** t), v[i] / (1.0 - beta2 ** t)
+                values[i] = values[i] - 0.01 * m_hat / (np.sqrt(v_hat) + eps)
+            value_ids = [id(p.value) for p in params]
+            opt.step()
+            assert [id(p.value) for p in params] == value_ids
+            for i, p in enumerate(params):
+                assert np.array_equal(p.value, values[i])
+                assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])

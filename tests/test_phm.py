@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from figphm import neuralnet as nn
+from figphm import phm
 from figphm.corpus import NONPHM, PHM, PaddedSequence, build_vocab, pad
 from figphm.embeddings import random_table
 from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict,
@@ -318,3 +319,156 @@ class TestGoldenValues:
             self.LAYOUT[kind]
         assert loaded.predict_proba(inputs) == pytest.approx(self.PROBABILITY[kind],
                                                              abs=1e-12)
+
+
+def _golden_corpus():
+    rng = np.random.default_rng(21)
+    corpus = []
+    for i in range(20):
+        n = int(rng.integers(3, 9))
+        ids = rng.integers(2, 11, size=n).tolist() + [0] * (8 - n)
+        verdict = FigurativeVerdict(literal_score=float(rng.uniform()),
+                                    label=FIGURATIVE if i % 3 == 0 else LITERAL,
+                                    features=LinguisticFeatures.zeros())
+        corpus.append((PaddedSequence(ids, n), PHM if i % 2 else NONPHM, verdict))
+    return corpus
+
+
+class TestTrainingGoldenValues:
+    """Two epochs of minibatch training with dropout on (batch 7 over 20
+    examples, so the last minibatch is partial), pinned to the loss trace
+    and per-parameter sums that per-example training recorded. The batched
+    path sums in another order, so the bound is 1e-9, not equality."""
+
+    TRACE = {
+        "phmd": [0.693144591507533, 0.6927719644256],
+        "feataug": [0.6931839123480767, 0.6931547042063569],
+        "frozen": [0.6931423311279556, 0.6927928799145198],
+    }
+    PARAM_SUMS = {
+        "phmd": [0.02938737111180595, 0.06598021674886473, -0.0004071917409123782,
+                 0.07370337980818097, -0.0012948754046902037, 0.1908141961006509,
+                 0.0027368142237257035, 0.1257795800585061, 0.0017259389834890107],
+        "feataug": [0.027238600963593526, 0.04093198542963452, -0.010841646109480161,
+                    0.00472927044714693, 0.004147708101927767, 0.17915545668111582,
+                    0.004313115569023266, 0.07921560725022017, -0.00026448542432252066,
+                    0.3628563711605607, 0.0017268856941241274],
+        "frozen": [0.014150958219182497, 0.06517431168211635, -0.000346353797998627,
+                   0.07404872474150763, -0.0012336469395633188, 0.1919452313387691,
+                   0.0030998867707445416, 0.12593040850806325, 0.0017261135174613423],
+    }
+
+    @pytest.mark.parametrize("one_example_passes", [False, True])
+    @pytest.mark.parametrize("kind", ["phmd", "feataug", "frozen"])
+    def test_trace_and_parameters(self, kind, one_example_passes, monkeypatch):
+        if one_example_passes:
+            monkeypatch.setattr(phm, "PASS_BYTES", 1)
+        table = random_table([f"w{i}" for i in range(9)], 5, seed=22)
+        config = ModelConfig(max_sequence_length=8, filters=4, batch_size=7,
+                             trainable_embeddings=kind != "frozen")
+        corpus = _golden_corpus()
+        if kind == "feataug":
+            model = build_feataug(table, config, seed=23)
+        else:
+            model = build_phmd(table, config, seed=23)
+            corpus = [item[:2] for item in corpus]
+        trace = train(model, corpus, epochs=2, seed=24)
+        assert trace == pytest.approx(self.TRACE[kind], abs=1e-9)
+        sums = [float(p.value.sum()) for p in model.all_parameters()]
+        assert sums == pytest.approx(self.PARAM_SUMS[kind], abs=1e-9)
+        assert model.forward_count == 2 * len(corpus)
+
+
+def _batch_of(kind, size, seed=0):
+    """A randomised model with every dropout rate above zero, and a batch."""
+    rng = np.random.default_rng(seed)
+    table = table_for(7, 4, seed=seed)
+    config = small_config(dropout_rates=(0.2, 0.4, 0.5),
+                          feataug_dropout_rates=(0.3, 0.1, 0.6))
+    build = build_feataug if kind == "feataug" else build_phmd
+    model = build(table, config, seed=seed + 1)
+    for param in model.all_parameters():
+        param.value[:] = rng.uniform(-1.0, 1.0, size=param.value.shape)
+    ids = rng.integers(0, len(table.vocab), size=(size, 8))
+    targets = rng.integers(0, 2, size=size)
+    if kind == "feataug":
+        return model, (ids, rng.uniform(0.0, 1.0, (size, model.feature_length))), targets
+    return model, ids, targets
+
+
+def _example(kind, inputs, i):
+    return (inputs[0][i], inputs[1][i]) if kind == "feataug" else inputs[i]
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("pass_size", [None, 2])
+    @pytest.mark.parametrize("kind", ["phmd", "feataug"])
+    def test_batch_equals_single_examples_in_train_mode(self, kind, pass_size):
+        model, inputs, targets = _batch_of(kind, 5)
+        if pass_size is not None:
+            model._pass_size = pass_size            # passes of 2, 2 and 1 examples
+        batch_loss = model.loss_and_grad(inputs, targets, train=True,
+                                         rng=np.random.default_rng(3), grad_scale=0.2)
+        batch_grads = [p.grad.copy() for p in model.all_parameters()]
+
+        rng = np.random.default_rng(3)
+        model.zero_grad()
+        single_loss = 0.0
+        for i in range(5):
+            single_loss += model.loss_and_grad(_example(kind, inputs, i), int(targets[i]),
+                                               train=True, rng=rng, grad_scale=0.2,
+                                               accumulate=True)
+        assert batch_loss == pytest.approx(single_loss, abs=1e-12)
+        for param, grad in zip(model.all_parameters(), batch_grads):
+            np.testing.assert_allclose(grad, param.grad, rtol=0, atol=1e-12,
+                                       err_msg=param.name)
+
+    @pytest.mark.parametrize("kind", ["phmd", "feataug"])
+    def test_batch_predict_equals_single_examples(self, kind):
+        model, inputs, _ = _batch_of(kind, 6, seed=4)
+        probs = model.predict_proba(inputs)
+        assert probs.shape == (6,)
+        assert model.forward_count == 6
+        singles = [model.predict_proba(_example(kind, inputs, i)) for i in range(6)]
+        assert all(isinstance(p, float) for p in singles)
+        np.testing.assert_allclose(probs, singles, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["phmd", "feataug"])
+    def test_gradient_check_on_a_batch(self, kind):
+        guard = 1e-4
+        for seed in range(200):
+            model, inputs, targets = _batch_of(kind, 3, seed=seed)
+            model.dense_w.value *= 0.02       # keep the sigmoid out of its clamp
+            model.dense_b.value[:] = 0.0
+            relu_margin, pool_gap = model.activation_margins(inputs)
+            if relu_margin >= guard and pool_gap >= guard:
+                break
+        else:
+            raise AssertionError("no safe point found")
+        assert nn.gradient_check(model, inputs, targets, epsilon=1e-4) < 1e-5
+
+    def test_frozen_embedding_gets_no_gradient(self):
+        table = table_for(5, 4)
+        model = build_phmd(table, small_config(trainable_embeddings=False), seed=1)
+        ids = np.array([[2, 3, 4, 0, 0, 0, 0, 0], [5, 6, 2, 3, 0, 0, 0, 0]])
+        model.loss_and_grad(ids, [1, 0])
+        assert not model.embedding.grad.any()
+        assert model.dense_w.grad.any()
+
+    def test_target_count_must_match_batch(self):
+        model, inputs, _ = _batch_of("phmd", 3)
+        with pytest.raises(ValueError, match="targets"):
+            model.loss_and_grad(inputs, [1, 0])
+
+
+class TestTrainChecks:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_parameter_named(self):
+        model = build_phmd(table_for(4, 4), small_config(), seed=1)
+        with pytest.raises(FloatingPointError, match="parameter 'embedding'"):
+            train(model, _toy_corpus(), epochs=1, seed=5, lr=float("inf"))
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            small_config(learning_rate=lr)
