@@ -92,6 +92,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_retrofit(args) -> int:
+    harness.check_retrofit_settings(args.iterations, args.alpha, where="retrofit --")
     table = embeddings.load_table(args.embeddings, args.format)
     graph = embeddings.load_ontology(args.ontology)
     result = embeddings.retrofit(table, graph, iterations=args.iterations,
@@ -109,12 +110,12 @@ def cmd_fig_score(args) -> int:
     documents = corpus.load_dataset(dataset)
     figurative.mark_symptoms(documents, detector.keywords)
     verdicts = [detector.verdict(doc) for doc in documents]
+    text = figurative.format_verdicts(documents, verdicts)
     if args.out:
-        figurative.dump_verdicts(documents, verdicts, args.out)
+        args.out.write_text(text, encoding="utf-8")
         print(f"wrote {len(verdicts)} verdicts -> {args.out}")
     else:
-        for doc, verdict in zip(documents, verdicts):
-            print(f"{doc.id}\t{verdict.literal_score:.6f}\t{verdict.label}")
+        print(text, end="")
     return 0
 
 
@@ -158,9 +159,7 @@ def cmd_evaluate(args) -> int:
         detector = harness.build_detector(harness.load_config(args.config))
     metrics, rows = harness.evaluate_model(model, documents, detector)
     if args.out:
-        with args.out.open("w", encoding="utf-8") as handle:
-            for doc_id, prob, label, fig_label in rows:
-                handle.write(f"{doc_id}\t{prob:.6f}\t{label}\t{fig_label or '-'}\n")
+        args.out.write_text(harness.format_predictions(rows), encoding="utf-8")
     print(f"P={100 * metrics.precision:.2f} R={100 * metrics.recall:.2f} "
           f"F={100 * metrics.f_score:.2f} (tp={metrics.tp} fp={metrics.fp} "
           f"fn={metrics.fn} tn={metrics.tn})")
@@ -181,15 +180,15 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not args.report.exists():
-        raise DataError(f"report file not found: {args.report}")
     report = harness.ExperimentReport.from_structured(
-        args.report.read_text(encoding="utf-8"))
+        "\n".join(line for _, line in corpus.read_lines(args.report, "report file")))
     print(report.to_tables(), end="")
     return 0
 
 
 def cmd_synth(args) -> int:
+    if args.docs < 1:
+        raise ConfigError(f"synth --docs must be >= 1, got {args.docs}")
     paths = synthetic.write_planted_fixture(args.out, seed=args.seed, n_docs=args.docs)
     config_path = Path(args.out) / "experiment.ini"
     config_path.write_text(_SYNTH_CONFIG, encoding="utf-8")

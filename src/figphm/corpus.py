@@ -1,4 +1,4 @@
-"""Dataset loading, tweet-style tokenization, padding, and annotator agreement.
+"""Text-input reading, datasets, tweet-style tokenization, padding, annotator agreement.
 
 Datasets are 4-column TSV files (id, disease, text, label) so that fixtures
 are reproducible without any network access. Tokenization is a deterministic
@@ -8,6 +8,7 @@ rule cascade; the same input always yields the same token stream.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,32 +92,48 @@ def tokenize(raw_text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def load_dataset(path: str | Path) -> list[Document]:
-    """Load a 4-column TSV dataset (id, disease, text, label).
+def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its newline) for each non-empty line
+    of a UTF-8 file; unreadable or undecodable files raise DataError naming
+    ``what``. Decoding runs in chunks, so a decoding error names no line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not valid UTF-8 ({exc.reason})") from None
+
+
+def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
+    """``read_lines`` split on tabs; every row must have ``n_fields`` fields."""
+    for lineno, line in read_lines(path, what):
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise DataError(f"{path}: line {lineno}: expected {n_fields} fields, "
+                            f"got {len(fields)}")
+        yield lineno, fields
+
+
+def load_dataset(path: str | Path, labels: tuple[str, ...] = LABELS,
+                 label_name: str = "label", what: str = "dataset file") -> list[Document]:
+    """Load a 4-column TSV dataset (id, disease, text, label in ``labels``).
 
     Rows whose text tokenizes to nothing are dropped (garbled-text filter).
-    Labels and disease tags are parsed strictly.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
     documents = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(fields)}")
-            doc_id, disease, text, label = fields
-            if disease not in DISEASES:
-                raise DataError(f"{path}: line {lineno}: unknown disease {disease!r}")
-            if label not in LABELS:
-                raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
-            tokens = tokenize(text)
-            if not tokens:
-                continue
+    for lineno, (doc_id, disease, text, label) in read_tsv(path, 4, what):
+        if disease not in DISEASES:
+            raise DataError(f"{path}: line {lineno}: unknown disease {disease!r}")
+        if label not in labels:
+            raise DataError(f"{path}: line {lineno}: unknown {label_name} {label!r}")
+        tokens = tokenize(text)
+        if tokens:
             documents.append(Document(doc_id, disease, text, tokens, label))
     return documents
 
@@ -164,23 +181,12 @@ def pad(tokens: list[str], vocab: dict[str, int], max_len: int) -> PaddedSequenc
 
 def load_annotations(path: str | Path) -> list[AnnotationPair]:
     """Load an annotation TSV (item_id, label_a, label_b) for agreement stats."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"annotation file not found: {path}")
     pairs = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
-            item_id, label_a, label_b = fields
-            for label in (label_a, label_b):
-                if label not in FIG_LABELS:
-                    raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
-            pairs.append(AnnotationPair(item_id, label_a, label_b))
+    for lineno, (item_id, label_a, label_b) in read_tsv(path, 3, "annotation file"):
+        for label in (label_a, label_b):
+            if label not in FIG_LABELS:
+                raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
+        pairs.append(AnnotationPair(item_id, label_a, label_b))
     return pairs
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN
+from .corpus import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN, read_lines
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -87,54 +87,55 @@ def load_table(path: str | Path, format: str = "glove_text",
     ``word2vec_text`` starts with a ``count dim`` header line; ``glove_text``
     has none (Numberbatch ships in this layout, pass ``strip_prefix="/c/en/"``
     to drop its language prefix). Duplicate words keep the first occurrence.
+    A non-finite value (``inf``, ``nan``, or a number that overflows) is a
+    data error.
     """
-    path = Path(path)
     if format not in TABLE_FORMATS:
         raise ValueError(f"unknown embedding format: {format!r}")
-    if not path.exists():
-        raise DataError(f"embedding file not found: {path}")
 
-    rows: list[tuple[str, list[float]]] = []
+    rows: list[tuple[int, str, list[float]]] = []
     seen: set[str] = set()
     n_duplicates = 0
     dim: int | None = None
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split(" ")
-            parts = [p for p in parts if p]
-            if not parts:
-                continue
-            if format == "word2vec_text" and lineno == 1:
-                if len(parts) != 2:
-                    raise DataError(f"{path}: line 1: expected 'count dim' header")
-                continue
-            word, values = parts[0], parts[1:]
-            if strip_prefix and word.startswith(strip_prefix):
-                word = word[len(strip_prefix):]
-            if dim is None:
-                dim = len(values)
-                if dim < 1:
-                    raise DataError(f"{path}: line {lineno}: row has no vector values")
-            if len(values) != dim:
-                raise DataError(f"{path}: line {lineno}: expected {dim} dims, got {len(values)}")
-            try:
-                vector = [float(v) for v in values]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from None
-            if word in seen or word in RESERVED_TOKENS:
-                n_duplicates += 1
-                continue
-            seen.add(word)
-            rows.append((word, vector))
+    for lineno, line in read_lines(path, "embedding file"):
+        parts = [p for p in line.split(" ") if p]
+        if not parts:
+            continue
+        if format == "word2vec_text" and lineno == 1:
+            if len(parts) != 2:
+                raise DataError(f"{path}: line 1: expected 'count dim' header")
+            continue
+        word, values = parts[0], parts[1:]
+        if strip_prefix and word.startswith(strip_prefix):
+            word = word[len(strip_prefix):]
+        if dim is None:
+            dim = len(values)
+            if dim < 1:
+                raise DataError(f"{path}: line {lineno}: row has no vector values")
+        if len(values) != dim:
+            raise DataError(f"{path}: line {lineno}: expected {dim} dims, got {len(values)}")
+        try:
+            vector = [float(v) for v in values]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from None
+        if word in seen or word in RESERVED_TOKENS:
+            n_duplicates += 1
+            continue
+        seen.add(word)
+        rows.append((lineno, word, vector))
 
     if dim is None:
         raise DataError(f"{path}: no embedding rows found")
     if n_duplicates:
         log.warning("%s: %d duplicate word(s) ignored, first occurrence kept", path, n_duplicates)
 
-    vocab, matrix = _new_table([w for w, _ in rows], dim)
-    for word, vector in rows:
+    vocab, matrix = _new_table([w for _, w, _ in rows], dim)
+    for _, word, vector in rows:
         matrix[vocab[word]] = vector
+    if not np.isfinite(matrix).all():
+        bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+        raise DataError(f"{path}: line {rows[bad - len(RESERVED_TOKENS)][0]}: "
+                        f"non-finite value")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
 
 
@@ -226,19 +227,15 @@ def load_ontology(path: str | Path) -> OntologyGraph:
     Edges are undirected and deduplicated; self-loops are dropped; a line
     with a single token contributes an isolated node.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"ontology file not found: {path}")
     graph = OntologyGraph()
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            words = line.strip().lower().split()
-            if not words:
-                continue
-            head = words[0]
-            graph.edges.setdefault(head, set())
-            for neighbor in words[1:]:
-                graph.add_edge(head, neighbor)
+    for _, line in read_lines(path, "ontology file"):
+        words = line.lower().split()
+        if not words:
+            continue
+        head = words[0]
+        graph.edges.setdefault(head, set())
+        for neighbor in words[1:]:
+            graph.add_edge(head, neighbor)
     return graph
 
 

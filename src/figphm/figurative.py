@@ -15,9 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import FIGURATIVE, LITERAL, SENTINEL_TOKENS, Document
+from .corpus import FIGURATIVE, LITERAL, SENTINEL_TOKENS, Document, read_lines
 from .embeddings import EmbeddingTable, cosine, nearest_neighbors
-from .errors import DataError
 
 # 12-tag universal part-of-speech set; order fixes the one-hot layout.
 TAGSET = ("NOUN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP",
@@ -365,16 +364,8 @@ def lda_estimate(documents: Sequence[Sequence[str]], seed_scores: Sequence[float
 
 def load_word_list(path: str | Path) -> set[str]:
     """One lowercase term per line; ``#`` starts a comment line."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"word list not found: {path}")
-    words = set()
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
-    return words
+    lines = (line.strip() for _, line in read_lines(path, "word list"))
+    return {line.lower() for line in lines if line and not line.startswith("#")}
 
 
 def default_health_lexicon() -> set[str]:
@@ -441,9 +432,8 @@ class FigurativeDetector:
                                  features=features)
 
 
-def dump_verdicts(documents: Sequence[Document], verdicts: Sequence[FigurativeVerdict],
-                  path: str | Path) -> None:
-    """Audit TSV: doc_id, literal score, label."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for doc, verdict in zip(documents, verdicts):
-            handle.write(f"{doc.id}\t{verdict.literal_score:.6f}\t{verdict.label}\n")
+def format_verdicts(documents: Sequence[Document],
+                    verdicts: Sequence[FigurativeVerdict]) -> str:
+    """Audit TSV text, one ``doc_id, literal score, label`` row per document."""
+    return "".join(f"{doc.id}\t{verdict.literal_score:.6f}\t{verdict.label}\n"
+                   for doc, verdict in zip(documents, verdicts))

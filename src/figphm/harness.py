@@ -11,16 +11,18 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
                      Document, PaddedSequence, build_vocab, load_dataset, pad,
-                     tokenize)
+                     read_lines)
 from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
                          load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
@@ -164,6 +166,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.figurative.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), "
                               f"got {self.figurative.threshold}")
@@ -174,15 +180,15 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown approach {approach!r}")
         if not 0.0 <= self.figurative.pipeline_noise < 1.0:
             raise ConfigError("pipeline_noise must lie in [0, 1)")
+        if self.figurative.lda_iterations < 1:
+            raise ConfigError(f"[figurative] lda_iterations must be >= 1, "
+                              f"got {self.figurative.lda_iterations}")
         if self.figurative.k < 1:
             raise ConfigError(f"[figurative] k must be >= 1, got {self.figurative.k}")
         for spec in self.embeddings:
-            if spec.iterations < 0:
-                raise ConfigError(f"[embedding {spec.name}] iterations must be >= 0, "
-                                  f"got {spec.iterations}")
-            if not spec.alpha > 0.0:
-                raise ConfigError(f"[embedding {spec.name}] alpha must be > 0, "
-                                  f"got {spec.alpha}")
+            check_retrofit_settings(spec.iterations, spec.alpha, f"[embedding {spec.name}] ")
+            if spec.seed is not None and spec.seed < 0:
+                raise ConfigError(f"[embedding {spec.name}] seed must be >= 0, got {spec.seed}")
         missing = [str(p) for p in self._referenced_files() if not Path(p).exists()]
         if missing:
             raise ConfigError("missing file(s): " + ", ".join(missing))
@@ -208,12 +214,24 @@ class ExperimentConfig:
         return files
 
 
-def parse_config_sections(text: str, origin: str = "<config>") -> list[tuple[str, dict[str, str]]]:
+def check_retrofit_settings(iterations: int, alpha: float, where: str = "") -> None:
+    """The bounds on retrofitting settings, for configs and the CLI alike."""
+    if iterations < 0:
+        raise ConfigError(f"{where}iterations must be >= 0, got {iterations}")
+    if not alpha > 0.0:
+        raise ConfigError(f"{where}alpha must be > 0, got {alpha}")
+
+
+def parse_config_sections(lines: str | Iterable[tuple[int, str]],
+                          origin: str = "<config>") -> list[tuple[str, dict[str, str]]]:
     """Flat declarative format: ``[section]`` headers and ``key = value``
-    lines; ``#`` lines are comments. Section order is preserved."""
+    lines; ``#`` lines are comments. Section order is preserved. ``lines`` is
+    the text or the (line number, line) pairs of ``read_lines``."""
+    if isinstance(lines, str):
+        lines = enumerate(lines.splitlines(), start=1)
     sections: list[tuple[str, dict[str, str]]] = []
     current: dict[str, str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -285,7 +303,10 @@ def _read_section(where: str, kind: str, values: dict[str, str], base: Path) -> 
                                   f"{'/'.join(value_kind)}, got {raw!r}")
             value = raw
         elif value_kind == "path":
-            value = Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
+            try:
+                value = Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
+            except (OSError, RuntimeError, ValueError) as exc:  # NUL byte, symlink loop
+                raise ConfigError(f"{where} {key}: bad path {raw!r} ({exc})") from None
         else:
             convert, expected = _KINDS[value_kind]
             try:
@@ -304,10 +325,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     paths are resolved against the config file's directory.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        parsed = parse_config_sections(read_lines(path, "config file"), str(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     sections: dict[tuple[str, str], dict] = {}
-    for name, values in parse_config_sections(path.read_text(encoding="utf-8"), str(path)):
+    for name, values in parsed:
         kind, _, label = name.partition(" ")
         label = label.strip().strip('"')
         where = f"{path}: [{name}]"
@@ -447,6 +470,8 @@ class ExperimentReport:
 
     @classmethod
     def from_structured(cls, text: str) -> "ExperimentReport":
+        """Parse ``to_structured`` output. A malformed line, or rows that do
+        not cover every approach x embedding (x disease), raise DataError."""
         approaches: list[str] = []
         embeddings: list[str] = []
         diseases: list[str] = []
@@ -455,8 +480,11 @@ class ExperimentReport:
         seed = folds = 0
         for line in text.splitlines():
             if line.startswith("# seed="):
-                parts = dict(p.split("=") for p in line[2:].split())
-                seed, folds = int(parts["seed"]), int(parts["folds"])
+                try:
+                    parts = dict(p.split("=") for p in line[2:].split())
+                    seed, folds = int(parts["seed"]), int(parts["folds"])
+                except (KeyError, ValueError):
+                    raise DataError(f"bad report header: {line!r}") from None
                 continue
             if not line or line.startswith("#"):
                 continue
@@ -466,7 +494,12 @@ class ExperimentReport:
             approach, emb, scope = fields[0], fields[1], fields[2]
             if scope == "average":
                 continue
-            metrics = Metrics(*(int(v) for v in fields[7:11]))
+            if approach not in APPROACH_DISPLAY:
+                raise DataError(f"unknown report approach {approach!r}")
+            counts = fields[7:11]
+            if not all(v.isascii() and v.isdigit() for v in counts):
+                raise DataError(f"bad report counts: {line!r}")
+            metrics = Metrics(*map(int, counts))
             if approach not in approaches:
                 approaches.append(approach)
             if scope == "overall":
@@ -480,6 +513,12 @@ class ExperimentReport:
                 per_disease[(approach, emb, disease)] = metrics
             else:
                 raise DataError(f"unknown report scope {scope!r}")
+        if "phmd" not in approaches:
+            raise DataError("report has no phmd rows")
+        if (set(overall) != set(product(approaches, embeddings))
+                or set(per_disease) != set(product(approaches, embeddings, diseases))):
+            raise DataError("report rows do not cover every approach, embedding "
+                            "and disease")
         return cls(approaches=approaches, embeddings=embeddings, overall=overall,
                    per_disease=per_disease, diseases=diseases, seed=seed, folds=folds)
 
@@ -603,11 +642,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     With ``out_dir`` set, writes report.tsv, report.txt, and per-approach
     prediction dumps.
     """
+    if jobs is not None:
+        config = replace(config, jobs=jobs)
     config.validate()
     if config.figurative.use_lda:
         raise ConfigError("[figurative] use_lda is read only by fig-eval; "
                           "experiment does not use the LDA posterior")
-    jobs = config.jobs if jobs is None else jobs
     approaches = tuple(a for a in APPROACHES if a in set(config.approaches) | {"phmd"})
     config = replace(config, approaches=approaches)
 
@@ -643,7 +683,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     ]
 
     cells = []
-    with _cell_pool(jobs) if jobs > 1 else nullcontext() as pool:
+    with _cell_pool(config.jobs) if config.jobs > 1 else nullcontext() as pool:
         futures = [None if pool is None else pool.submit(_run_cell, p) for p in payloads]
         for payload, future in zip(payloads, futures):
             try:
@@ -735,12 +775,16 @@ def _assemble_report(config, documents, cells, out_dir) -> ExperimentReport:
         dump_dir.mkdir(exist_ok=True)
         for (approach, emb), preds in sorted(rows.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
-            path = dump_dir / f"{safe}__{approach}.tsv"
-            with path.open("w", encoding="utf-8") as handle:
-                for doc_id, prob, label, figurative_label in sorted(preds):
-                    handle.write(f"{doc_id}\t{prob:.6f}\t{label}\t"
-                                 f"{figurative_label or '-'}\n")
+            (dump_dir / f"{safe}__{approach}.tsv").write_text(
+                format_predictions(sorted(preds)), encoding="utf-8")
     return report
+
+
+def format_predictions(rows) -> str:
+    """Prediction dump text, one ``doc_id, probability, label, figurative
+    label or -`` row per (doc_id, probability, label, figurative_label)."""
+    return "".join(f"{doc_id}\t{prob:.6f}\t{label}\t{figurative_label or '-'}\n"
+                   for doc_id, prob, label, figurative_label in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -805,29 +849,8 @@ def evaluate_model(model, documents: list[Document],
 def load_figurative_gold(path: str | Path) -> list[tuple[Document, str]]:
     """4-column TSV (id, disease, text, figurative|literal) with gold usage
     labels; the PHM label field of each Document is a placeholder."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"gold file not found: {path}")
-    labeled = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 fields, "
-                                f"got {len(fields)}")
-            doc_id, disease, text, gold = fields
-            if disease not in DISEASES:
-                raise DataError(f"{path}: line {lineno}: unknown disease {disease!r}")
-            if gold not in FIG_LABELS:
-                raise DataError(f"{path}: line {lineno}: unknown usage label {gold!r}")
-            tokens = tokenize(text)
-            if not tokens:
-                continue
-            labeled.append((Document(doc_id, disease, text, tokens, NONPHM), gold))
-    return labeled
+    return [(replace(doc, label=NONPHM), doc.label)
+            for doc in load_dataset(path, FIG_LABELS, "usage label", "gold file")]
 
 
 def evaluate_figurative(labeled: list[tuple[Document, str]],

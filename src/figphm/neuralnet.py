@@ -323,10 +323,14 @@ def save_checkpoint(manifest: dict, params: list[Parameter], path: str | Path) -
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    size = path.stat().st_size
-    with path.open("rb") as handle:
+    try:
+        handle = path.open("rb")
+    except FileNotFoundError:
+        raise DataError(f"checkpoint not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+    with handle:
+        size = path.stat().st_size
         raw_len = handle.read(8)
         if len(raw_len) != 8:
             raise DataError(f"{path}: truncated checkpoint header")
@@ -335,7 +339,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise DataError(f"{path}: truncated checkpoint header")
         try:
             manifest = json.loads(handle.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: bad checkpoint manifest ({exc})") from None
         if not isinstance(manifest, dict):
             raise DataError(f"{path}: checkpoint manifest is not a JSON object")
@@ -353,8 +357,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise DataError(f"{path}: truncated parameter data")
         if data_len < size - 8 - header_len:
             raise DataError(f"{path}: trailing bytes after the last parameter array")
-        arrays = [np.frombuffer(handle.read(count * 8), dtype="<f8").reshape(shape).copy()
-                  for shape, count in zip(shapes, counts)]
+        try:
+            arrays = [np.frombuffer(handle.read(count * 8), dtype="<f8").reshape(shape).copy()
+                      for shape, count in zip(shapes, counts)]
+        except ValueError as exc:  # an empty shape numpy cannot represent
+            raise DataError(f"{path}: bad checkpoint shape ({exc})") from None
     names = manifest.get("param_names")
     for index, array in enumerate(arrays):
         if not np.isfinite(array).all():

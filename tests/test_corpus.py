@@ -1,10 +1,24 @@
-import pytest
-from hypothesis import given, strategies as st
+import ast
+import contextlib
+import io
+import json
+import struct
+from argparse import Namespace
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from figphm.cli import cmd_report
 from figphm.corpus import (AnnotationPair, Document, PAD_INDEX, UNK_INDEX,
                            build_vocab, cohen_kappa, load_annotations,
-                           load_dataset, pad, save_dataset, tokenize)
-from figphm.errors import DataError
+                           load_dataset, pad, read_lines, read_tsv, save_dataset,
+                           tokenize)
+from figphm.embeddings import load_ontology, load_table
+from figphm.errors import ConfigError, DataError
+from figphm.figurative import load_word_list
+from figphm.harness import load_config, load_figurative_gold
+from figphm.neuralnet import CHECKPOINT_VERSION, load_checkpoint
 
 
 class TestTokenize:
@@ -198,3 +212,170 @@ class TestLoadAnnotations:
         path.write_text("t1\tfigurative\tmeh\n", encoding="utf-8")
         with pytest.raises(DataError, match="unknown label"):
             load_annotations(path)
+
+
+class TestReadLines:
+    def test_numbers_every_line_and_skips_empty_ones(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("a\n\n b \r\nlast", encoding="utf-8")
+        assert list(read_lines(path, "thing")) == [(1, "a"), (3, " b "), (4, "last")]
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="thing not found: .*nope.txt"):
+            list(read_lines(tmp_path / "nope.txt", "thing"))
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read thing"):
+            list(read_lines(tmp_path, "thing"))
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("ok\ncaf\xe9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="thing .*latin1.txt is not valid UTF-8"):
+            list(read_lines(path, "thing"))
+
+    def test_read_tsv_counts_fields(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        path.write_text("a\tb\n\nc\n", encoding="utf-8")
+        rows = read_tsv(path, 2, "thing")
+        assert next(rows) == (1, ["a", "b"])
+        with pytest.raises(DataError, match="line 3: expected 2 fields, got 1"):
+            next(rows)
+
+
+def _report(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cmd_report(Namespace(report=path))
+
+
+# Every loader of a text input, called on one path. The config loader raises
+# ConfigError (exit 1), every other loader DataError (exit 2).
+TEXT_LOADERS = {
+    "dataset": (load_dataset, DataError),
+    "annotations": (load_annotations, DataError),
+    "figurative_gold": (load_figurative_gold, DataError),
+    "glove_table": (lambda path: load_table(path, "glove_text"), DataError),
+    "word2vec_table": (lambda path: load_table(path, "word2vec_text"), DataError),
+    "ontology": (load_ontology, DataError),
+    "word_list": (load_word_list, DataError),
+    "config": (load_config, ConfigError),
+    "report": (_report, DataError),
+}
+
+
+def _bad_input(kind, path):
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "invalid_utf8":
+        path.write_bytes(b"t1\tother\tcaf\xe9 \xff\tPHM\n")
+    return path
+
+
+class TestReadingContract:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "invalid_utf8"])
+    @pytest.mark.parametrize("loader", TEXT_LOADERS)
+    def test_unreadable_input_is_a_data_or_config_error(self, tmp_path, loader, kind):
+        load, error = TEXT_LOADERS[loader]
+        with pytest.raises(error):
+            load(_bad_input(kind, tmp_path / "input"))
+
+
+# Lines that make arbitrary text look like each input format (TSV rows,
+# vector rows, config sections and keys, report headers), so the fuzzer
+# reaches the row parsers and not only the decoder.
+_WORDS = ["0", "1", "-1", "2.5", "1e999", "inf", "nan", "PHM", "NonPHM", "cancer", "other",
+          "literal", "figurative", "phmd", "feataug", "overall", "disease:other",
+          "average", "random", "file", "retrofit", "true", "3,4", "0.5,0.5", "\u00e9", "\x00"]
+_KEYS = ["dataset", "folds", "seed", "jobs", "approaches", "kernels", "dropout", "lr",
+         "epochs", "filters", "source", "dim", "path", "ontology", "alpha", "iterations",
+         "embedding", "keywords", "threshold", "k", "use_lda", "lda_iterations"]
+_HEADERS = ["[experiment]", "[model]", "[figurative]", "[embedding e]", "# seed=1 folds=2",
+            "# seed=x", "# approach\tembedding"]
+_WORD = st.one_of(st.sampled_from(_WORDS), st.text(max_size=4))
+_LINE = st.one_of(
+    st.sampled_from(_HEADERS),
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _WORD),
+    st.lists(st.one_of(_WORD, st.sampled_from(["\t", " "])), max_size=14).map("".join))
+_TEXTS = st.lists(_LINE, max_size=8).map(lambda lines: "\n".join(lines).encode("utf-8"))
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _manifest(shapes):
+    return json.dumps({"version": CHECKPOINT_VERSION, "shapes": shapes}).encode("utf-8")
+
+
+class TestFuzzLoaders:
+    @pytest.mark.parametrize("loader", TEXT_LOADERS)
+    @FUZZ
+    @given(data=st.one_of(st.binary(max_size=120), _TEXTS))
+    def test_only_data_or_config_errors_escape(self, tmp_path, loader, data):
+        load, error = TEXT_LOADERS[loader]
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        try:
+            load(path)
+        except error:
+            pass
+
+    @FUZZ
+    @given(header=st.one_of(st.binary(max_size=40), _TEXTS,
+                            st.integers(0, 5000).map(lambda n: b"[" * n),
+                            st.lists(st.lists(st.integers(0, 2**70), max_size=70),
+                                     max_size=3).map(_manifest)),
+           body=st.binary(max_size=64))
+    def test_checkpoint_bytes(self, tmp_path, header, body):
+        path = tmp_path / "model.ckpt"
+        for raw in (struct.pack("<Q", len(header)) + header + body, body):
+            path.write_bytes(raw)
+            try:
+                load_checkpoint(path)
+            except DataError:
+                pass
+
+    def test_checkpoint_edge_cases(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        for header in (b"[" * 5000, _manifest([[0, 2**70]]), _manifest([[0] * 70])):
+            path.write_bytes(struct.pack("<Q", len(header)) + header)
+            with pytest.raises(DataError):
+                load_checkpoint(path)
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path)
+
+
+def test_only_read_lines_opens_text_inputs():
+    """No function in the package but ``corpus.read_lines`` opens a file for
+    reading text; ``neuralnet.load_checkpoint`` reads its binary checkpoint."""
+    allowed = {("corpus", "read_lines"), ("neuralnet", "load_checkpoint")}
+    package = Path(__file__).resolve().parent.parent / "src" / "figphm"
+    found = []
+    for source in sorted(package.glob("*.py")):
+        for function, call in _calls_by_function(ast.parse(source.read_text("utf-8"))):
+            if _reads_a_file(call) and (source.stem, function) not in allowed:
+                found.append(f"{source.name}:{call.lineno} in {function}")
+    assert not found, "files opened for reading outside corpus.read_lines: " + ", ".join(found)
+
+
+def _calls_by_function(tree, function="<module>"):
+    for node in ast.iter_child_nodes(tree):
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else function
+        if isinstance(node, ast.Call):
+            yield function, node
+        yield from _calls_by_function(node, name)
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else None
+    if name == "read_text":
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) takes the mode second; Path.open(mode) takes it first
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = ([kw.value for kw in call.keywords if kw.arg == "mode"]
+             + call.args[position:position + 1])
+    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+    return not any(flag in str(mode) for flag in "wax+")

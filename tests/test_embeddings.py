@@ -45,6 +45,14 @@ class TestLoadTable:
         with pytest.raises(DataError, match="non-numeric"):
             load_table(path, "glove_text")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"cat 1.0 0.0\n\n<pad> 1.0 inf\ncat {value} 0.0\n"
+                        f"dog 0.5 {value}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"vec\.txt: line 5: non-finite value"):
+            load_table(path, "glove_text")
+
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("cat 1.0\ncat 2.0\n", encoding="utf-8")

@@ -501,10 +501,17 @@ class TestCli:
                              "ontology = kw.txt\nalpha = 0\n[embedding tiny]"),
         ("batch = 8", "batch = 8\nlr = -1"),
         ("batch = 8", "batch = 8\nlr = nan"),
+        ("seed = 7", "seed = 7\njobs = 0"),
+        ("k = 1", "k = 1\nlda_iterations = 0"),
+        ("dataset = data.tsv", "dataset = data\0.tsv"),
+        ("seed = 7", "seed = -1"),
+        ("seed = 3", "seed = -3"),
     ], ids=["unknown_section", "unknown_key", "duplicate_embedding", "file_without_path",
             "retrofit_without_ontology", "sequence_too_short", "dropout_count",
             "beta_mode_flat", "format_xml", "folds_above_docs", "use_lda",
-            "k_zero", "iterations_negative", "alpha_zero", "lr_negative", "lr_nan"])
+            "k_zero", "iterations_negative", "alpha_zero", "lr_negative", "lr_nan",
+            "jobs_zero", "lda_iterations_zero", "nul_in_path", "seed_negative",
+            "embedding_seed_negative"])
     def test_experiment_rejects_bad_config_exit_1(self, tmp_path, capsys, edit):
         write_min_dataset(tmp_path / "data.tsv", n=12)
         write_min_figfiles(tmp_path)
@@ -512,6 +519,94 @@ class TestCli:
         assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),
                          "--out", str(tmp_path / "run")]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_config_path_in_a_symlink_loop_exit_1(self, tmp_path, capsys):
+        _experiment_config(tmp_path)
+        (tmp_path / "loop").symlink_to("loop")
+        config = (tmp_path / "cfg.ini").read_text(encoding="utf-8")
+        (tmp_path / "cfg.ini").write_text(config.replace("data.tsv", "loop"),
+                                          encoding="utf-8")
+        assert cli_main(["fig-score", "--config", str(tmp_path / "cfg.ini")]) == 1
+        assert "bad path 'loop'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["retrofit", "--embeddings", "fig_vec.txt", "--ontology", "kw.txt",
+         "--iterations", "-1", "--out", "out.txt"],
+        ["retrofit", "--embeddings", "fig_vec.txt", "--ontology", "kw.txt",
+         "--alpha", "0", "--out", "out.txt"],
+        ["experiment", "--config", "cfg.ini", "--out", "run", "--jobs", "0"],
+        ["experiment", "--config", "cfg.ini", "--out", "run", "--jobs", "-1"],
+        ["experiment", "--config", "cfg.ini", "--out", "run", "--seed", "-5"],
+        ["synth", "--out", "fix", "--docs", "0"],
+        ["synth", "--out", "fix", "--docs", "-5"],
+    ], ids=["retrofit_iterations_negative", "retrofit_alpha_zero", "jobs_zero",
+            "jobs_negative", "seed_negative", "synth_docs_zero", "synth_docs_negative"])
+    def test_bad_argument_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        _experiment_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "fix").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "invalid_utf8"])
+    @pytest.mark.parametrize("argv, code", [
+        (["kappa", "bad"], 2),
+        (["retrofit", "--embeddings", "bad", "--ontology", "kw.txt", "--out", "o.txt"], 2),
+        (["retrofit", "--embeddings", "fig_vec.txt", "--ontology", "bad", "--out", "o.txt"], 2),
+        (["fig-score", "--config", "cfg.ini", "--dataset", "bad"], 2),
+        (["fig-eval", "--config", "cfg.ini", "--gold", "bad"], 2),
+        (["evaluate", "--model", "bad", "--dataset", "data.tsv"], 2),
+        (["report", "bad"], 2),
+        (["experiment", "--config", "bad", "--out", "run"], 1),
+    ], ids=["kappa", "retrofit_embeddings", "retrofit_ontology", "fig_score_dataset",
+            "fig_eval_gold", "evaluate_model", "report", "experiment_config"])
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, code,
+                                        kind):
+        _experiment_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        if kind == "directory":
+            (tmp_path / "bad").mkdir()
+        elif kind == "invalid_utf8":
+            (tmp_path / "bad").write_bytes(b"d1\tcancer\tcaf\xe9\tPHM\n")
+        assert cli_main(argv) == code
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "invalid_utf8"])
+    @pytest.mark.parametrize("name", ["data.tsv", "fig_vec.txt", "kw.txt"])
+    def test_unreadable_file_named_by_config_exit_2(self, tmp_path, capsys, kind, name):
+        _experiment_config(tmp_path)
+        (tmp_path / name).unlink()
+        if kind == "directory":
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(b"caf\xe9 1.0\n")
+        assert cli_main(["fig-score", "--config", str(tmp_path / "cfg.ini")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        ("# seed=11 folds=2", "# seed=x folds=3"),
+        ("# seed=11 folds=2", "# seed=11"),
+        ("# seed=11 folds=2", "# seed=11 folds"),
+        ("\toverall\t", "\teverywhere\t"),
+        ("phmd\te1\toverall", "bert\te1\toverall"),
+        ("phmd\te1\toverall", "phmd\te1\tdisease:other"),
+        ("phmd\te1\tdisease:cancer", "phmd\te1\tdisease:other"),
+        ("phmd\t", "pipeline\t"),
+    ], ids=["seed_not_an_integer", "folds_missing", "folds_without_value",
+            "unknown_scope", "unknown_approach", "overall_row_missing",
+            "disease_row_missing", "phmd_missing"])
+    def test_report_malformed_exit_2(self, tmp_path, capsys, edit):
+        text = TestReportRoundTrip()._report().to_structured()
+        assert edit[0] in text
+        (tmp_path / "bad.tsv").write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+        assert cli_main(["report", str(tmp_path / "bad.tsv")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts", ["x\t1\t1\t1", "-1\t1\t1\t1", "1\t1\t1\t\u00b2"])
+    def test_report_bad_counts(self, counts):
+        fields = ["phmd", "e", "overall", "0", "0", "0", "0", *counts.split("\t"), "-"]
+        with pytest.raises(DataError, match="bad report counts"):
+            ExperimentReport.from_structured("\t".join(fields) + "\n")
 
     def test_train_evaluate_cli(self, tmp_path, capsys):
         _experiment_config(tmp_path)
@@ -579,6 +674,15 @@ class TestCli:
                          "--gold", str(tmp_path / "gold.tsv")])
         assert code == 0
         assert "score:" in capsys.readouterr().out
+
+    def test_fig_score_stdout_matches_out_file(self, tmp_path, capsys):
+        _experiment_config(tmp_path)
+        assert cli_main(["fig-score", "--config", str(tmp_path / "cfg.ini")]) == 0
+        stdout = capsys.readouterr().out
+        assert cli_main(["fig-score", "--config", str(tmp_path / "cfg.ini"),
+                         "--out", str(tmp_path / "verdicts.tsv")]) == 0
+        assert (tmp_path / "verdicts.tsv").read_text(encoding="utf-8") == stdout
+        assert stdout.count("\n") == 12 and stdout.startswith("d0\t")
 
     def test_synth_cli(self, tmp_path, capsys):
         assert cli_main(["synth", "--out", str(tmp_path / "fix"), "--docs", "40",
