@@ -20,7 +20,7 @@ from .harness import (ExperimentConfig, ExperimentReport, Metrics,
                       compute_metrics, evaluate_figurative, load_config,
                       run_experiment, stratified_kfold)
 from .phm import (FeatAugModel, ModelConfig, PhmdModel, Prediction,
-                  build_feataug, build_phmd, feataug_predict, load_model,
-                  pipeline_predict, predict_phmd, save_model, train)
+                  build_feataug, build_phmd, load_model, pipeline_predict,
+                  predict, save_model, train)
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Each processing stage is independently invokable: ``kappa``, ``retrofit``,
 ``fig-score``, ``fig-eval``, ``train``, ``evaluate``, ``experiment``,
 ``report``, plus ``synth`` to generate a ready-to-run synthetic experiment.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 runtime failure.
+Exit codes: 0 success, 1 config error, 2 data error (an unwritable output
+included), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -108,8 +109,7 @@ def cmd_fig_score(args) -> int:
     detector = harness.build_detector(config)
     dataset = args.dataset if args.dataset else config.dataset
     documents = corpus.load_dataset(dataset)
-    figurative.mark_symptoms(documents, detector.keywords)
-    verdicts = [detector.verdict(doc) for doc in documents]
+    verdicts = detector.verdicts(documents)
     text = figurative.format_verdicts(documents, verdicts)
     if args.out:
         args.out.write_text(text, encoding="utf-8")
@@ -157,9 +157,9 @@ def cmd_evaluate(args) -> int:
         if not args.config:
             raise ConfigError("--config is required to evaluate a feataug checkpoint")
         detector = harness.build_detector(harness.load_config(args.config))
-    metrics, rows = harness.evaluate_model(model, documents, detector)
+    metrics, predictions = harness.evaluate_model(model, documents, detector)
     if args.out:
-        args.out.write_text(harness.format_predictions(rows), encoding="utf-8")
+        args.out.write_text(harness.format_predictions(predictions), encoding="utf-8")
     print(f"P={100 * metrics.precision:.2f} R={100 * metrics.recall:.2f} "
           f"F={100 * metrics.f_score:.2f} (tp={metrics.tp} fp={metrics.fp} "
           f"fn={metrics.fn} tn={metrics.tn})")
@@ -242,7 +242,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except OSError as exc:
+            # Inputs are read through corpus.read_lines and load_checkpoint,
+            # which raise DataError, so a file error here is an output's.
+            if exc.filename is None:
+                raise
+            raise DataError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -93,7 +93,7 @@ def load_table(path: str | Path, format: str = "glove_text",
     if format not in TABLE_FORMATS:
         raise ValueError(f"unknown embedding format: {format!r}")
 
-    rows: list[tuple[int, str, list[float]]] = []
+    rows: list[tuple[int, str, np.ndarray]] = []
     seen: set[str] = set()
     n_duplicates = 0
     dim: int | None = None
@@ -115,7 +115,7 @@ def load_table(path: str | Path, format: str = "glove_text",
         if len(values) != dim:
             raise DataError(f"{path}: line {lineno}: expected {dim} dims, got {len(values)}")
         try:
-            vector = [float(v) for v in values]
+            vector = np.array([float(v) for v in values])
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from None
         if word in seen or word in RESERVED_TOKENS:

@@ -431,6 +431,11 @@ class FigurativeDetector:
                                  label=classify(score, self.threshold),
                                  features=features)
 
+    def verdicts(self, documents: Sequence[Document]) -> list[FigurativeVerdict]:
+        """Mark each document's keyword positions, then give its verdict."""
+        mark_symptoms(documents, self.keywords)
+        return [self.verdict(doc) for doc in documents]
+
 
 def format_verdicts(documents: Sequence[Document],
                     verdicts: Sequence[FigurativeVerdict]) -> str:

@@ -21,15 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
-                     Document, PaddedSequence, build_vocab, load_dataset, pad,
-                     read_lines)
+                     Document, build_vocab, load_dataset, pad, read_lines)
 from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
                          load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
-from .figurative import (FigurativeDetector, FigurativeVerdict, lda_estimate,
-                         load_word_list, mark_symptoms)
-from .phm import (ModelConfig, Prediction, build_feataug, build_phmd,
-                  feataug_predict, predict_phmd, train)
+from .figurative import FigurativeDetector, FigurativeVerdict, lda_estimate, load_word_list
+from .phm import (ModelConfig, Prediction, build_feataug, build_phmd, pipeline_predict,
+                  predict, train)
 
 APPROACHES = ("phmd", "pipeline", "feataug")
 APPROACH_DISPLAY = {"phmd": "PHMD", "pipeline": "+Pipeline", "feataug": "+FeatAug"}
@@ -88,16 +86,15 @@ class Metrics:
 def compute_metrics(predictions, golds, positive_class: str = PHM) -> Metrics:
     """Confusion counts of predicted vs gold labels.
 
-    Accepts label strings or Prediction objects. Undefined precision/recall
-    fall back to 0 by convention; the degenerate case is flagged in reports.
+    Undefined precision/recall fall back to 0 by convention; the degenerate
+    case is flagged in reports.
     """
     if len(predictions) != len(golds):
         raise ValueError(f"{len(predictions)} predictions vs {len(golds)} golds")
     if not golds:
         raise ValueError("compute_metrics requires at least one example")
     tp = fp = fn = tn = 0
-    for pred, gold in zip(predictions, golds):
-        label = pred.label if isinstance(pred, Prediction) else pred
+    for label, gold in zip(predictions, golds):
         if label == positive_class:
             if gold == positive_class:
                 tp += 1
@@ -592,43 +589,34 @@ def _cell_payload(config, spec_index, fold_index, table, fold_docs, sequences,
         "cell_seed": derive_seed(config.seed, spec.name, fold_index),
         "train": [(sequences[d.id].token_ids, d.label, verdicts.get(d.id))
                   for d in train_docs],
-        "test": [(d.id, sequences[d.id].token_ids, verdicts.get(d.id),
-                  gate_labels.get(d.id)) for d in test_docs],
+        "test_ids": [d.id for d in test_docs],
+        "test_sequences": np.array([sequences[d.id].token_ids for d in test_docs],
+                                   dtype=np.intp),
+        "test_verdicts": [verdicts.get(d.id) for d in test_docs],
+        "test_gate_labels": [gate_labels.get(d.id) for d in test_docs],
     }
 
 
 def _run_cell(payload: dict) -> dict:
     """Train the models for one (embedding, fold) cell and predict the test
-    split; returns per-approach prediction rows."""
+    split; returns each approach's predictions."""
     config: ModelConfig = payload["model_config"]
     table = EmbeddingTable(vocab=payload["vocab"], matrix=payload["matrix"])
     approaches = payload["approaches"]
     cell_seed = payload["cell_seed"]
+    test_ids, test_sequences = payload["test_ids"], payload["test_sequences"]
 
     # PHMD training reads (sequence, label) and ignores the verdict.
-    corpus = [(PaddedSequence(ids, len(ids)), label, verdict)
-              for ids, label, verdict in payload["train"]]
     phmd = build_phmd(table, config, seed=cell_seed)
-    train(phmd, corpus, seed=derive_seed(cell_seed, "train-phmd"))
-
-    feataug = None
+    train(phmd, payload["train"], seed=derive_seed(cell_seed, "train-phmd"))
+    results = {"phmd": predict(phmd, test_sequences, doc_ids=test_ids)}
+    if "pipeline" in approaches:
+        results["pipeline"] = pipeline_predict(payload["test_gate_labels"], results["phmd"])
     if "feataug" in approaches:
         feataug = build_feataug(table, config, seed=derive_seed(cell_seed, "init-feataug"))
-        train(feataug, corpus, seed=derive_seed(cell_seed, "train-feataug"))
-
-    results: dict[str, list] = {approach: [] for approach in approaches}
-    for doc_id, ids, verdict, gate_label in payload["test"]:
-        seq = PaddedSequence(ids, len(ids))
-        pred = predict_phmd(phmd, seq, doc_id)
-        results["phmd"].append((doc_id, pred.probability, pred.label, None))
-        if "pipeline" in approaches:  # literal docs reuse the PHMD prediction
-            results["pipeline"].append(
-                (doc_id, 0.0, NONPHM, FIGURATIVE) if gate_label == FIGURATIVE
-                else (doc_id, pred.probability, pred.label, gate_label))
-        if "feataug" in approaches:
-            pred = feataug_predict(feataug, seq, verdict, doc_id)
-            results["feataug"].append((doc_id, pred.probability, pred.label,
-                                       pred.figurative_label))
+        train(feataug, payload["train"], seed=derive_seed(cell_seed, "train-feataug"))
+        results["feataug"] = predict(feataug, test_sequences, payload["test_verdicts"],
+                                     test_ids)
     return {"spec_index": payload["spec_index"], "fold_index": payload["fold_index"],
             "predictions": results}
 
@@ -657,6 +645,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     if config.folds > len(documents):
         raise ConfigError(f"folds = {config.folds} exceeds the {len(documents)} "
                           f"documents in {config.dataset}")
+    if out_dir is not None:     # an unwritable out_dir fails before any training
+        (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
     vocab = build_vocab(documents)
     vocab_list = sorted(vocab, key=vocab.get)
     sequences = {d.id: pad(d.tokens, vocab, config.model.max_sequence_length)
@@ -666,8 +656,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     gate_labels: dict[str, str] = {}
     if config.needs_detector():
         detector = build_detector(config)
-        mark_symptoms(documents, detector.keywords)
-        verdicts = {d.id: detector.verdict(d) for d in documents}
+        verdicts = dict(zip([d.id for d in documents], detector.verdicts(documents)))
         flip = _noise_flips(config, [d.id for d in documents])
         gate_labels = {doc_id: _flip_label(v.label) if flip[doc_id] else v.label
                        for doc_id, v in verdicts.items()}
@@ -742,7 +731,7 @@ def _assemble_report(config, documents, cells, out_dir) -> ExperimentReport:
     diseases = [d for d in DISEASES if d in set(disease_of.values())]
 
     cells.sort(key=lambda c: (c["spec_index"], c["fold_index"]))
-    rows: dict[tuple[str, str], list] = {}
+    rows: dict[tuple[str, str], list[Prediction]] = {}
     for cell in cells:
         emb = embeddings[cell["spec_index"]]
         for approach, preds in cell["predictions"].items():
@@ -751,12 +740,12 @@ def _assemble_report(config, documents, cells, out_dir) -> ExperimentReport:
     overall = {}
     per_disease = {}
     for (approach, emb), preds in rows.items():
-        labels = [p[2] for p in preds]
-        golds = [gold_of[p[0]] for p in preds]
+        labels = [p.label for p in preds]
+        golds = [gold_of[p.doc_id] for p in preds]
         overall[(approach, emb)] = compute_metrics(labels, golds)
         for disease in diseases:
-            pairs = [(p[2], gold_of[p[0]]) for p in preds
-                     if disease_of[p[0]] == disease]
+            pairs = [(p.label, gold_of[p.doc_id]) for p in preds
+                     if disease_of[p.doc_id] == disease]
             if pairs:
                 per_disease[(approach, emb, disease)] = compute_metrics(
                     [a for a, _ in pairs], [b for _, b in pairs])
@@ -768,23 +757,21 @@ def _assemble_report(config, documents, cells, out_dir) -> ExperimentReport:
 
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.tsv").write_text(report.to_structured(), encoding="utf-8")
         (out_dir / "report.txt").write_text(report.to_tables(), encoding="utf-8")
-        dump_dir = out_dir / "predictions"
-        dump_dir.mkdir(exist_ok=True)
         for (approach, emb), preds in sorted(rows.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
-            (dump_dir / f"{safe}__{approach}.tsv").write_text(
-                format_predictions(sorted(preds)), encoding="utf-8")
+            (out_dir / "predictions" / f"{safe}__{approach}.tsv").write_text(
+                format_predictions(sorted(preds, key=lambda p: p.doc_id)),
+                encoding="utf-8")
     return report
 
 
-def format_predictions(rows) -> str:
+def format_predictions(predictions: Iterable[Prediction]) -> str:
     """Prediction dump text, one ``doc_id, probability, label, figurative
-    label or -`` row per (doc_id, probability, label, figurative_label)."""
-    return "".join(f"{doc_id}\t{prob:.6f}\t{label}\t{figurative_label or '-'}\n"
-                   for doc_id, prob, label, figurative_label in rows)
+    label or -`` row per prediction."""
+    return "".join(f"{p.doc_id}\t{p.probability:.6f}\t{p.label}\t"
+                   f"{p.figurative_label or '-'}\n" for p in predictions)
 
 
 # ---------------------------------------------------------------------------
@@ -811,9 +798,7 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
         model = build_phmd(table, config.model, seed=seed)
         corpus = list(zip(sequences, [d.label for d in documents]))
     else:
-        detector = build_detector(config)
-        mark_symptoms(documents, detector.keywords)
-        verdicts = [detector.verdict(d) for d in documents]
+        verdicts = build_detector(config).verdicts(documents)
         model = build_feataug(table, config.model, seed=seed)
         corpus = list(zip(sequences, [d.label for d in documents], verdicts))
     trace = train(model, corpus, seed=derive_seed(seed, "train"))
@@ -822,25 +807,19 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
 
 def evaluate_model(model, documents: list[Document],
                    detector: FigurativeDetector | None = None):
-    """Predict every document with a trained model; returns (Metrics, rows)
-    where rows are (doc_id, probability, label, figurative_label)."""
-    vocab = model.vocab
-    max_len = model.config.max_sequence_length
+    """Predict every document with a trained model in one batch; returns
+    (Metrics, predictions)."""
+    verdicts = None
     if model.kind == "feataug":
         if detector is None:
             raise ConfigError("evaluating a feataug checkpoint requires the "
                               "figurative detector configuration")
-        mark_symptoms(documents, detector.keywords)
-    rows = []
-    for doc in documents:
-        seq = pad(doc.tokens, vocab, max_len)
-        if model.kind == "feataug":
-            pred = feataug_predict(model, seq, detector.verdict(doc), doc.id)
-        else:
-            pred = predict_phmd(model, seq, doc.id)
-        rows.append((doc.id, pred.probability, pred.label, pred.figurative_label))
-    metrics = compute_metrics([r[2] for r in rows], [d.label for d in documents])
-    return metrics, rows
+        verdicts = detector.verdicts(documents)
+    ids = [pad(doc.tokens, model.vocab, model.config.max_sequence_length).token_ids
+           for doc in documents]
+    predictions = predict(model, ids, verdicts, [d.id for d in documents])
+    metrics = compute_metrics([p.label for p in predictions], [d.label for d in documents])
+    return metrics, predictions
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +847,7 @@ def evaluate_figurative(labeled: list[tuple[Document, str]],
         raise ValueError("evaluate_figurative requires labeled examples")
     docs = [doc for doc, _ in labeled]
     golds = [gold for _, gold in labeled]
-    mark_symptoms(docs, detector.keywords)
-    verdicts = [detector.verdict(doc) for doc in docs]
+    verdicts = detector.verdicts(docs)
     results = {"score": compute_metrics([v.label for v in verdicts], golds,
                                         positive_class=FIGURATIVE)}
     if use_lda:

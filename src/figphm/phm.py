@@ -6,13 +6,17 @@ one more conv branch over the figurative-usage feature vector. Models own
 their Parameters; training runs one forward/backward per minibatch over the
 stacked examples, with the shuffle and every dropout mask drawn from one
 seeded generator in a fixed order, so traces are reproducible.
+
+``predict`` labels a whole split with one eval forward per model, and
+``pipeline_predict`` is the one copy of the pipeline rule: it combines the
+gate labels with PHMD's predictions and never calls the classifier.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -252,9 +256,14 @@ class _SentenceCnn:
 
     def predict_proba(self, inputs):
         """Eval-mode probability: a float for one example, an array for a
-        batch."""
+        batch. A batch runs in training-sized passes: 2000 documents at paper
+        shape in one pass peaked at 571 MiB, in passes at 1.4 MiB."""
         ids, features, single = self._batch(inputs)
-        probs, _ = self._forward(ids, features, train=False, rng=None)
+        probs = np.empty(ids.shape[0])
+        for start in range(0, ids.shape[0], self._pass_size):
+            rows = slice(start, start + self._pass_size)
+            probs[rows], _ = self._forward(ids[rows], None if features is None else features[rows],
+                                           train=False, rng=None)
         return float(probs[0]) if single else probs
 
     @staticmethod
@@ -454,35 +463,39 @@ def _check_finite(params: list[Parameter]) -> None:
                                      f"after an Adam step")
 
 
-def predict_phmd(model: PhmdModel, seq: PaddedSequence, doc_id: str = "") -> Prediction:
-    """Eval-mode forward pass; PHM iff the probability reaches 0.5."""
-    prob = model.predict_proba(np.asarray(seq.token_ids, dtype=np.intp))
-    return Prediction(doc_id=doc_id, probability=prob,
-                      label=PHM if prob >= 0.5 else NONPHM)
+def predict(model, ids, verdicts=None, doc_ids=None) -> list[Prediction]:
+    """Eval-mode predictions for the padded id rows ``ids`` (B, T), in one
+    ``predict_proba``; PHM iff the probability reaches 0.5.
+
+    ``verdicts`` (FigurativeVerdicts or feature vectors, one per row) feed
+    the FeatAug feature branch, which requires them; a FigurativeVerdict's
+    label becomes the prediction's figurative label.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    if model.kind == "feataug":
+        if verdicts is None:
+            raise ValueError("feature-augmented prediction requires a figurative "
+                             "verdict per document")
+        probs = model.predict_proba(
+            (ids, np.stack([_as_feature_vector(v, model.config) for v in verdicts])))
+    else:
+        probs = model.predict_proba(ids)
+    verdicts = [None] * len(ids) if verdicts is None else verdicts
+    doc_ids = [""] * len(ids) if doc_ids is None else doc_ids
+    return [Prediction(doc_id=doc_id, probability=float(prob),
+                       label=PHM if prob >= 0.5 else NONPHM,
+                       figurative_label=v.label if isinstance(v, FigurativeVerdict) else None)
+            for doc_id, prob, v in zip(doc_ids, probs, verdicts, strict=True)]
 
 
-def pipeline_predict(verdict: FigurativeVerdict, model: PhmdModel,
-                     seq: PaddedSequence, doc_id: str = "") -> Prediction:
-    """Figurative verdicts short-circuit to NonPHM without touching the
-    classifier; literal verdicts delegate to predict_phmd."""
-    if verdict.label == FIGURATIVE:
-        return Prediction(doc_id=doc_id, probability=0.0, label=NONPHM,
-                          figurative_label=FIGURATIVE)
-    prediction = predict_phmd(model, seq, doc_id)
-    prediction.figurative_label = verdict.label
-    return prediction
-
-
-def feataug_predict(model: FeatAugModel, seq: PaddedSequence, verdict,
-                    doc_id: str = "") -> Prediction:
-    """Forward pass with the feature branch; ``verdict`` may be a
-    FigurativeVerdict or a pre-built feature vector of the model's length."""
-    features = _as_feature_vector(verdict, model.config)
-    prob = model.predict_proba((np.asarray(seq.token_ids, dtype=np.intp), features))
-    figurative_label = verdict.label if isinstance(verdict, FigurativeVerdict) else None
-    return Prediction(doc_id=doc_id, probability=prob,
-                      label=PHM if prob >= 0.5 else NONPHM,
-                      figurative_label=figurative_label)
+def pipeline_predict(gate_labels, phmd_predictions: list[Prediction]) -> list[Prediction]:
+    """The +Pipeline combiner: a figurative gate label makes its document
+    NonPHM with probability 0, without the classifier; a literal one keeps
+    the PHMD prediction."""
+    return [Prediction(doc_id=pred.doc_id, probability=0.0, label=NONPHM,
+                       figurative_label=FIGURATIVE) if gate == FIGURATIVE
+            else replace(pred, figurative_label=gate)
+            for gate, pred in zip(gate_labels, phmd_predictions, strict=True)]
 
 
 def save_model(model, path) -> None:

@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from figphm import neuralnet as nn
-from figphm.corpus import (AnnotationPair, NONPHM, PHM, PaddedSequence,
-                           build_vocab, cohen_kappa, pad)
+from figphm.corpus import (AnnotationPair, NONPHM, PHM, build_vocab,
+                           cohen_kappa, pad)
 from figphm.embeddings import (EmbeddingTable, OntologyGraph, random_table,
                                retrofit, retrofit_objective,
                                _in_vocab_neighborhoods)
@@ -23,7 +23,7 @@ from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict,
 from figphm.harness import (ExperimentReport, Metrics, compute_metrics,
                             load_config, run_experiment, stratified_kfold)
 from figphm.phm import (ModelConfig, build_feataug, build_phmd, pipeline_predict,
-                        predict_phmd, train)
+                        predict, train)
 from figphm.synthetic import separable_corpus, write_planted_fixture
 
 from test_harness import _docs
@@ -184,24 +184,22 @@ def test_pipeline_bypass():
     table = random_table([f"w{i}" for i in range(10)], 4, seed=40)
     model = build_phmd(table, ModelConfig(max_sequence_length=6), seed=41)
     rng = np.random.default_rng(42)
-    docs = []
+    ids, verdicts = [], []
     for i in range(50):
-        ids = rng.integers(0, len(table.vocab), size=6).tolist()
+        ids.append(rng.integers(0, len(table.vocab), size=6).tolist())
         label = FIGURATIVE if i % 2 == 0 else LITERAL
-        verdict = FigurativeVerdict(literal_score=0.05 if label == FIGURATIVE else 0.9,
-                                    label=label, features=LinguisticFeatures.zeros())
-        docs.append((PaddedSequence(ids, 6), verdict))
+        verdicts.append(FigurativeVerdict(literal_score=0.05 if label == FIGURATIVE else 0.9,
+                                          label=label, features=LinguisticFeatures.zeros()))
 
-    for seq, verdict in docs:
+    phmd = predict(model, ids)
+    before = model.forward_count
+    preds = pipeline_predict([v.label for v in verdicts], phmd)
+    assert model.forward_count == before, "classifier was invoked on bypass"
+    for verdict, expected, pred in zip(verdicts, phmd, preds):
         if verdict.label == FIGURATIVE:
-            before = model.forward_count
-            pred = pipeline_predict(verdict, model, seq)
-            assert model.forward_count == before, "classifier was invoked on bypass"
             assert pred.label == NONPHM
         else:
-            expected = predict_phmd(model, seq).label
-            pred = pipeline_predict(verdict, model, seq)
-            assert pred.label == expected
+            assert pred.label == expected.label
 
 
 # -------------------------------------------------------------------------
@@ -217,8 +215,8 @@ def test_overfit_smoke():
     model = build_phmd(table, ModelConfig(max_sequence_length=max_len), seed=52)
     corpus = [(pad(d.tokens, vocab, max_len), d.label) for d in docs]
     train(model, corpus, epochs=35, batch=128, seed=53)
-    correct = sum(1 for seq, label in corpus
-                  if predict_phmd(model, seq).label == label)
+    preds = predict(model, [seq.token_ids for seq, _ in corpus])
+    correct = sum(1 for pred, (_, label) in zip(preds, corpus) if pred.label == label)
     elapsed = time.monotonic() - start
     assert correct / len(corpus) >= 0.95, f"train accuracy {correct / len(corpus):.3f}"
     assert elapsed < 60.0, f"overfit run took {elapsed:.1f}s"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ class TestLoadTable:
         again = load_table(out, "glove_text")
         assert again.vocab == table.vocab
         assert np.allclose(again.matrix, table.matrix, atol=5e-7)
+
+    def test_transient_memory_bounded_by_matrix_size(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = [[f"{v:.6f}" for v in row] for row in rng.uniform(-1.0, 1.0, (2000, 50))]
+        path = tmp_path / "vec.txt"
+        path.write_text("".join(f"w{i} " + " ".join(row) + "\n"
+                                for i, row in enumerate(rows)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # rows held as lists of Python floats peaked near 6x the matrix
+        assert peak < 4 * table.matrix.nbytes
+        np.testing.assert_array_equal(table.matrix[2:], [[float(v) for v in row]
+                                                         for row in rows])
 
 
 class TestRandomTable:

@@ -256,6 +256,18 @@ class TestFigurativeDetector:
             verdict = det.verdict(doc)
             assert (verdict.label == FIGURATIVE) == (verdict.literal_score < det.threshold)
 
+    def test_verdicts_marks_symptoms_first(self):
+        det = self._detector()
+        docs = [Document("5", "other", "", ["market", "drop", "cough"], "NonPHM"),
+                Document("6", "other", "", ["doctor", "cough", "cough"], "PHM")]
+        verdicts = det.verdicts(docs)
+        assert [d.symptom_indices for d in docs] == [[2], [1, 2]]
+        for verdict, doc in zip(verdicts, docs, strict=True):
+            expected = det.verdict(doc)
+            assert (verdict.literal_score, verdict.label) == \
+                (expected.literal_score, expected.label)
+            assert np.array_equal(verdict.features.to_vector(), expected.features.to_vector())
+
 
 class TestWordLists:
     def test_load_word_list_with_comments(self, tmp_path):

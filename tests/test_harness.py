@@ -15,7 +15,7 @@ from figphm.harness import (ExperimentReport, Metrics, compute_metrics,
                             derive_seed, evaluate_figurative, load_config,
                             load_figurative_gold, parse_config_sections,
                             run_experiment, stratified_kfold)
-from figphm.phm import ModelConfig, build_feataug, build_phmd, save_model
+from figphm.phm import ModelConfig, PhmdModel, build_feataug, build_phmd, save_model
 from figphm.synthetic import write_planted_fixture
 
 from conftest import make_table
@@ -341,16 +341,25 @@ class TestRunExperiment:
     def test_pipeline_reuses_phmd_forward(self, tmp_path, monkeypatch):
         import figphm.harness as harness_mod
         config = _experiment_config(tmp_path, approaches="pipeline")
-        calls = []
-        real_predict = harness_mod.predict_phmd
+        calls, batch_sizes = [], []
+        real_predict = harness_mod.predict
+        real_proba = PhmdModel.predict_proba
 
-        def counting_predict(model, seq, doc_id=""):
-            calls.append(doc_id)
-            return real_predict(model, seq, doc_id)
-        monkeypatch.setattr(harness_mod, "predict_phmd", counting_predict)
+        def counting_predict(model, ids, verdicts=None, doc_ids=None):
+            if model.kind == "phmd":
+                calls.extend(doc_ids)
+            return real_predict(model, ids, verdicts, doc_ids)
+
+        def counting_proba(model, inputs):
+            batch_sizes.append(len(inputs))
+            return real_proba(model, inputs)
+        monkeypatch.setattr(harness_mod, "predict", counting_predict)
+        monkeypatch.setattr(PhmdModel, "predict_proba", counting_proba)
         run_experiment(config, out_dir=tmp_path / "out", jobs=1)
         # one embedding, so every doc is a test doc in exactly one cell
         assert sorted(calls) == sorted(f"d{i}" for i in range(12))
+        # one PHMD forward per test doc, in one batch per cell
+        assert len(batch_sizes) == config.folds and sum(batch_sizes) == 12
 
         def rows(approach):
             dump = tmp_path / "out" / "predictions" / f"tiny__{approach}.tsv"
@@ -570,6 +579,31 @@ class TestCli:
             (tmp_path / "bad").write_bytes(b"d1\tcancer\tcaf\xe9\tPHM\n")
         assert cli_main(argv) == code
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, out", [
+        (["synth", "--out", "data.tsv"], "data.tsv"),
+        (["fig-score", "--config", "cfg.ini", "--out", "missing/v.tsv"], "missing/v.tsv"),
+        (["experiment", "--config", "cfg.ini", "--out", "data.tsv/run"], "data.tsv/run"),
+        (["train", "--config", "cfg.ini", "--embedding", "tiny", "--out", "missing/m.ckpt"],
+         "missing/m.ckpt"),
+        (["evaluate", "--model", "m.ckpt", "--dataset", "data.tsv", "--out", "missing/p.tsv"],
+         "missing/p.tsv"),
+        (["retrofit", "--embeddings", "fig_vec.txt", "--ontology", "kw.txt",
+          "--out", "missing/o.txt"], "missing/o.txt"),
+    ], ids=["synth_out_is_a_file", "fig_score", "experiment_out_under_a_file", "train",
+            "evaluate", "retrofit"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch, argv, out):
+        import figphm.harness as harness_mod
+        _experiment_config(tmp_path)
+        save_model(build_phmd(make_table({"cough": [0.1, 0.2]}),
+                              ModelConfig(max_sequence_length=6, filters=2), seed=0),
+                   tmp_path / "m.ckpt")
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "experiment":     # fails before any training
+            monkeypatch.setattr(harness_mod, "train", None)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write ") and out in err
 
     @pytest.mark.parametrize("kind", ["directory", "invalid_utf8"])
     @pytest.mark.parametrize("name", ["data.tsv", "fig_vec.txt", "kw.txt"])

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from figphm.embeddings import random_table
 from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict,
                                LinguisticFeatures)
 from figphm.phm import (FeatAugModel, ModelConfig, build_feataug, build_phmd,
-                        feataug_predict, feature_vector_length, load_model,
-                        pipeline_predict, predict_phmd, save_model, train,
-                        verdict_feature_vector)
+                        feature_vector_length, load_model, pipeline_predict,
+                        predict, save_model, train, verdict_feature_vector)
 from figphm.synthetic import separable_corpus
+from test_corpus import _calls_by_function
 
 
 def small_config(**overrides):
@@ -34,6 +36,11 @@ def seq_of(ids, max_len):
 def make_verdict(label, score=0.9):
     return FigurativeVerdict(literal_score=score, label=label,
                              features=LinguisticFeatures.zeros())
+
+
+def predict_one(model, seq, verdict=None, doc_id=""):
+    return predict(model, [seq.token_ids], None if verdict is None else [verdict],
+                   [doc_id])[0]
 
 
 class TestBuildPhmd:
@@ -72,34 +79,35 @@ class TestBuildPhmd:
 class TestPredictPhmd:
     def test_probability_in_open_interval(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
-        pred = predict_phmd(model, seq_of([2, 3, 4], 8), doc_id="d1")
+        pred = predict_one(model, seq_of([2, 3, 4], 8), doc_id="d1")
         assert 0.0 < pred.probability < 1.0
         assert pred.doc_id == "d1"
 
     def test_eval_deterministic(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
         seq = seq_of([2, 3, 4, 5], 8)
-        assert predict_phmd(model, seq).probability == \
-            predict_phmd(model, seq).probability
+        assert predict_one(model, seq).probability == \
+            predict_one(model, seq).probability
 
     def test_threshold_at_half(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
         model.dense_w.value[:] = 0.0
         model.dense_b.value[:] = math.log(0.49 / 0.51)
-        pred = predict_phmd(model, seq_of([2], 8))
+        pred = predict_one(model, seq_of([2], 8))
         assert pred.probability == pytest.approx(0.49, abs=1e-12)
         assert pred.label == NONPHM
         model.dense_b.value[:] = 0.0
-        assert predict_phmd(model, seq_of([2], 8)).label == PHM  # 0.5 is PHM
+        assert predict_one(model, seq_of([2], 8)).label == PHM  # 0.5 is PHM
 
 
 class TestPipelinePredict:
     def test_figurative_bypasses_model(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
+        phmd_pred = predict_one(model, seq_of([2], 8), doc_id="d9")
         before = model.forward_count
-        pred = pipeline_predict(make_verdict(FIGURATIVE, 0.05), model,
-                                seq_of([2], 8), "d9")
+        [pred] = pipeline_predict([FIGURATIVE], [phmd_pred])
         assert model.forward_count == before
+        assert pred.doc_id == "d9"
         assert pred.label == NONPHM
         assert pred.probability == 0.0
         assert pred.figurative_label == FIGURATIVE
@@ -109,8 +117,10 @@ class TestPipelinePredict:
         model.dense_w.value[:] = 0.0
         for bias, expected in ((2.0, PHM), (-2.0, NONPHM)):
             model.dense_b.value[:] = bias
-            pred = pipeline_predict(make_verdict(LITERAL), model, seq_of([2], 8))
+            phmd_pred = predict_one(model, seq_of([2], 8))
+            [pred] = pipeline_predict([LITERAL], [phmd_pred])
             assert pred.label == expected
+            assert pred.probability == phmd_pred.probability
             assert pred.figurative_label == LITERAL
 
 
@@ -123,14 +133,14 @@ class TestFeatAug:
         model = build_feataug(table_for(4, 4), small_config(), seed=0,
                               feature_length=5)
         with pytest.raises(ValueError, match="feature vector"):
-            feataug_predict(model, seq_of([2], 8), np.zeros(7))
+            predict_one(model, seq_of([2], 8), np.zeros(7))
 
     def test_eval_deterministic(self):
         model = build_feataug(table_for(4, 4), small_config(), seed=0)
         verdict = make_verdict(LITERAL, 0.7)
         seq = seq_of([2, 3], 8)
-        a = feataug_predict(model, seq, verdict)
-        b = feataug_predict(model, seq, verdict)
+        a = predict_one(model, seq, verdict)
+        b = predict_one(model, seq, verdict)
         assert a.probability == b.probability
         assert a.figurative_label == LITERAL
 
@@ -153,8 +163,8 @@ class TestFeatAug:
 
         seq = seq_of([2, 3, 4, 5, 2], 8)
         verdict = make_verdict(FIGURATIVE, 0.1)
-        p_aug = feataug_predict(feataug, seq, verdict).probability
-        p_base = predict_phmd(phmd, seq).probability
+        p_aug = predict_one(feataug, seq, verdict).probability
+        p_base = predict_one(phmd, seq).probability
         assert abs(p_aug - p_base) < 1e-12
 
     def test_verdict_feature_vector_layout(self):
@@ -241,25 +251,25 @@ class TestModelCheckpoint:
         table = table_for(5, 4)
         model = build_phmd(table, small_config(), seed=2)
         seq = seq_of([2, 3, 4], 8)
-        expected = predict_phmd(model, seq).probability
+        expected = predict_one(model, seq).probability
         save_model(model, tmp_path / "m.ckpt")
         loaded = load_model(tmp_path / "m.ckpt")
         assert loaded.kind == "phmd"
         assert loaded.config == model.config
         assert loaded.vocab == model.vocab
-        assert predict_phmd(loaded, seq).probability == expected
+        assert predict_one(loaded, seq).probability == expected
 
     def test_feataug_round_trip(self, tmp_path):
         table = table_for(5, 4)
         model = build_feataug(table, small_config(), seed=2)
         verdict = make_verdict(LITERAL, 0.6)
         seq = seq_of([2, 4], 8)
-        expected = feataug_predict(model, seq, verdict).probability
+        expected = predict_one(model, seq, verdict).probability
         save_model(model, tmp_path / "m.ckpt")
         loaded = load_model(tmp_path / "m.ckpt")
         assert isinstance(loaded, FeatAugModel)
         assert loaded.feature_length == model.feature_length
-        assert feataug_predict(loaded, seq, verdict).probability == expected
+        assert predict_one(loaded, seq, verdict).probability == expected
 
 
 class TestGoldenValues:
@@ -459,6 +469,107 @@ class TestBatchedPath:
         model, inputs, _ = _batch_of("phmd", 3)
         with pytest.raises(ValueError, match="targets"):
             model.loss_and_grad(inputs, [1, 0])
+
+
+class TestPredictionGoldenValues:
+    """Predictions of a randomised PHMD and FeatAug model on 8 documents,
+    with the +Pipeline rows, recorded from the one-document-at-a-time
+    predictors before prediction became one batched call."""
+
+    PHMD = [("d0", 0.03669252013392629, NONPHM, None),
+            ("d1", 0.8673270316621957, PHM, None),
+            ("d2", 0.9919794883349299, PHM, None),
+            ("d3", 0.972708385459902, PHM, None),
+            ("d4", 0.957225980393895, PHM, None),
+            ("d5", 0.6131388089043137, PHM, None),
+            ("d6", 0.46211844507056715, NONPHM, None),
+            ("d7", 0.16366897275972464, NONPHM, None)]
+    PIPELINE = [("d0", 0.0, NONPHM, FIGURATIVE),
+                ("d1", 0.8673270316621957, PHM, LITERAL),
+                ("d2", 0.9919794883349299, PHM, LITERAL),
+                ("d3", 0.0, NONPHM, FIGURATIVE),
+                ("d4", 0.957225980393895, PHM, LITERAL),
+                ("d5", 0.6131388089043137, PHM, LITERAL),
+                ("d6", 0.0, NONPHM, FIGURATIVE),
+                ("d7", 0.16366897275972464, NONPHM, LITERAL)]
+    FEATAUG = [("d0", 0.8013681716879394, PHM, FIGURATIVE),
+               ("d1", 0.9250290359284155, PHM, LITERAL),
+               ("d2", 0.04907075541771632, NONPHM, LITERAL),
+               ("d3", 0.00023372859705876196, NONPHM, FIGURATIVE),
+               ("d4", 0.07023445851989374, NONPHM, LITERAL),
+               ("d5", 0.3821345775323184, NONPHM, LITERAL),
+               ("d6", 0.006091580780448542, NONPHM, FIGURATIVE),
+               ("d7", 0.011638902727895431, NONPHM, LITERAL)]
+    DOC_IDS = [f"d{i}" for i in range(8)]
+
+    @staticmethod
+    def _verdicts():
+        rng = np.random.default_rng(31)
+        n_tags = (LinguisticFeatures.vector_length() - 3) // 2
+        return [FigurativeVerdict(literal_score=float(rng.uniform()),
+                                  label=FIGURATIVE if i % 3 == 0 else LITERAL,
+                                  features=LinguisticFeatures(
+                                      i % 2, rng.uniform(size=n_tags),
+                                      rng.uniform(size=n_tags), i % 2,
+                                      float(rng.uniform())))
+                for i in range(8)]
+
+    @staticmethod
+    def _check(predictions, expected):
+        assert [(p.doc_id, p.label, p.figurative_label) for p in predictions] == \
+            [(doc_id, label, fig) for doc_id, _, label, fig in expected]
+        assert all(type(p.probability) is float for p in predictions)
+        np.testing.assert_allclose([p.probability for p in predictions],
+                                   [prob for _, prob, _, _ in expected], rtol=0, atol=1e-12)
+
+    @pytest.fixture
+    def proba_calls(self, monkeypatch):
+        calls = []
+        for cls in (phm.PhmdModel, phm.FeatAugModel):
+            def counting(model, inputs, real=cls.predict_proba):
+                calls.append(model.kind)
+                return real(model, inputs)
+            monkeypatch.setattr(cls, "predict_proba", counting)
+        return calls
+
+    def test_phmd_and_pipeline(self, proba_calls):
+        model, ids, _ = _batch_of("phmd", 8, seed=4)
+        predictions = predict(model, ids, doc_ids=self.DOC_IDS)
+        self._check(predictions, self.PHMD)
+        before = model.forward_count
+        pipeline = pipeline_predict([v.label for v in self._verdicts()], predictions)
+        assert model.forward_count == before
+        self._check(pipeline, self.PIPELINE)
+        assert proba_calls == ["phmd"]
+
+    def test_feataug(self, proba_calls):
+        model, _, _ = _batch_of("feataug", 8, seed=4)
+        _, ids, _ = _batch_of("phmd", 8, seed=4)
+        self._check(predict(model, ids, self._verdicts(), self.DOC_IDS), self.FEATAUG)
+        assert proba_calls == ["feataug"]
+
+    def test_passes_of_one_example(self):
+        model, ids, _ = _batch_of("phmd", 8, seed=4)
+        model._pass_size = 1
+        self._check(predict(model, ids, doc_ids=self.DOC_IDS), self.PHMD)
+
+    def test_feataug_requires_verdicts(self):
+        model, (ids, _), _ = _batch_of("feataug", 8, seed=4)
+        with pytest.raises(ValueError, match="verdict per document"):
+            predict(model, ids)
+
+
+def test_only_predict_calls_predict_proba():
+    """Every prediction in the package goes through ``phm.predict``: no other
+    function calls a model's ``predict_proba``."""
+    package = Path(__file__).resolve().parent.parent / "src" / "figphm"
+    found = []
+    for source in sorted(package.glob("*.py")):
+        for function, call in _calls_by_function(ast.parse(source.read_text("utf-8"))):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "predict_proba" \
+                    and (source.stem, function) != ("phm", "predict"):
+                found.append(f"{source.name}:{call.lineno} in {function}")
+    assert not found, "predict_proba called outside phm.predict: " + ", ".join(found)
 
 
 class TestTrainChecks:
