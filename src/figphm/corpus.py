@@ -125,9 +125,15 @@ def load_dataset(path: str | Path, labels: tuple[str, ...] = LABELS,
     """Load a 4-column TSV dataset (id, disease, text, label in ``labels``).
 
     Rows whose text tokenizes to nothing are dropped (garbled-text filter).
+    A document id may appear on one line only.
     """
     documents = []
+    id_lines: dict[str, int] = {}
     for lineno, (doc_id, disease, text, label) in read_tsv(path, 4, what):
+        if doc_id in id_lines:
+            raise DataError(f"{path}: line {lineno}: document id {doc_id!r} "
+                            f"already used on line {id_lines[doc_id]}")
+        id_lines[doc_id] = lineno
         if disease not in DISEASES:
             raise DataError(f"{path}: line {lineno}: unknown disease {disease!r}")
         if label not in labels:

@@ -26,6 +26,10 @@ RANDOM_INIT_BOUND = 0.25
 TABLE_FORMATS = ("glove_text", "word2vec_text")
 BETA_MODES = ("inverse_degree", "uniform")
 
+# A candidate's mat-vec score may differ from its ``cosine`` in the last few
+# bits; every word within this much of the k-th score is re-scored exactly.
+NEIGHBOR_SLACK = 1e-9
+
 
 @dataclass
 class EmbeddingTable:
@@ -205,20 +209,35 @@ def nearest_neighbors(table: EmbeddingTable, word: str, k: int) -> list[tuple[st
 
     The query itself and the reserved rows never appear. Ties are broken by
     ascending word order; asking for more neighbors than exist returns the
-    full ranked list.
+    full ranked list. One mat-vec ranks every word; the candidates within
+    ``NEIGHBOR_SLACK`` of the k-th score are then scored with ``cosine``, so
+    the result is exactly that of ranking every word by ``cosine``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if word not in table.vocab:
         raise KeyError(f"word not in vocabulary: {word!r}")
     query = table.vector(word)
-    scored = []
-    for other, index in table.vocab.items():
-        if other == word or other in RESERVED_TOKENS:
-            continue
-        scored.append((other, cosine(query, table.matrix[index])))
+    words = list(table.vocab)
+    rows = np.fromiter(table.vocab.values(), dtype=np.intp, count=len(words))
+    norms = row_norms(table.matrix) * np.linalg.norm(query)
+    scores = np.divide(table.matrix @ query, norms, out=np.zeros(len(norms)),
+                       where=norms != 0.0)[rows]
+    excluded = [words.index(w) for w in {word, *RESERVED_TOKENS} if w in table.vocab]
+    scores[excluded] = -np.inf
+    if k < len(words) - len(excluded):
+        kth = -np.partition(-scores, k - 1)[k - 1]
+        positions = np.flatnonzero(scores >= kth - NEIGHBOR_SLACK)
+    else:
+        positions = np.flatnonzero(scores > -np.inf)
+    scored = [(words[p], cosine(query, table.matrix[rows[p]])) for p in positions]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
+
+
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, without a temporary the size of ``matrix``."""
+    return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
 
 
 def load_ontology(path: str | Path) -> OntologyGraph:
@@ -251,6 +270,10 @@ def retrofit(table: EmbeddingTable, graph: OntologyGraph, iterations: int = 10,
     original vector and beta_ij is 1/|N(i)| (``inverse_degree``) or 1
     (``uniform``). Ontology words outside the vocabulary are ignored. The
     input table is not mutated.
+
+    Each sweep updates whole levels of rows at once (see ``_sweep_groups``)
+    and sums each row's neighbors one at a time in ascending row order, so
+    it gives bitwise the row-by-row sweep for tables of two or more columns.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -261,17 +284,46 @@ def retrofit(table: EmbeddingTable, graph: OntologyGraph, iterations: int = 10,
 
     original = table.matrix
     matrix = original.copy()
-    neighborhoods = _in_vocab_neighborhoods(table, graph)
-    order = sorted(neighborhoods)  # ascending row index
+    groups = []
+    for rows, neighbor_rows in _sweep_groups(_in_vocab_neighborhoods(table, graph)):
+        degree = len(neighbor_rows)
+        beta = 1.0 / degree if beta_mode == "inverse_degree" else 1.0
+        groups.append((rows, neighbor_rows, alpha * original[rows], beta,
+                       alpha + beta * degree))
 
     for _ in range(iterations):
-        for index in order:
-            neighbor_rows = neighborhoods[index]
-            degree = len(neighbor_rows)
-            beta = 1.0 / degree if beta_mode == "inverse_degree" else 1.0
-            neighbor_sum = matrix[neighbor_rows].sum(axis=0)
-            matrix[index] = (alpha * original[index] + beta * neighbor_sum) / (alpha + beta * degree)
+        for rows, neighbor_rows, head, beta, denominator in groups:
+            neighbor_sum = matrix[neighbor_rows[0]]
+            for column in neighbor_rows[1:]:
+                neighbor_sum += matrix[column]
+            matrix[rows] = (head + beta * neighbor_sum) / denominator
     return EmbeddingTable(vocab=dict(table.vocab), matrix=matrix)
+
+
+def _sweep_groups(neighborhoods: dict[int, list[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Level schedule of one ascending Gauss-Seidel sweep.
+
+    A row's level is one more than the highest level among the lower rows it
+    shares an edge with (0 if none), so rows on one level share no edge and
+    updating a level at once reads exactly what the ascending sweep reads:
+    lower neighbors already updated, higher ones not yet. Each level is split
+    by degree; a group is (rows, a degree x len(rows) matrix of their sorted
+    neighbor rows), and the groups come in ascending level order.
+    """
+    lower: dict[int, list[int]] = {index: [] for index in neighborhoods}
+    for index, neighbor_rows in neighborhoods.items():
+        for j in neighbor_rows:
+            if j < index:
+                lower[index].append(j)
+            elif j in lower:  # a one-sided edge still orders the two updates
+                lower[j].append(index)
+    level: dict[int, int] = {}
+    members: dict[tuple[int, int], list[int]] = {}
+    for index in sorted(neighborhoods):
+        level[index] = 1 + max((level[j] for j in lower[index] if j in level), default=-1)
+        members.setdefault((level[index], len(neighborhoods[index])), []).append(index)
+    return [(np.array(rows), np.array([neighborhoods[i] for i in rows]).T.copy())
+            for _, rows in sorted(members.items())]
 
 
 def retrofit_objective(original: EmbeddingTable, current: EmbeddingTable,

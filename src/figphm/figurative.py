@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import FIGURATIVE, LITERAL, SENTINEL_TOKENS, Document, read_lines
-from .embeddings import EmbeddingTable, cosine, nearest_neighbors
+# ``cosine`` is looked up here by name by perfbench/spans.py.
+from .embeddings import EmbeddingTable, cosine, nearest_neighbors, row_norms  # noqa: F401
 
 # 12-tag universal part-of-speech set; order fixes the one-hot layout.
 TAGSET = ("NOUN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP",
@@ -208,26 +209,27 @@ def literal_usage_score(tokens: Sequence[str], rep: LiteralRepresentation,
 
     Content words exclude the target keyword (unless ``include_target``),
     sentinels, and anything outside the table's vocabulary. Negative cosines
-    clamp to 0 so the score stays in [0, 1] with 0 meaning figurative. With
-    no surviving content word the score is 0.5 (uninformative).
+    clamp to 0 so the score stays in [0, 1] with 0 meaning figurative; a
+    zero vector's cosines are 0. With no surviving content word the score is
+    0.5 (uninformative).
     """
     if not rep.related_words:
         raise ValueError("literal representation is empty")
-    content = [t for t in tokens
+    vocab = table.vocab
+    content = [vocab[t] for t in tokens
                if t not in SENTINEL_TOKENS
                and (include_target or t != rep.keyword)
-               and t in table.vocab]
-    if not content:
+               and t in vocab]
+    related = [vocab[w] for w in rep.related_words if w in vocab]
+    if not content or not related:
         return 0.5
-    rep_vectors = [table.vector(w) for w in rep.related_words if w in table.vocab]
-    if not rep_vectors:
-        return 0.5
-    total = 0.0
-    for token in content:
-        vec = table.vector(token)
-        for rep_vec in rep_vectors:
-            total += max(0.0, cosine(vec, rep_vec))
-    return total / (len(content) * len(rep_vectors))
+    cosines = _unit_rows(table.matrix[content]) @ _unit_rows(table.matrix[related]).T
+    return float(np.maximum(cosines, 0.0).mean())
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    norms = row_norms(matrix)[:, None]
+    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms != 0.0)
 
 
 def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:
@@ -296,60 +298,65 @@ def lda_estimate(documents: Sequence[Sequence[str]], seed_scores: Sequence[float
 
     rng = np.random.default_rng(seed)
     vocab: dict[str, int] = {}
-    doc_words: list[list[int]] = []
-    for doc in documents:
-        ids = []
-        for token in doc:
-            if token not in vocab:
-                vocab[token] = len(vocab)
-            ids.append(vocab[token])
-        doc_words.append(ids)
+    doc_words = [[vocab.setdefault(token, len(vocab)) for token in doc] for doc in documents]
 
-    n_docs, n_words = len(doc_words), len(vocab)
+    # Counts live in Python lists: each token's update is a handful of scalar
+    # operations, which cost less on ints and floats than on numpy elements.
+    # The arithmetic and its order are those of the array formula
+    # p = (n_dk + alpha) * (n_kw + beta) / (n_k + beta * V).
+    n_docs, n_words, n_tokens = len(doc_words), len(vocab), sum(map(len, doc_words))
     n_topics = 2
-    doc_topic = np.zeros((n_docs, n_topics))
-    topic_word = np.zeros((n_topics, n_words))
-    topic_total = np.zeros(n_topics)
-    assignments: list[np.ndarray] = []
+    doc_topic = [[0, 0] for _ in range(n_docs)]
+    topic_word = [[0] * n_words for _ in range(n_topics)]
+    topic_total = [0, 0]
+    assignments: list[list[int]] = []
 
     for d, ids in enumerate(doc_words):
         z = np.where(rng.random(len(ids)) < seed_scores[d],
-                     LDA_TOPIC_LITERAL, LDA_TOPIC_FIGURATIVE)
+                     LDA_TOPIC_LITERAL, LDA_TOPIC_FIGURATIVE).tolist()
         assignments.append(z)
         for w, k in zip(ids, z):
-            doc_topic[d, k] += 1
-            topic_word[k, w] += 1
+            doc_topic[d][k] += 1
+            topic_word[k][w] += 1
             topic_total[k] += 1
 
     burn_in = iterations // 2
-    doc_sum = np.zeros_like(doc_topic)
-    word_sum = np.zeros_like(topic_word)
+    doc_sum = np.zeros((n_docs, n_topics))
+    word_sum = np.zeros((n_topics, n_words))
     n_samples = 0
+    word_prior = LDA_BETA_WORD * n_words
+    literal_word, figurative_word = topic_word
 
     for sweep in range(iterations):
-        for d, ids in enumerate(doc_words):
-            z = assignments[d]
+        # one draw per token, in token order: the generator advances exactly
+        # as it would with one rng.random() call per token
+        draws = iter(rng.random(n_tokens).tolist())
+        for ids, z, counts in zip(doc_words, assignments, doc_topic):
             for n, w in enumerate(ids):
                 k = z[n]
-                doc_topic[d, k] -= 1
-                topic_word[k, w] -= 1
+                counts[k] -= 1
+                topic_word[k][w] -= 1
                 topic_total[k] -= 1
 
-                p = ((doc_topic[d] + LDA_ALPHA_DOC)
-                     * (topic_word[:, w] + LDA_BETA_WORD)
-                     / (topic_total + LDA_BETA_WORD * n_words))
-                k = LDA_TOPIC_LITERAL if rng.random() < p[0] / (p[0] + p[1]) \
+                p_literal = ((counts[0] + LDA_ALPHA_DOC) * (literal_word[w] + LDA_BETA_WORD)
+                             / (topic_total[0] + word_prior))
+                p_figurative = ((counts[1] + LDA_ALPHA_DOC)
+                                * (figurative_word[w] + LDA_BETA_WORD)
+                                / (topic_total[1] + word_prior))
+                k = LDA_TOPIC_LITERAL if next(draws) < p_literal / (p_literal + p_figurative) \
                     else LDA_TOPIC_FIGURATIVE
 
                 z[n] = k
-                doc_topic[d, k] += 1
-                topic_word[k, w] += 1
+                counts[k] += 1
+                topic_word[k][w] += 1
                 topic_total[k] += 1
         if sweep >= burn_in:
-            doc_sum += (doc_topic + LDA_ALPHA_DOC) / (doc_topic.sum(axis=1, keepdims=True)
-                                                      + n_topics * LDA_ALPHA_DOC)
-            word_sum += (topic_word + LDA_BETA_WORD) / (topic_word.sum(axis=0, keepdims=True)
-                                                        + n_topics * LDA_BETA_WORD)
+            doc_counts = np.array(doc_topic, dtype=np.float64)
+            word_counts = np.array(topic_word, dtype=np.float64)
+            doc_sum += (doc_counts + LDA_ALPHA_DOC) / (doc_counts.sum(axis=1, keepdims=True)
+                                                       + n_topics * LDA_ALPHA_DOC)
+            word_sum += (word_counts + LDA_BETA_WORD) / (word_counts.sum(axis=0, keepdims=True)
+                                                         + n_topics * LDA_BETA_WORD)
             n_samples += 1
 
     doc_mean = doc_sum / n_samples

@@ -101,8 +101,17 @@ def conv1d_backward(dout: np.ndarray, x: np.ndarray, kernels: np.ndarray,
 
 
 def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(x, (width, x.shape[-1]), axis=(-2, -1))
-    return view.reshape(x.shape[:-2] + (x.shape[-2] - width + 1, width * x.shape[-1]))
+    """(..., T, d) -> (..., T-w+1, w*d) view whose row t is x[..., t:t+w, :]
+    flattened. The strides come from the shape, not from ``x.strides``: a
+    size-1 axis may carry any stride."""
+    x = np.ascontiguousarray(x)
+    strides, step = [], x.itemsize
+    for size in reversed(x.shape):
+        strides.insert(0, step)
+        step *= size
+    seq_len, dim = x.shape[-2:]
+    return np.ndarray(x.shape[:-2] + (seq_len - width + 1, width * dim), dtype=x.dtype,
+                      buffer=x, strides=tuple(strides[:-1]) + (x.itemsize,))
 
 
 def maxpool1d(x: np.ndarray, pool: int) -> np.ndarray:

@@ -85,6 +85,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="not found"):
             load_dataset(tmp_path / "nope.tsv")
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("t1\tcancer\tfirst text\tPHM\nt2\tother\tfine\tPHM\n\n"
+                        "t1\tstroke\tsecond text\tNonPHM\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"data\.tsv: line 4: document id 't1' "
+                                            r"already used on line 1"):
+            load_dataset(path)
+
     def test_garbled_rows_dropped(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("t1\tother\t   \tPHM\nt2\tother\tfine text\tNonPHM\n",

@@ -10,8 +10,10 @@ from figphm.embeddings import (OntologyGraph, cosine, load_ontology,
                                random_table, retrofit, retrofit_objective,
                                save_table)
 from figphm.errors import DataError
+from figphm.synthetic import planted_corpus
 
 from conftest import make_table
+from scalar_reference import nearest_neighbors_loop, retrofit_loop
 
 
 class TestLoadTable:
@@ -171,6 +173,110 @@ class TestNearestNeighbors:
         sims = [s for _, s in got]
         assert sims == sorted(sims, reverse=True)
         assert len({w for w, _ in got}) == len(got)
+
+
+class TestNearestNeighborsMatchLoop:
+    """The mat-vec search returns the loop's list and scores exactly."""
+
+    @pytest.mark.parametrize("k", [1, 10, 64, 10_000])
+    def test_planted_table(self, k):
+        table = planted_corpus(n_docs=20, seed=3)[1]
+        for word in ("cough", "wheeze", "lit000", "fig117", "fill05"):
+            assert nearest_neighbors(table, word, k) == nearest_neighbors_loop(table, word, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9, 20])
+    def test_exact_ties(self, k):
+        # duplicate rows tie exactly; the zero row and orthogonal rows tie at 0
+        table = make_table({"q": [1.0, 2.0, 0.0], "e": [1.0, 2.0, 0.0], "b": [1.0, 2.0, 0.0],
+                            "d": [1.0, 2.0, 0.0], "z": [0.0, 0.0, 0.0], "o": [0.0, 0.0, 5.0],
+                            "a": [0.0, 0.0, -1.0], "n": [-1.0, -2.0, 0.0],
+                            "m": [2.0, 1.0, 0.0]})
+        got = nearest_neighbors(table, "q", k)
+        assert got == nearest_neighbors_loop(table, "q", k)
+        assert [w for w, _ in got][:3] == ["b", "d", "e"][:k]
+
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_all_zero_query(self, k):
+        rng = np.random.default_rng(8)
+        vectors = {f"w{i}": rng.normal(0, 1, 4).tolist() for i in range(30)}
+        vectors["w7"] = [0.0] * 4
+        table = make_table(vectors)
+        got = nearest_neighbors(table, "w7", k)
+        assert got == nearest_neighbors_loop(table, "w7", k)
+        assert all(score == 0.0 for _, score in got)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        words = [f"t{i:03d}" for i in range(int(rng.integers(3, 300)))]
+        vectors = rng.normal(0, 1, (len(words), int(rng.integers(1, 9))))
+        table = make_table({w: v.tolist() for w, v in zip(words, vectors)})
+        for word in rng.choice(words, size=3):
+            for k in (1, 5, len(words) - 1, len(words) + 5):
+                assert nearest_neighbors(table, word, k) == \
+                    nearest_neighbors_loop(table, word, k)
+
+
+def _schedule_graph():
+    """A d=3 table and a graph with a hub of degree 18, a chain of nine
+    ascending rows (nine levels), an isolated head, a word whose only
+    neighbours are out of vocabulary, and edges to a reserved token."""
+    rng = np.random.default_rng(21)
+    words = ([f"chain{i}" for i in range(9)] + ["hub"] + [f"leaf{i:02d}" for i in range(18)]
+             + ["iso", "orphan", "lone", "x", "y"])
+    table = make_table({w: v.tolist() for w, v in zip(words, rng.normal(0, 1, (len(words), 3)))})
+    graph = OntologyGraph()
+    for i in range(8):
+        graph.add_edge(f"chain{i}", f"chain{i + 1}")
+    for i in range(18):
+        graph.add_edge("hub", f"leaf{i:02d}")
+    graph.add_edge("leaf03", "chain4")
+    graph.add_edge("leaf07", "leaf08")
+    graph.add_edge("x", "y")
+    graph.add_edge("x", "hub")
+    graph.edges.setdefault("iso", set())
+    graph.add_edge("orphan", "ghost")
+    graph.add_edge("ghost", "phantom")
+    graph.add_edge("lone", UNK_TOKEN)
+    return table, graph
+
+
+class TestRetrofitMatchesLoop:
+    """The level-scheduled sweep is bitwise the ascending row-by-row sweep."""
+
+    @pytest.mark.parametrize("beta_mode", ["inverse_degree", "uniform"])
+    @pytest.mark.parametrize("iterations", [0, 1, 10])
+    def test_hub_chain_isolated_and_oov(self, beta_mode, iterations):
+        table, graph = _schedule_graph()
+        out = retrofit(table, graph, iterations=iterations, beta_mode=beta_mode)
+        assert np.array_equal(out.matrix, retrofit_loop(table, graph, iterations, 1.0, beta_mode))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n_words = int(rng.integers(4, 60))
+        dim = int(rng.integers(2, 7))
+        words = [f"w{i}" for i in range(n_words)]
+        table = make_table({w: v.tolist() for w, v in zip(words, rng.normal(0, 1, (n_words, dim)))})
+        graph = OntologyGraph()
+        for _ in range(int(rng.integers(1, 3 * n_words))):
+            a, b = rng.choice(words + ["oov1", "oov2"], size=2, replace=False)
+            graph.add_edge(a, b)
+        alpha = float(rng.choice([0.5, 1.0, 2.0]))
+        for beta_mode in ("inverse_degree", "uniform"):
+            out = retrofit(table, graph, iterations=7, alpha=alpha, beta_mode=beta_mode)
+            assert np.array_equal(out.matrix,
+                                  retrofit_loop(table, graph, 7, alpha, beta_mode))
+
+    def test_one_sided_edges(self):
+        # edges written straight into the dict need not be symmetric
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(8)]
+        table = make_table({w: v.tolist() for w, v in zip(words, rng.normal(0, 1, (8, 2)))})
+        graph = OntologyGraph(edges={"w5": {"w1", "w6"}, "w1": {"w6"}, "w6": {"w2"},
+                                     "w2": {"w5"}, "w0": {"w3", "w4"}})
+        out = retrofit(table, graph, iterations=5)
+        assert np.array_equal(out.matrix, retrofit_loop(table, graph, 5))
 
 
 class TestLoadOntology:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from figphm import figurative
 from figphm.corpus import Document, FIGURATIVE, LITERAL
 from figphm.figurative import (FigurativeDetector, LinguisticFeatures,
                                LiteralRepresentation, TAGSET,
@@ -10,7 +11,11 @@ from figphm.figurative import (FigurativeDetector, LinguisticFeatures,
                                lda_estimate, literal_usage_score, load_word_list,
                                mark_symptoms, pos_tag)
 
+from figphm.synthetic import planted_corpus
+
 from conftest import make_table
+from scalar_reference import (lda_loop, literal_usage_score_loop,
+                              nearest_neighbors_loop)
 
 
 class TestPosTag:
@@ -267,6 +272,56 @@ class TestFigurativeDetector:
             assert (verdict.literal_score, verdict.label) == \
                 (expected.literal_score, expected.label)
             assert np.array_equal(verdict.features.to_vector(), expected.features.to_vector())
+
+
+class TestArrayPathsMatchLoops:
+    """The product score agrees with the pairwise loop to 1e-12, the
+    detector's labels are the loop detector's, and the block-draw sampler
+    is bitwise the per-token sampler."""
+
+    @pytest.mark.parametrize("include_target", [False, True])
+    def test_scores_on_planted_corpus(self, include_target):
+        docs, table, keywords = planted_corpus(n_docs=120, seed=5)
+        for keyword in sorted(keywords):
+            rep = build_literal_representation(table, keyword, 10)
+            for doc in docs:
+                got = literal_usage_score(doc.tokens, rep, table, include_target)
+                want = literal_usage_score_loop(doc.tokens, rep, table, include_target)
+                assert abs(got - want) <= 1e-12
+
+    def test_score_edge_rows(self):
+        # a zero-norm content row and a zero-norm related row count as 0;
+        # repeated tokens weigh twice; related words outside the table drop
+        table = make_table({"kw": [1.0, 0.0, 0.0], "u": [0.3, -0.2, 0.9],
+                            "zero": [0.0, 0.0, 0.0], "r1": [1.0, 2.0, -3.0],
+                            "r2": [0.0, 0.0, 0.0], "r3": [-0.1, 0.4, 0.2]})
+        rep = LiteralRepresentation("kw", ["r1", "r2", "gone", "r3"])
+        for tokens in (["u", "zero", "u", "kw", "<url>"], ["zero"], ["u"], ["kw", "r3"]):
+            got = literal_usage_score(tokens, rep, table)
+            assert abs(got - literal_usage_score_loop(tokens, rep, table)) <= 1e-12
+        gone = LiteralRepresentation("kw", ["gone"])
+        assert literal_usage_score(["u"], gone, table) == 0.5
+
+    def test_detector_matches_loop_detector(self, monkeypatch):
+        docs, table, keywords = planted_corpus(n_docs=200, seed=9)
+        fast = FigurativeDetector(table, keywords, health_lexicon=set()).verdicts(docs)
+        monkeypatch.setattr(figurative, "nearest_neighbors", nearest_neighbors_loop)
+        monkeypatch.setattr(figurative, "literal_usage_score", literal_usage_score_loop)
+        slow_detector = FigurativeDetector(table, keywords, health_lexicon=set())
+        slow = slow_detector.verdicts(docs)
+        assert [v.label for v in fast] == [v.label for v in slow]
+        assert max(abs(a.literal_score - b.literal_score) for a, b in zip(fast, slow)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 41])
+    def test_lda_bitwise(self, seed):
+        docs, _, _ = planted_corpus(n_docs=90, seed=seed)
+        tokens = [doc.tokens for doc in docs]
+        scores = np.random.default_rng(seed).random(len(docs)).tolist()
+        est = lda_estimate(tokens, scores, iterations=9, seed=seed + 1)
+        word_dist, doc_dist = lda_loop(tokens, scores, 9, seed + 1)
+        assert est.doc_dist == doc_dist
+        assert est.word_dist == word_dist
+        assert list(est.word_dist) == list(word_dist)
 
 
 class TestWordLists:

@@ -483,6 +483,22 @@ class TestCli:
         assert code == 0
         assert "PHMD" in capsys.readouterr().out
 
+    def test_experiment_repeated_document_id_exit_2(self, tmp_path, capsys, monkeypatch):
+        import figphm.harness as harness_mod
+        assert cli_main(["synth", "--out", str(tmp_path), "--docs", "40"]) == 0
+        dataset = tmp_path / "dataset.tsv"
+        row = next(r for r in dataset.read_text(encoding="utf-8").splitlines()
+                   if r.startswith("p0004\t"))
+        _, disease, _, label = row.split("\t")
+        with dataset.open("a", encoding="utf-8") as handle:
+            handle.write(f"p0004\t{disease}\tfill01 fill02 lit003\t"
+                         f"{'NonPHM' if label == 'PHM' else 'PHM'}\n")
+        monkeypatch.setattr(harness_mod, "train", None)     # fails before any training
+        assert cli_main(["experiment", "--config", str(tmp_path / "experiment.ini"),
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "line 41: document id 'p0004' already used on line 5" in err
+
     def test_experiment_bad_config_exit_1(self, tmp_path, capsys):
         (tmp_path / "cfg.ini").write_text("[experiment]\nfolds = 2\n", encoding="utf-8")
         assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),

@@ -23,6 +23,29 @@ class TestConv1d:
         out = nn.conv1d(x, np.array([[[1.0]]]), np.zeros(1))
         assert np.array_equal(out, x)
 
+    @pytest.mark.parametrize("shape, width, take", [
+        ((7, 3), 2, np.s_[:]),
+        ((4, 9, 5), 3, np.s_[:]),
+        ((1, 6, 4), 4, np.s_[:]),         # size-1 batch axis
+        ((3, 5, 1), 5, np.s_[:]),         # size-1 feature axis, one window
+        ((4, 12, 6), 3, np.s_[::2, 1::2, ::3]),  # non-contiguous input
+        ((6, 4, 5), 2, np.s_[1:2]),       # a slice with a size-1 axis
+    ])
+    def test_windows_equal_sliding_window_view(self, shape, width, take):
+        x = np.random.default_rng(2).normal(0, 1, shape)[take]
+        want = np.lib.stride_tricks.sliding_window_view(
+            x, (width, x.shape[-1]), axis=(-2, -1))
+        want = want.reshape(x.shape[:-2] + (x.shape[-2] - width + 1, width * x.shape[-1]))
+        got = nn._windows(x, width)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_windows_ignore_the_stride_of_a_size_one_axis(self):
+        base = np.random.default_rng(3).normal(0, 1, (6, 4))
+        x = np.lib.stride_tricks.as_strided(base, shape=(1, 6, 4), strides=(999, 32, 8))
+        assert x.flags.c_contiguous
+        assert np.array_equal(nn._windows(x, 3), nn._windows(base, 3)[None])
+
     def test_sequence_shorter_than_kernel(self):
         with pytest.raises(ValueError, match="shorter than kernel"):
             nn.conv1d(np.ones((2, 1)), np.ones((1, 3, 1)), np.zeros(1))
