@@ -26,6 +26,12 @@ RANDOM_INIT_BOUND = 0.25
 TABLE_FORMATS = ("glove_text", "word2vec_text")
 BETA_MODES = ("inverse_degree", "uniform")
 
+# Rows parsed per np.loadtxt call by load_table: the per-call cost is spread
+# thin, and a block's text stays a small share of a large table's matrix.
+_BLOCK_ROWS = 4096
+# Characters np.loadtxt strips from around a value as whitespace; float() does not.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
 # A candidate's mat-vec score may differ from its ``cosine`` in the last few
 # bits; every word within this much of the k-th score is re-scored exactly.
 NEIGHBOR_SLACK = 1e-9
@@ -93,54 +99,117 @@ def load_table(path: str | Path, format: str = "glove_text",
     to drop its language prefix). Duplicate words keep the first occurrence.
     A non-finite value (``inf``, ``nan``, or a number that overflows) is a
     data error.
+
+    Fields are separated by runs of spaces. Words are read line by line;
+    values are parsed ``_BLOCK_ROWS`` rows at a time (see ``_parse_block``).
     """
     if format not in TABLE_FORMATS:
         raise ValueError(f"unknown embedding format: {format!r}")
 
-    rows: list[tuple[int, str, np.ndarray]] = []
-    seen: set[str] = set()
+    vocab = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
+    kept_lines: list[int] = []  # line number of each matrix row after the reserved ones
+    blocks: list[np.ndarray] = []
+    linenos: list[int] = []
+    texts: list[str] = []
+    dropped: list[int] = []  # positions in the block of duplicate and reserved words
     n_duplicates = 0
-    dim: int | None = None
+    dim = 0
     for lineno, line in read_lines(path, "embedding file"):
-        parts = [p for p in line.split(" ") if p]
-        if not parts:
-            continue
+        if line[0] == " ":
+            line = line.lstrip(" ")
+            if not line:
+                continue
+        word, _, text = line.partition(" ")
         if format == "word2vec_text" and lineno == 1:
-            if len(parts) != 2:
+            if len(_fields(text)) != 1:
                 raise DataError(f"{path}: line 1: expected 'count dim' header")
             continue
-        word, values = parts[0], parts[1:]
         if strip_prefix and word.startswith(strip_prefix):
             word = word[len(strip_prefix):]
-        if dim is None:
-            dim = len(values)
-            if dim < 1:
+        if not dim:
+            dim = len(_fields(text))
+            if not dim:
                 raise DataError(f"{path}: line {lineno}: row has no vector values")
-        if len(values) != dim:
-            raise DataError(f"{path}: line {lineno}: expected {dim} dims, got {len(values)}")
-        try:
-            vector = np.array([float(v) for v in values])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from None
-        if word in seen or word in RESERVED_TOKENS:
+        if word in vocab:
             n_duplicates += 1
-            continue
-        seen.add(word)
-        rows.append((lineno, word, vector))
+            dropped.append(len(texts))
+        else:
+            vocab[word] = len(vocab)
+            kept_lines.append(lineno)
+        linenos.append(lineno)
+        texts.append(text)
+        if len(texts) == _BLOCK_ROWS:
+            blocks.append(_parse_block(path, dim, linenos, texts, dropped))
+            linenos, texts, dropped = [], [], []
 
-    if dim is None:
+    if not dim:
         raise DataError(f"{path}: no embedding rows found")
+    if texts:
+        blocks.append(_parse_block(path, dim, linenos, texts, dropped))
+    del linenos, texts
     if n_duplicates:
         log.warning("%s: %d duplicate word(s) ignored, first occurrence kept", path, n_duplicates)
 
-    vocab, matrix = _new_table([w for _, w, _ in rows], dim)
-    for _, word, vector in rows:
-        matrix[vocab[word]] = vector
+    matrix = np.concatenate([np.zeros((len(RESERVED_TOKENS), dim)), *blocks])
+    del blocks
     if not np.isfinite(matrix).all():
         bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
-        raise DataError(f"{path}: line {rows[bad - len(RESERVED_TOKENS)][0]}: "
+        raise DataError(f"{path}: line {kept_lines[bad - len(RESERVED_TOKENS)]}: "
                         f"non-finite value")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
+
+
+def _fields(text: str) -> list[str]:
+    return [p for p in text.split(" ") if p]
+
+
+def _parse_block(path: str | Path, dim: int, linenos: list[int], texts: list[str],
+                 dropped: list[int]) -> np.ndarray:
+    """The ``dim`` values of each row of one block, without the ``dropped``
+    positions; ``texts`` holds each row's line after its word.
+
+    A block ``np.loadtxt`` rejects is parsed again row by row: its first row
+    with the wrong number of values or a value ``float()`` rejects is a
+    ``DataError`` naming that line. ``float()`` also accepts forms numpy does
+    not (``1_0``, non-ASCII digits), so it alone decides what a valid value is.
+    """
+    values = _loadtxt_block(texts, dim)
+    if values is None:
+        rows = []
+        for lineno, text in zip(linenos, texts):
+            row = _fields(text)
+            if len(row) != dim:
+                raise DataError(f"{path}: line {lineno}: expected {dim} dims, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from None
+        values = np.array(rows)
+    return np.delete(values, dropped, axis=0) if dropped else values
+
+
+def _loadtxt_block(texts: list[str], dim: int) -> np.ndarray | None:
+    """The rows' values from one ``np.loadtxt`` call, or None unless numpy
+    reads exactly ``dim`` values from every row.
+
+    Whatever numpy reads here ``float()`` reads too, to the same double: both
+    use Python's string-to-double routine. numpy rejects the empty field that
+    a run of spaces leaves, and ``comments=None`` and ``quotechar=None`` keep
+    it from cutting a value at ``#`` or ``"``. It does strip the separators
+    U+001C-U+001F around a value, which ``float()`` rejects, so a block that
+    holds one is left to ``float()``, and so is one with an empty row, which
+    numpy would skip.
+    """
+    joined = "".join(texts)
+    if "" in texts or any(ch in joined for ch in _NUMPY_ONLY_SPACE):
+        return None
+    del joined
+    try:
+        values = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None,
+                            quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(texts), dim) else None
 
 
 def save_table(table: EmbeddingTable, path: str | Path) -> None:

@@ -9,7 +9,8 @@ per-document literal/figurative distributions from the scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -116,19 +117,21 @@ Tagger = Callable[[Sequence[str]], list[str]]
 def pos_tag(tokens: Sequence[str]) -> list[str]:
     """Rule tagger over the 12-tag universal set: lexicon first, then digit,
     punctuation and suffix rules; unknown words fall back to X."""
-    tags = []
-    for token in tokens:
-        if token in SENTINEL_TOKENS:
-            tags.append("X")
-        elif token in _TAG_LEXICON:
-            tags.append(_TAG_LEXICON[token])
-        elif _is_numeric(token):
-            tags.append("NUM")
-        elif not any(ch.isalnum() for ch in token):
-            tags.append("PUNCT")
-        else:
-            tags.append(_suffix_tag(token))
-    return tags
+    return list(map(_token_tag, tokens))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _token_tag(token: str) -> str:
+    """The tag of one token; a token's tag does not depend on its context."""
+    if token in SENTINEL_TOKENS:
+        return "X"
+    if token in _TAG_LEXICON:
+        return _TAG_LEXICON[token]
+    if _is_numeric(token):
+        return "NUM"
+    if not any(ch.isalnum() for ch in token):
+        return "PUNCT"
+    return _suffix_tag(token)
 
 
 def _is_numeric(token: str) -> bool:
@@ -150,6 +153,18 @@ class LiteralRepresentation:
 
     keyword: str
     related_words: list[str]
+    # (table, related words, their unit rows in it) from the last unit_rows call
+    _block: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def unit_rows(self, table: EmbeddingTable) -> np.ndarray:
+        """The unit-normalised rows of the related words in ``table``'s
+        vocabulary, gathered once per table and kept."""
+        words = tuple(self.related_words)
+        block = self._block
+        if block is None or block[0] is not table or block[1] != words:
+            related = [table.vocab[w] for w in words if w in table.vocab]
+            block = self._block = (table, words, _unit_rows(table.matrix[related]))
+        return block[2]
 
 
 @dataclass
@@ -220,10 +235,10 @@ def literal_usage_score(tokens: Sequence[str], rep: LiteralRepresentation,
                if t not in SENTINEL_TOKENS
                and (include_target or t != rep.keyword)
                and t in vocab]
-    related = [vocab[w] for w in rep.related_words if w in vocab]
-    if not content or not related:
+    related = rep.unit_rows(table)
+    if not content or len(related) == 0:
         return 0.5
-    cosines = _unit_rows(table.matrix[content]) @ _unit_rows(table.matrix[related]).T
+    cosines = _unit_rows(table.matrix[content]) @ related.T
     return float(np.maximum(cosines, 0.0).mean())
 
 

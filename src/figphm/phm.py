@@ -530,7 +530,9 @@ def load_model(path):
             model = PhmdModel(table, config)
         else:
             model = FeatAugModel(table, config, feature_length=manifest["feature_length"])
-    except (KeyError, TypeError, ValueError) as exc:
+    # a number too large for a float, or a model too large to allocate, is a
+    # manifest error too
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise DataError(f"{path}: bad checkpoint manifest "
                         f"({type(exc).__name__}: {exc})") from None
     params = model.all_parameters()

@@ -5,16 +5,84 @@ Each function walks rows, word pairs or tokens one at a time with the
 arithmetic the array code must reproduce: ``retrofit_loop`` and
 ``lda_loop`` must match bitwise, ``nearest_neighbors_loop`` must give the
 same list and scores, and ``literal_usage_score_loop`` must agree to 1e-12.
+``load_table_rows`` parses every value with ``float()``; the block parser
+must give the same table, bitwise, and the same ``DataError`` message.
+``pos_tag_loop`` applies the tagging rules to every token, repeats included;
+the cached tagger must give the same tags.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from figphm.corpus import SENTINEL_TOKENS
-from figphm.embeddings import RESERVED_TOKENS, _in_vocab_neighborhoods, cosine
-from figphm.figurative import (LDA_ALPHA_DOC, LDA_BETA_WORD, LDA_TOPIC_FIGURATIVE,
-                               LDA_TOPIC_LITERAL)
+from figphm.corpus import SENTINEL_TOKENS, read_lines
+from figphm.embeddings import (RESERVED_TOKENS, EmbeddingTable, _in_vocab_neighborhoods,
+                               _new_table, cosine)
+from figphm.errors import DataError
+from figphm.figurative import (_TAG_LEXICON, LDA_ALPHA_DOC, LDA_BETA_WORD,
+                               LDA_TOPIC_FIGURATIVE, LDA_TOPIC_LITERAL, _is_numeric,
+                               _suffix_tag)
+
+
+def load_table_rows(path, format="glove_text", strip_prefix=None):
+    """One ``float()`` per value, one row at a time."""
+    rows = []
+    seen = set()
+    n_duplicates = 0
+    dim = None
+    for lineno, line in read_lines(path, "embedding file"):
+        parts = [p for p in line.split(" ") if p]
+        if not parts:
+            continue
+        if format == "word2vec_text" and lineno == 1:
+            if len(parts) != 2:
+                raise DataError(f"{path}: line 1: expected 'count dim' header")
+            continue
+        word, values = parts[0], parts[1:]
+        if strip_prefix and word.startswith(strip_prefix):
+            word = word[len(strip_prefix):]
+        if dim is None:
+            dim = len(values)
+            if dim < 1:
+                raise DataError(f"{path}: line {lineno}: row has no vector values")
+        if len(values) != dim:
+            raise DataError(f"{path}: line {lineno}: expected {dim} dims, got {len(values)}")
+        try:
+            vector = np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from None
+        if word in seen or word in RESERVED_TOKENS:
+            n_duplicates += 1
+            continue
+        seen.add(word)
+        rows.append((lineno, word, vector))
+
+    if dim is None:
+        raise DataError(f"{path}: no embedding rows found")
+    vocab, matrix = _new_table([w for _, w, _ in rows], dim)
+    for _, word, vector in rows:
+        matrix[vocab[word]] = vector
+    if not np.isfinite(matrix).all():
+        bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+        raise DataError(f"{path}: line {rows[bad - len(RESERVED_TOKENS)][0]}: "
+                        f"non-finite value")
+    return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
+
+
+def pos_tag_loop(tokens):
+    tags = []
+    for token in tokens:
+        if token in SENTINEL_TOKENS:
+            tags.append("X")
+        elif token in _TAG_LEXICON:
+            tags.append(_TAG_LEXICON[token])
+        elif _is_numeric(token):
+            tags.append("NUM")
+        elif not any(ch.isalnum() for ch in token):
+            tags.append("PUNCT")
+        else:
+            tags.append(_suffix_tag(token))
+    return tags
 
 
 def nearest_neighbors_loop(table, word, k):

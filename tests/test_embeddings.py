@@ -1,19 +1,20 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from figphm.corpus import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
-from figphm.embeddings import (OntologyGraph, cosine, load_ontology,
-                               load_table, nearest_neighbors, project_table,
-                               random_table, retrofit, retrofit_objective,
-                               save_table)
+from figphm.embeddings import (_BLOCK_ROWS, OntologyGraph, _fields, _loadtxt_block, cosine,
+                               load_ontology, load_table, nearest_neighbors, project_table,
+                               random_table, retrofit, retrofit_objective, save_table)
 from figphm.errors import DataError
 from figphm.synthetic import planted_corpus
 
 from conftest import make_table
-from scalar_reference import nearest_neighbors_loop, retrofit_loop
+from scalar_reference import load_table_rows, nearest_neighbors_loop, retrofit_loop
 
 
 class TestLoadTable:
@@ -95,6 +96,220 @@ class TestLoadTable:
         assert peak < 4 * table.matrix.nbytes
         np.testing.assert_array_equal(table.matrix[2:], [[float(v) for v in row]
                                                          for row in rows])
+
+
+# Value text that float() and numpy may read differently: separators, signs,
+# special names, underscores, non-ASCII digits and whitespace, comment and
+# quote characters.
+_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(width=32).map(lambda v: f"{v:.6f}"),
+    st.sampled_from(["1_0", "２", "١.5", "#", "1#2", '"1"', "nan", "-nan", "Infinity",
+                     "+inf", "1e999", "-1e-999", "0x10", "1d5", ".", "1.", "+.5", "-0", "1e"]),
+    st.text(alphabet="0123456789.eE+-_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0　#\"'n",
+            min_size=1, max_size=6),
+)
+
+
+# The multi-block cases below put duplicates, bad values and dimension
+# changes on either side of a block boundary.
+BLOCK = _BLOCK_ROWS
+
+
+def _rows(n, dim=2):
+    return [f"w{i} " + " ".join(f"{i + j / 8:.6f}" for j in range(dim)) for i in range(n)]
+
+
+def _with(lines, changes):
+    """Replace 1-based line numbers with new line text."""
+    lines = list(lines)
+    for lineno, text in changes.items():
+        lines[lineno - 1] = text
+    return "".join(line + "\n" for line in lines)
+
+
+def _load_both(path, format="glove_text", strip_prefix=None):
+    """The table or the DataError message, from load_table and from the
+    float()-per-value reference."""
+    outcomes = []
+    for loader in (load_table, load_table_rows):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outcomes.append(loader(path, format, strip_prefix=strip_prefix))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _assert_same_table(got, want):
+    assert got.vocab == want.vocab
+    assert list(got.vocab) == list(want.vocab)
+    assert got.n_duplicates == want.n_duplicates
+    assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
+    assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
+
+
+# name -> (file content, format, strip_prefix, the DataError message or None
+# for a table); messages were recorded from the float()-per-value parser.
+LOAD_CASES = {
+    "irregular spaces": (" cat  1.0 2.0 \n  dog 3.0   4.0  \n   \nbird 5.0 6.0\n",
+                         "glove_text", None, None),
+    "tab at a value's edge": ("cat 1.0\t 2.0\ndog \t3.0 4.0\t\n", "glove_text", None, None),
+    "tab inside a value": ("cat 1.0\t2.0\n", "glove_text", None,
+                           "line 1: non-numeric value "
+                           "(could not convert string to float: '1.0\\t2.0')"),
+    "tab in a word": ("cat\t1.0 2.0\n", "glove_text", None, None),
+    "underscore and full-width digits": ("cat 1_0 ２.５\ndog ١ -3\n",
+                                         "glove_text", None, None),
+    "hash inside a value": ("cat 1.0#3 2.0\n", "glove_text", None,
+                            "line 1: non-numeric value "
+                            "(could not convert string to float: '1.0#3')"),
+    "hash as a value": ("cat 1.0 2.0\ndog # 2.0\n", "glove_text", None,
+                        "line 2: non-numeric value (could not convert string to float: '#')"),
+    "hash in a word": ("#cat 1.0 2.0\nc#t 3 4\n", "glove_text", None, None),
+    "quoted value": ('cat "1.0" 2.0\n', "glove_text", None,
+                     "line 1: non-numeric value "
+                     "(could not convert string to float: '\"1.0\"')"),
+    "unicode spaces around values": ("cat 　1.0 2.0 \ndog \x0b3\x0c 4\n",
+                                     "glove_text", None, None),
+    "separator control character": ("cat \x1c1.0 2.0\n", "glove_text", None,
+                                    "line 1: non-numeric value "
+                                    "(could not convert string to float: '\\x1c1.0')"),
+    "crlf": (b"cat 1.0 2.0\r\ndog 3.0 4.0\r\n", "glove_text", None, None),
+    "word2vec header": ("2 2\ncat 1 2\ndog 3 4\n", "word2vec_text", None, None),
+    "bad word2vec header": ("2 2 2\ncat 1 2\n", "word2vec_text", None,
+                            "line 1: expected 'count dim' header"),
+    "word2vec header not on line 1": ("\n2 2\ncat 1 2\n", "word2vec_text", None,
+                                      "line 3: expected 1 dims, got 2"),
+    "strip_prefix": ("/c/en/cat 1 2\n/c/fr/chat 3 4\n/c/en/ 5 6\n/c/en/cat 7 8\n",
+                     "glove_text", "/c/en/", None),
+    "reserved tokens and duplicates": ("<pad> 1 1\ncat 1 2\n<unk> 3 3\ncat nan inf\ndog 0 -0\n",
+                                       "glove_text", None, None),
+    "empty file": ("", "glove_text", None, "no embedding rows found"),
+    "blank lines only": ("\n\n   \n", "glove_text", None, "no embedding rows found"),
+    "word2vec header only": ("3 2\n", "word2vec_text", None, "no embedding rows found"),
+    "glove file of one header-like row": ("3 2\n", "glove_text", None, None),
+    "word without values": ("cat\ndog 1\n", "glove_text", None,
+                            "line 1: row has no vector values"),
+    "dimension change": ("cat 1 2\ndog 1\n", "glove_text", None,
+                         "line 2: expected 2 dims, got 1"),
+    "bad value before a dimension change": ("cat 1 2\ndog x 2\nbird 1 2 3\n", "glove_text",
+                                            None, "line 2: non-numeric value "
+                                            "(could not convert string to float: 'x')"),
+    "non-finite value before a bad value": ("cat inf 2\ndog x 2\n", "glove_text", None,
+                                            "line 2: non-numeric value "
+                                            "(could not convert string to float: 'x')"),
+    "non-finite value before a dimension change": ("cat inf 2\ndog 1\n", "glove_text", None,
+                                                   "line 2: expected 2 dims, got 1"),
+    "overflow": ("cat 1 2\ndog 1e999 1\n", "glove_text", None, "line 2: non-finite value"),
+    "one full block": (_with(_rows(BLOCK), {}), "glove_text", None, None),
+    "two full blocks and one row": (_with(_rows(2 * BLOCK + 1), {}), "glove_text", None, None),
+    "duplicates across blocks": (
+        _with(_rows(BLOCK + 900), {3: "<unk> 9 9", BLOCK: "<pad> 1 1", BLOCK + 1: "w10 5 5",
+                                   BLOCK + 500: "w4500 7 7", BLOCK + 600: "w4500 8 8"}),
+        "glove_text", None, None),
+    "irregular spaces in the second block": (
+        _with(_rows(BLOCK + 50), {BLOCK + 7: "  w7x  1.5   2.5 "}), "glove_text", None, None),
+    "underscore in the second block": (
+        _with(_rows(BLOCK + 50), {BLOCK + 9: "w9x 1_5 2"}), "glove_text", None, None),
+    "inf and nan in the last block": (
+        _with(_rows(BLOCK + 300), {BLOCK + 100: "w5 nan inf", BLOCK + 200: "w4296x 1 inf",
+                                   BLOCK + 250: "w4346x nan 1"}),
+        "glove_text", None, f"line {BLOCK + 200}: non-finite value"),
+    "bad value after the first block": (
+        _with(_rows(BLOCK + 300), {BLOCK + 4: "w4100 1.0 x"}), "glove_text", None,
+        f"line {BLOCK + 4}: non-numeric value (could not convert string to float: 'x')"),
+    "dimension change on a block's first line": (
+        _with(_rows(BLOCK + 300), {BLOCK + 1: "w4097 1 2 3"}), "glove_text", None,
+        f"line {BLOCK + 1}: expected 2 dims, got 3"),
+    "bad value then a dimension change in one block": (
+        _with(_rows(BLOCK + 300), {BLOCK + 104: "w4200 y 1", BLOCK + 204: "w4300 1"}),
+        "glove_text", None,
+        f"line {BLOCK + 104}: non-numeric value (could not convert string to float: 'y')"),
+    "word without values alone in the last block": (
+        _with(_rows(BLOCK + 1), {BLOCK + 1: "w4097"}), "glove_text", None,
+        f"line {BLOCK + 1}: expected 2 dims, got 0"),
+    "bad value on a block's last line then a dimension change": (
+        _with(_rows(BLOCK + 300), {BLOCK: "w4096 1 z", BLOCK + 1: "w4097 1"}),
+        "glove_text", None,
+        f"line {BLOCK}: non-numeric value (could not convert string to float: 'z')"),
+}
+
+
+class TestLoadTableMatchesRowParser:
+    """The block parser gives the float()-per-value parser's table bitwise,
+    or its DataError message word for word."""
+
+    @pytest.mark.parametrize("case", LOAD_CASES)
+    def test_case(self, tmp_path, case):
+        content, format, strip_prefix, message = LOAD_CASES[case]
+        path = tmp_path / "vec.txt"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        got, want = _load_both(path, format, strip_prefix)
+        if message is not None:
+            assert got == want == f"{path}: {message}"
+        else:
+            _assert_same_table(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_planted_fixture_tables(self, tmp_path, seed):
+        _, table, _ = planted_corpus(n_docs=60, seed=seed)
+        path = tmp_path / "vec.txt"
+        save_table(table, path)
+        got, want = _load_both(path)
+        _assert_same_table(got, want)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.lists(st.one_of(_VALUE, st.sampled_from(["cat", "<pad>", "w"])),
+                                   min_size=1, max_size=4).map(" ".join), max_size=6),
+           format=st.sampled_from(["glove_text", "word2vec_text"]))
+    def test_generated_files(self, tmp_path, lines, format):
+        path = tmp_path / "vec.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        got, want = _load_both(path, format)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _assert_same_table(got, want)
+
+
+_SPACING = st.sampled_from([" ", " ", " ", "  "])  # mostly one space
+
+
+class TestBlockParse:
+    @settings(max_examples=400, deadline=None)
+    @given(dim=st.integers(1, 3),
+           rows=st.lists(st.tuples(st.sampled_from(["", " "]), st.lists(_VALUE, max_size=4),
+                                   _SPACING, st.sampled_from(["", " "])),
+                         min_size=1, max_size=5))
+    def test_numpy_reads_only_what_float_reads(self, dim, rows):
+        """Whenever the block parses, it equals the row-by-row float() parse."""
+        texts = [lead + sep.join(values) + trail for lead, values, sep, trail in rows]
+        got = _loadtxt_block(texts, dim)
+        if got is None:
+            return
+        fields = [_fields(text) for text in texts]
+        assert all(len(row) == dim for row in fields)
+        want = np.array([[float(v) for v in row] for row in fields])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_plain_rows_take_the_numpy_path(self):
+        texts = [" ".join(f"{v:.6f}" for v in row)
+                 for row in np.random.default_rng(0).uniform(-1, 1, (50, 7))]
+        got = _loadtxt_block(texts, 7)
+        assert got is not None
+        assert np.array_equal(got, [[float(v) for v in text.split(" ")] for text in texts])
+
+    @pytest.mark.parametrize("text", ["1_0 2", "２ 2", "1 \x1c2", "1\x1f 2", "1  2",
+                                      " 1 2", "1 2 ", "1", "1 2 3", "1 #2", '1 "2"', ""])
+    def test_left_to_float(self, text):
+        assert _loadtxt_block(["0 0", text], 2) is None
 
 
 class TestRandomTable:

@@ -15,7 +15,7 @@ from figphm.synthetic import planted_corpus
 
 from conftest import make_table
 from scalar_reference import (lda_loop, literal_usage_score_loop,
-                              nearest_neighbors_loop)
+                              nearest_neighbors_loop, pos_tag_loop)
 
 
 class TestPosTag:
@@ -39,6 +39,33 @@ class TestPosTag:
         tags = pos_tag(["i", "run", "big", "now", "the", "on", "7", "and",
                         "up", ",", "qqq"])
         assert all(t in TAGSET for t in tags)
+
+
+# Words the tagging rules treat differently: lexicon entries, sentinels,
+# numbers, punctuation, and words that end in (or are too short for) a suffix.
+_TAGGER_WORDS = sorted(figurative._TAG_LEXICON) + [
+    "<pad>", "<unk>", "<url>", "<user>", "12", "3.5", "1,000", "50%", "4th", ".", "...",
+    "?!", "", "ly", "fly", "ably", "able", "going", "sing", "nation", "ion", "ic", "tic",
+    "normal", "quickly", "walked", "é", "Éclair", "ＡＢ", "２", "hope-less", "12ly"]
+
+
+class TestPosTagMatchesLoop:
+    def test_fig_prep_vocabulary(self):
+        """The V=50k benchmark corpus's word shapes, each document tagged twice."""
+        words = (["cough", "fever", "chill", "wheeze"] + [f"lit{i:03d}" for i in range(300)]
+                 + [f"fig{i:03d}" for i in range(300)] + [f"fill{i:02d}" for i in range(30)]
+                 + [f"t{i:05d}" for i in range(0, 49_366, 7)])
+        docs, _, _ = planted_corpus(n_docs=200, seed=3)
+        for tokens in [words, _TAGGER_WORDS] + [doc.tokens for doc in docs] * 2:
+            assert pos_tag(tokens) == pos_tag_loop(tokens)
+
+    @given(st.lists(st.one_of(st.sampled_from(_TAGGER_WORDS), st.text(max_size=7)),
+                    max_size=12))
+    def test_token_lists(self, tokens):
+        assert pos_tag(tokens) == pos_tag_loop(tokens)
+
+    def test_cache_is_bounded(self):
+        assert figurative._token_tag.cache_info().maxsize is not None
 
 
 class TestLiteralRepresentation:
@@ -311,6 +338,27 @@ class TestArrayPathsMatchLoops:
         slow = slow_detector.verdicts(docs)
         assert [v.label for v in fast] == [v.label for v in slow]
         assert max(abs(a.literal_score - b.literal_score) for a, b in zip(fast, slow)) <= 1e-12
+
+    def test_kept_related_block_scores_bitwise(self):
+        """The block a representation keeps gives the scores of a block
+        gathered afresh, and is gathered again for another table or word list."""
+        docs, table, keywords = planted_corpus(n_docs=120, seed=7)
+        words = table.words()[2:]
+        other = make_table(dict(zip(words, table.matrix[:1:-1])))
+        for keyword in sorted(keywords):
+            rep = build_literal_representation(table, keyword, 10)
+            block = rep.unit_rows(table)
+            for doc in docs:
+                fresh = LiteralRepresentation(keyword, list(rep.related_words))
+                assert literal_usage_score(doc.tokens, rep, table) == \
+                    literal_usage_score(doc.tokens, fresh, table)
+            assert rep.unit_rows(table) is block
+            tokens = docs[0].tokens
+            assert literal_usage_score(tokens, rep, other) == literal_usage_score(
+                tokens, LiteralRepresentation(keyword, list(rep.related_words)), other)
+            rep.related_words = rep.related_words[:3]
+            assert literal_usage_score(tokens, rep, table) == literal_usage_score(
+                tokens, LiteralRepresentation(keyword, rep.related_words[:3]), table)
 
     @pytest.mark.parametrize("seed", [0, 41])
     def test_lda_bitwise(self, seed):

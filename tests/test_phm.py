@@ -1,14 +1,19 @@
 import ast
+import json
 import math
+import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from figphm import neuralnet as nn
 from figphm import phm
 from figphm.corpus import NONPHM, PHM, PaddedSequence, build_vocab, pad
 from figphm.embeddings import random_table
+from figphm.errors import DataError
 from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict,
                                LinguisticFeatures)
 from figphm.phm import (FeatAugModel, ModelConfig, build_feataug, build_phmd,
@@ -270,6 +275,102 @@ class TestModelCheckpoint:
         assert isinstance(loaded, FeatAugModel)
         assert loaded.feature_length == model.feature_length
         assert predict_one(loaded, seq, verdict).probability == expected
+
+
+# JSON values for manifest fields. Sizes are tiny or too large for numpy to
+# allocate at all, so no example asks for a large but possible model.
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                         st.sampled_from([2**60, 2**63, 10**20, 10**400]),
+                         st.floats(), st.text(max_size=4))
+_JSON = st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_DELETE = "<delete>"
+_FIELD_VALUE = st.one_of(st.just(_DELETE), st.sampled_from([2**60, 10**400, float("nan")]),
+                         _JSON)
+_MANIFEST_KEYS = ["kind", "config", "vocab", "feature_length", "version", "shapes",
+                  "param_names", "extra"]
+_CONFIG_KEYS = [f.name for f in fields(ModelConfig)] + ["extra"]
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _checkpoint(path, build):
+    """A tiny model's checkpoint at ``path``: (manifest, array bytes)."""
+    save_model(build(table_for(3, 2), small_config(max_sequence_length=6, filters=2)), path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[:8])
+    return json.loads(raw[8:8 + header_len]), raw[8 + header_len:]
+
+
+def _write_checkpoint(path, manifest, data):
+    header = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(header)) + header + data)
+
+
+def _edit(owner, edits):
+    for key, value in edits.items():
+        if value == _DELETE:
+            owner.pop(key, None)
+        else:
+            owner[key] = value
+
+
+class TestFuzzLoadModel:
+    """A tiny model's checkpoint with manifest fields replaced or deleted, or
+    with its array bytes changed: ``load_model`` returns a model or raises
+    ``DataError``, nothing else."""
+
+    @_FUZZ
+    @given(build=st.sampled_from([build_phmd, build_feataug]),
+           config_edits=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _FIELD_VALUE,
+                                        max_size=3),
+           manifest_edits=st.dictionaries(st.sampled_from(_MANIFEST_KEYS), _FIELD_VALUE,
+                                          max_size=2))
+    def test_manifest_fields(self, tmp_path, build, config_edits, manifest_edits):
+        path = tmp_path / "m.ckpt"
+        manifest, data = _checkpoint(path, build)
+        _edit(manifest["config"], config_edits)
+        _edit(manifest, manifest_edits)
+        _write_checkpoint(path, manifest, data)
+        try:
+            load_model(path)
+        except DataError:
+            pass
+
+    @_FUZZ
+    @given(build=st.sampled_from([build_phmd, build_feataug]),
+           floats=st.lists(st.tuples(st.integers(0, 10**6), st.floats()), max_size=3),
+           cut=st.one_of(st.none(), st.integers(0, 200)), extra=st.binary(max_size=16),
+           shapes=st.one_of(st.none(), st.lists(st.lists(st.integers(0, 9), max_size=3),
+                                                max_size=8)))
+    def test_array_bytes(self, tmp_path, build, floats, cut, extra, shapes):
+        path = tmp_path / "m.ckpt"
+        manifest, data = _checkpoint(path, build)
+        data = bytearray(data)
+        for index, value in floats:
+            start = 8 * (index % (len(data) // 8))
+            data[start:start + 8] = struct.pack("<d", value)
+        if cut is not None:
+            data = data[:cut] + extra
+        if shapes is not None:
+            manifest["shapes"] = shapes
+        _write_checkpoint(path, manifest, bytes(data))
+        try:
+            load_model(path)
+        except DataError:
+            pass
+
+    @pytest.mark.parametrize("edits", [
+        {"learning_rate": 10**400}, {"init_bound": 10**400},
+        {"max_sequence_length": 2**60, "pool": 9}], ids=["rate", "bound", "exabytes"])
+    def test_config_numbers_out_of_range(self, tmp_path, edits):
+        path = tmp_path / "m.ckpt"
+        manifest, data = _checkpoint(path, build_phmd)
+        manifest["config"].update(edits)
+        _write_checkpoint(path, manifest, data)
+        with pytest.raises(DataError, match="bad checkpoint manifest"):
+            load_model(path)
 
 
 class TestGoldenValues:
