@@ -37,8 +37,12 @@ class Parameter:
         self.grad = np.zeros_like(self.value)
         self.name = name
 
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+    def zero_grad(self, rows: np.ndarray | None = None) -> None:
+        """Zero the gradient, or only its ``rows`` (first-axis indices)."""
+        if rows is None:
+            self.grad.fill(0.0)
+        else:
+            self.grad[rows] = 0.0
 
 
 def uniform_init(shape: tuple[int, ...], bound: float, rng: np.random.Generator) -> np.ndarray:
@@ -231,6 +235,13 @@ class Adam:
     buffers, with the same floating-point operations as the textbook form
     m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g**2;
     p -= lr (m / c1) / (sqrt(v / c2) + eps).
+
+    ``step`` and ``zero_grad`` take an optional ``rows`` mapping from a
+    parameter to the first-axis rows to touch. A row whose gradient has been
+    zero at every step so far has m = v = 0, so its textbook update is
+    value - 0.0: with a finite lr and epsilon > 0 it is bitwise unchanged,
+    and stepping only the other rows gives the dense step's values and
+    moments bit for bit.
     """
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
@@ -241,21 +252,39 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        # np.zeros, not zeros_like: a large block comes zeroed from the
+        # allocator, so the moments of rows a row-restricted step never
+        # touches need not be written
+        self.m = [np.zeros(p.value.shape) for p in params]
+        self.v = [np.zeros(p.value.shape) for p in params]
         block = min(ADAM_BLOCK, max((p.value.size for p in params), default=0))
         self._scratch = (np.empty(block), np.empty(block))
 
-    def step(self) -> None:
+    def step(self, rows: dict[Parameter, np.ndarray] | None = None) -> None:
+        """One update. A parameter in ``rows`` is updated on its listed rows
+        only: every other row must have had a zero gradient at every step so
+        far. Without a finite lr and epsilon > 0 the step is dense."""
         self.step_count += 1
         correction1 = 1.0 - self.beta1 ** self.step_count
         correction2 = 1.0 - self.beta2 ** self.step_count
+        if not (math.isfinite(self.lr) and self.epsilon > 0.0):
+            rows = None
         for p, m, v in zip(self.params, self.m, self.v):
-            value, grad, m, v = (a.reshape(-1) for a in (p.value, p.grad, m, v))
-            for start in range(0, value.size, ADAM_BLOCK):
-                block = slice(start, start + ADAM_BLOCK)
-                self._update(value[block], grad[block], m[block], v[block],
-                             correction1, correction2)
+            index = None if rows is None else rows.get(p)
+            if index is None:
+                self._step_flat(p.value, p.grad, m, v, correction1, correction2)
+                continue
+            value, grad, m_rows, v_rows = (a[index] for a in (p.value, p.grad, m, v))
+            self._step_flat(value, grad, m_rows, v_rows, correction1, correction2)
+            p.value[index], m[index], v[index] = value, m_rows, v_rows
+
+    def _step_flat(self, value, grad, m, v, correction1, correction2) -> None:
+        """Update contiguous arrays in place, ADAM_BLOCK entries at a time."""
+        value, grad, m, v = (a.reshape(-1) for a in (value, grad, m, v))
+        for start in range(0, value.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            self._update(value[block], grad[block], m[block], v[block],
+                         correction1, correction2)
 
     def _update(self, value, grad, m, v, correction1, correction2) -> None:
         a, b = (buf[:value.size] for buf in self._scratch)
@@ -274,9 +303,11 @@ class Adam:
         np.divide(a, b, out=a)
         np.subtract(value, a, out=value)
 
-    def zero_grad(self) -> None:
+    def zero_grad(self, rows: dict[Parameter, np.ndarray | None] | None = None) -> None:
+        """Zero every gradient; a parameter in ``rows`` only on its listed
+        rows (all of them when they are None)."""
         for p in self.params:
-            p.zero_grad()
+            p.zero_grad(None if rows is None else rows.get(p))
 
 
 def gradient_check(model, inputs, target, epsilon: float = 1e-4) -> float:

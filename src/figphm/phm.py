@@ -27,7 +27,8 @@ from .figurative import FIGURATIVE, FigurativeVerdict, LinguisticFeatures
 from . import neuralnet as nn
 from .neuralnet import Parameter
 
-PASS_BYTES = 1 << 19        # ReLU activations cached per training pass
+PASS_BYTES = 1 << 21        # ReLU activations cached per training pass
+_PASS_EXAMPLES = 16         # and at most this many examples per pass
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,6 @@ class _ConvBranch:
         self.dropout_rate = dropout_rate
         self.pool = pool
 
-    def flat_size(self, seq_len: int) -> int:
-        return (seq_len - self.width + 1) // self.pool * self.kernels.value.shape[0]
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x (B, T, depth) -> (ReLU activations, pooled (B, windows, F))."""
         act = nn.relu(nn.conv1d(x, self.kernels.value, self.bias.value))
@@ -145,6 +143,35 @@ def _pool_gap(act: np.ndarray, pool: int) -> float:
     return float(gaps.min()) if gaps.size else math.inf
 
 
+def _branch_specs(config: ModelConfig, dim: int,
+                  feature_length: int | None) -> list[tuple[str, int, int, int]]:
+    """(name, kernel width, depth, input length) of every conv branch in
+    declaration order: the text branches, then the feature branch."""
+    specs = [(f"conv{width}", width, dim, config.max_sequence_length)
+             for width in config.kernel_widths]
+    if feature_length is not None:
+        specs.append(("right", config.right_kernel_width, 1, feature_length))
+    return specs
+
+
+def _pooled_size(config: ModelConfig, width: int, seq_len: int) -> int:
+    """Pooled features one branch gives the dense head."""
+    return (seq_len - width + 1) // config.pool * config.filters
+
+
+def _parameter_shapes(config: ModelConfig, vocab_size: int, dim: int,
+                      feature_length: int | None) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter in declaration order, from the
+    configuration alone; nothing is allocated."""
+    shapes = [("embedding", (vocab_size, dim))]
+    hidden = 0
+    for name, width, depth, seq_len in _branch_specs(config, dim, feature_length):
+        shapes += [(f"{name}_kernels", (config.filters, width, depth)),
+                   (f"{name}_bias", (config.filters,))]
+        hidden += _pooled_size(config, width, seq_len)
+    return shapes + [("dense_w", (1, hidden)), ("dense_b", (1,))]
+
+
 class _SentenceCnn:
     """Embedding lookup into parallel conv/relu/pool/dropout text branches,
     plus, when ``feature_length`` is set, one conv branch over the
@@ -174,15 +201,13 @@ class _SentenceCnn:
         self.vocab = dict(table.vocab)
         rng = np.random.default_rng(seed)
         self.embedding = self._register(table.matrix.copy(), "embedding")
-        self.branches = [self._add_branch(f"conv{width}", width, table.dim, rate, rng)
-                         for width, rate in zip(config.kernel_widths, dropout_rates)]
-        self.right = None if feature_length is None else \
-            self._add_branch("right", config.right_kernel_width, 1, 0.0, rng)
-        self._all_branches = self.branches + ([self.right] if self.right else [])
-        seq_lens = [config.max_sequence_length] * len(self.branches)
-        if self.right is not None:
-            seq_lens.append(feature_length)
-        sizes = [b.flat_size(n) for b, n in zip(self._all_branches, seq_lens)]
+        specs = _branch_specs(config, table.dim, feature_length)
+        rates = tuple(dropout_rates) + (0.0,) * (feature_length is not None)
+        self._all_branches = [self._add_branch(name, width, depth, rate, rng)
+                              for (name, width, depth, _), rate in zip(specs, rates)]
+        self.branches = self._all_branches[:len(config.kernel_widths)]
+        self.right = None if feature_length is None else self._all_branches[-1]
+        sizes = [_pooled_size(config, width, seq_len) for _, width, _, seq_len in specs]
         ends = list(itertools.accumulate(sizes))
         self._columns = [slice(end - size, end) for size, end in zip(sizes, ends)]
         # Dropout masks are drawn as one block, example-major, over the
@@ -194,11 +219,15 @@ class _SentenceCnn:
             nn.uniform_init((1, ends[-1]), config.init_bound, rng), "dense_w")
         self.dense_b = self._register(np.zeros(1), "dense_b")
         # The backward needs every branch's ReLU activations, so training
-        # runs a minibatch in passes whose activations fit in PASS_BYTES;
-        # this bounds training memory whatever the batch size.
-        act_bytes = 8 * config.filters * sum(n - b.width + 1
-                                             for b, n in zip(self._all_branches, seq_lens))
-        self._pass_size = max(1, PASS_BYTES // act_bytes)
+        # runs a minibatch in passes of at most _PASS_EXAMPLES examples and
+        # PASS_BYTES of activations, which bounds memory whatever the batch.
+        # At paper shape a PHMD pass is 16 examples (1.7 MiB). There, passes
+        # of 18 took 0.85x the time of passes of 4 and passes of 128 took
+        # 1.13x; whole 64-example desk passes were no faster and raised peak
+        # RSS by 15%.
+        act_bytes = 8 * config.filters * sum(seq_len - width + 1
+                                             for _, width, _, seq_len in specs)
+        self._pass_size = max(1, min(_PASS_EXAMPLES, PASS_BYTES // act_bytes))
 
     def _add_branch(self, name: str, width: int, depth: int, dropout_rate: float,
                     rng) -> _ConvBranch:
@@ -257,7 +286,8 @@ class _SentenceCnn:
     def predict_proba(self, inputs):
         """Eval-mode probability: a float for one example, an array for a
         batch. A batch runs in training-sized passes: 2000 documents at paper
-        shape in one pass peaked at 571 MiB, in passes at 1.4 MiB."""
+        shape in one pass peaked at 571 MiB; a pass of 16 there caches
+        1.7 MiB of activations."""
         ids, features, single = self._batch(inputs)
         probs = np.empty(ids.shape[0])
         for start in range(0, ids.shape[0], self._pass_size):
@@ -437,6 +467,13 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
     targets = np.array([e[1] for e in examples], dtype=np.float64)
     features = np.stack([e[2] for e in examples]) if model.kind == "feataug" else None
     optimizer = nn.Adam(model.parameters(), lr=lr)
+    # A minibatch writes the embedding gradient only on its own ids, so the
+    # embedding is zeroed on the rows the last minibatch wrote and stepped
+    # (and checked) on the rows any minibatch has used; Adam leaves the rest
+    # bitwise unchanged (see nn.Adam).
+    embedding = model.embedding
+    used = np.zeros(embedding.value.shape[0], dtype=bool)
+    written = None
     rng = np.random.default_rng(seed)
     trace = []
     for _ in range(epochs):
@@ -444,21 +481,27 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
         epoch_loss = 0.0
         for start in range(0, len(examples), batch):
             chunk = order[start:start + batch]
-            optimizer.zero_grad()
+            optimizer.zero_grad({embedding: written})
+            written = np.unique(ids[chunk])
+            used[written] = True
             inputs = ids[chunk] if features is None else (ids[chunk], features[chunk])
             epoch_loss += model.loss_and_grad(inputs, targets[chunk], train=True, rng=rng,
                                               grad_scale=1.0 / len(chunk), accumulate=True)
             if not math.isfinite(epoch_loss):
                 raise FloatingPointError("non-finite training loss")
-            optimizer.step()
-            _check_finite(optimizer.params)
+            rows = {embedding: np.flatnonzero(used)}
+            optimizer.step(rows)
+            _check_finite(optimizer.params, rows)
         trace.append(epoch_loss / len(examples))
     return trace
 
 
-def _check_finite(params: list[Parameter]) -> None:
+def _check_finite(params: list[Parameter], rows: dict[Parameter, np.ndarray]) -> None:
+    """Name the first parameter, in declaration order, with a non-finite
+    value; a parameter in ``rows`` is read on those rows only."""
     for param in params:
-        if not np.isfinite(param.value).all():
+        index = rows.get(param)
+        if not np.isfinite(param.value if index is None else param.value[index]).all():
             raise FloatingPointError(f"non-finite values in parameter {param.name!r} "
                                      f"after an Adam step")
 
@@ -510,38 +553,52 @@ def save_model(model, path) -> None:
     nn.save_checkpoint(manifest, model.all_parameters(), path)
 
 
+# a number too large for a float is a manifest error too
+_MANIFEST_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def load_model(path):
+    """The model a ``save_model`` checkpoint holds. Every parameter shape the
+    manifest's config implies is compared with the stored arrays before the
+    model is built, so a manifest cannot ask for more memory than the
+    checkpoint's own arrays take."""
     checkpoint = nn.load_checkpoint(path)
     manifest = checkpoint.manifest
     kind = manifest.get("kind")
     if kind not in ("phmd", "feataug"):
-        raise DataError(f"unknown model kind {kind!r} in checkpoint")
+        raise DataError(f"{path}: unknown model kind {kind!r} in checkpoint")
     if not checkpoint.arrays or checkpoint.arrays[0].ndim != 2:
         raise DataError(f"{path}: checkpoint has no embedding matrix")
+    stored = [array.shape for array in checkpoint.arrays]
     try:
         raw = dict(manifest["config"])
         for key in ("kernel_widths", "dropout_rates", "feataug_dropout_rates"):
             raw[key] = tuple(raw[key])
         config = ModelConfig(**raw)
         vocab = {word: i for i, word in enumerate(manifest["vocab"])}
-        dim = checkpoint.arrays[0].shape[1]
-        table = EmbeddingTable(vocab=vocab, matrix=np.zeros((len(vocab), dim)))
+        feature_length = manifest["feature_length"] if kind == "feataug" else None
+        shapes = _parameter_shapes(config, len(vocab), stored[0][1], feature_length)
+    except _MANIFEST_ERRORS as exc:
+        raise _bad_manifest(path, exc) from None
+    if len(shapes) != len(stored):
+        raise DataError(f"{path}: checkpoint has {len(stored)} arrays, "
+                        f"model expects {len(shapes)}")
+    for (name, shape), array_shape in zip(shapes, stored):
+        if shape != array_shape:
+            raise DataError(f"{path}: bad checkpoint manifest (shape mismatch for {name}: "
+                            f"{array_shape} stored, {shape} from its config)")
+    try:
+        table = EmbeddingTable(vocab=vocab, matrix=checkpoint.arrays[0])
         if kind == "phmd":
             model = PhmdModel(table, config)
         else:
-            model = FeatAugModel(table, config, feature_length=manifest["feature_length"])
-    # a number too large for a float, or a model too large to allocate, is a
-    # manifest error too
-    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
-        raise DataError(f"{path}: bad checkpoint manifest "
-                        f"({type(exc).__name__}: {exc})") from None
-    params = model.all_parameters()
-    if len(params) != len(checkpoint.arrays):
-        raise DataError(f"checkpoint has {len(checkpoint.arrays)} arrays, "
-                        f"model expects {len(params)}")
-    for param, array in zip(params, checkpoint.arrays):
-        if param.value.shape != array.shape:
-            raise DataError(f"shape mismatch for {param.name}: "
-                            f"{array.shape} vs {param.value.shape}")
+            model = FeatAugModel(table, config, feature_length=feature_length)
+    except _MANIFEST_ERRORS as exc:
+        raise _bad_manifest(path, exc) from None
+    for param, array in zip(model.all_parameters(), checkpoint.arrays):
         param.value[...] = array
     return model
+
+
+def _bad_manifest(path, exc: Exception) -> DataError:
+    return DataError(f"{path}: bad checkpoint manifest ({type(exc).__name__}: {exc})")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -386,3 +387,95 @@ class TestAdamInPlace:
             for i, p in enumerate(params):
                 assert np.array_equal(p.value, values[i])
                 assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
+
+
+def _adam_row_run(restricted: bool):
+    """Six Adam steps on a 4000 x 20 embedding-like parameter (larger than
+    ADAM_BLOCK) and a small dense one. Rows join the written set at steps 1,
+    3 and 5 (the last join gathers more than ADAM_BLOCK entries); row 5 is
+    written at every step with a gradient of exactly 0, rows 5 and 9 hold
+    -0.0 entries, and rows 7 and 8 (one of them all -0.0) are never written.
+    Each step's gradient is written only on that step's rows, as
+    ``np.add.at`` writes the embedding gradient. ``restricted`` zeroes and
+    steps only the rows written so far; otherwise the step is dense.
+    Returns (value, m, v) of both parameters after every step."""
+    rng = np.random.default_rng(2024)
+    table = rng.normal(0.0, 1.0, (4000, 20))
+    table[5, :4] = -0.0
+    table[7] = -0.0
+    table[9, ::2] = -0.0
+    emb, other = nn.Parameter(table), nn.Parameter(rng.normal(0.0, 1.0, (3, 5)))
+    opt = nn.Adam([emb, other], lr=0.01)
+    never = {7, 8}
+    joins = {1: np.array([0, 3, 5, 11]), 3: np.arange(20, 60),
+             5: np.array([9] + [r for r in range(100, 3700) if r not in never])}
+    used = np.zeros(table.shape[0], dtype=bool)
+    written = None
+    states = []
+    for step in range(1, 7):
+        if restricted:
+            opt.zero_grad({emb: written})
+        else:
+            opt.zero_grad()
+        fresh = joins.get(step, np.array([], dtype=np.intp))
+        old = np.flatnonzero(used)
+        written = np.union1d(fresh, old[rng.random(old.size) < 0.5])
+        written = np.union1d(written, [5])
+        used[written] = True
+        emb.grad[written] = rng.normal(0.0, 1.0, (written.size, table.shape[1]))
+        emb.grad[5] = 0.0
+        other.grad[...] = rng.normal(0.0, 1.0, other.grad.shape)
+        if restricted:
+            opt.step({emb: np.flatnonzero(used)})
+        else:
+            opt.step()
+        states.append([a.copy() for p, m, v in zip(opt.params, opt.m, opt.v)
+                       for a in (p.value, m, v)])
+    return states, table
+
+
+class TestAdamRows:
+    """Row-restricted Adam against the dense step, bitwise. DENSE_SHA256 is
+    the digest of every state of the dense run, recorded with the dense-only
+    optimizer before row restriction existed."""
+
+    DENSE_SHA256 = "656ae0657a91293befedcbd832b2bf5e6c2ccdb3f40095ae450eddf6b6c63d5b"
+
+    @staticmethod
+    def _digest(states):
+        digest = hashlib.sha256()
+        for state in states:
+            for array in state:
+                digest.update(array.tobytes())
+        return digest.hexdigest()
+
+    def test_dense_run_matches_the_recorded_digest(self):
+        states, _ = _adam_row_run(restricted=False)
+        assert self._digest(states) == self.DENSE_SHA256
+
+    def test_restricted_equals_dense_bitwise(self):
+        dense, table = _adam_row_run(restricted=False)
+        restricted, _ = _adam_row_run(restricted=True)
+        assert self._digest(restricted) == self.DENSE_SHA256
+        for step, (a, b) in enumerate(zip(dense, restricted), start=1):
+            for x, y in zip(a, b):
+                assert x.tobytes() == y.tobytes(), f"step {step}"
+        final = restricted[-1][0]
+        for row in (7, 8):
+            assert final[row].tobytes() == table[row].tobytes()
+        assert np.signbit(final[7]).all()
+
+    @pytest.mark.parametrize("lr, epsilon", [(float("inf"), 1e-8), (0.01, 0.0)],
+                             ids=["infinite-lr", "zero-epsilon"])
+    def test_step_is_dense_when_zero_updates_are_not_exact(self, lr, epsilon):
+        """An infinite lr or a zero epsilon turns a zero moment into a NaN
+        update, so the rows are ignored and every row is stepped."""
+        def run(restricted):
+            param = nn.Parameter(np.arange(6.0).reshape(3, 2))
+            param.grad[0] = [0.5, -1.0]
+            opt = nn.Adam([param], lr=lr, epsilon=epsilon)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                opt.step({param: np.array([0])} if restricted else None)
+            return param.value
+        assert np.array_equal(run(True), run(False), equal_nan=True)
+        assert np.isnan(run(True)[1:]).all()

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from figphm import neuralnet as nn
 from figphm import phm
+from figphm.cli import main as cli_main
 from figphm.corpus import NONPHM, PHM, PaddedSequence, build_vocab, pad
 from figphm.embeddings import random_table
 from figphm.errors import DataError
@@ -684,3 +686,74 @@ class TestTrainChecks:
     def test_config_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             small_config(learning_rate=lr)
+
+
+class TestTrainUnusedRows:
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug])
+    def test_row_no_minibatch_uses_is_bitwise_unchanged(self, build):
+        """Rows 6-9 of the table appear in no training example: Adam leaves
+        them bitwise as they were, -0.0 included."""
+        model = build(table_for(8, 4, seed=2), small_config(), seed=1)
+        model.embedding.value[7] = -0.0
+        model.embedding.value[8, ::2] = -0.0
+        before = model.embedding.value.copy()
+        corpus = _toy_corpus()
+        if build is build_feataug:
+            corpus = [item + (make_verdict(LITERAL),) for item in corpus]
+        train(model, corpus, epochs=3, batch=7, seed=5)
+        after = model.embedding.value
+        assert after[6:].tobytes() == before[6:].tobytes()
+        assert np.signbit(after[7]).all()
+        assert not np.array_equal(after[2:6], before[2:6])
+
+
+class TestLoadModelMessages:
+    """Every ``load_model`` error starts with the checkpoint's path."""
+
+    @pytest.mark.parametrize("manifest_edits, config_edits, message", [
+        ({"kind": "cnn"}, {}, "unknown model kind 'cnn'"),
+        ({}, {"kernel_widths": [3, 4], "dropout_rates": [0.2, 0.3],
+              "feataug_dropout_rates": [0.3, 0.1]}, "checkpoint has 9 arrays, model expects 7"),
+        ({}, {"pool": 1}, r"shape mismatch for dense_w: \(1, 8\) stored, \(1, 18\)"),
+    ], ids=["kind", "count", "shape"])
+    def test_message_names_the_path(self, tmp_path, manifest_edits, config_edits, message):
+        path = tmp_path / "m.ckpt"
+        manifest, data = _checkpoint(path, build_phmd)
+        _edit(manifest["config"], config_edits)
+        _edit(manifest, manifest_edits)
+        _write_checkpoint(path, manifest, data)
+        with pytest.raises(DataError, match=message) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("overrides, feature_length", [
+        ({}, None), ({}, 17), ({"pool": 1, "kernel_widths": (2,), "dropout_rates": (0.1,),
+                              "feataug_dropout_rates": (0.0,)}, 5),
+        ({"pool": 3, "right_kernel_width": 3}, 9)])
+    def test_shapes_from_the_config_are_the_built_shapes(self, overrides, feature_length):
+        table = table_for(5, 3)
+        config = small_config(**overrides)
+        if feature_length is None:
+            model = build_phmd(table, config)
+        else:
+            model = build_feataug(table, config, feature_length=feature_length)
+        assert phm._parameter_shapes(config, 7, 3, feature_length) == [
+            (p.name, p.value.shape) for p in model.all_parameters()]
+
+    def test_large_config_is_rejected_before_allocating(self, tmp_path):
+        """A manifest asking for 10**8 filters on a 5-row table is rejected
+        from the shapes alone: the model is never built."""
+        path = tmp_path / "m.ckpt"
+        manifest, data = _checkpoint(path, build_phmd)
+        manifest["config"]["filters"] = 10**8
+        _write_checkpoint(path, manifest, data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="shape mismatch for conv3_kernels"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert cli_main(["evaluate", "--model", str(path),
+                         "--dataset", str(tmp_path / "none.tsv")]) == 2
