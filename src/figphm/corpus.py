@@ -41,8 +41,6 @@ FIGURATIVE = "figurative"
 LITERAL = "literal"
 FIG_LABELS = (FIGURATIVE, LITERAL)
 
-DEFAULT_MAX_SEQUENCE_LENGTH = 50
-
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#(?=\w)")

@@ -49,9 +49,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return int(self.matrix.shape[1])
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocab
-
     def vector(self, word: str) -> np.ndarray:
         index = self.vocab.get(word)
         if index is None:
@@ -74,9 +71,6 @@ class OntologyGraph:
             return
         self.edges.setdefault(a, set()).add(b)
         self.edges.setdefault(b, set()).add(a)
-
-    def neighbors(self, word: str) -> set[str]:
-        return self.edges.get(word, set())
 
     def num_edges(self) -> int:
         return sum(len(n) for n in self.edges.values()) // 2

@@ -67,9 +67,6 @@ class Metrics:
         p, r = self.precision, self.recall
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
-    def support(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
     def flags(self) -> list[str]:
         out = []
         if self.tp + self.fp == 0:
@@ -77,10 +74,6 @@ class Metrics:
         if self.tp + self.fn == 0:
             out.append("no_positive_golds")
         return out
-
-    def __add__(self, other: "Metrics") -> "Metrics":
-        return Metrics(self.tp + other.tp, self.fp + other.fp,
-                       self.fn + other.fn, self.tn + other.tn)
 
 
 def compute_metrics(predictions, golds, positive_class: str = PHM) -> Metrics:

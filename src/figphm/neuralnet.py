@@ -1,6 +1,6 @@
 """Minimal reverse-mode kernels for the sentence CNN: embedding lookup,
-valid 1-D convolution, ReLU, non-overlapping max pooling, inverted dropout,
-dense layers, sigmoid + binary cross-entropy, and Adam.
+valid 1-D convolution, ReLU, non-overlapping max pooling, inverted-dropout
+masks, a sigmoid dense head, binary cross-entropy, and Adam.
 
 Everything runs in float64. Each forward function has a matching backward
 that consumes the upstream gradient and the forward inputs. The kernels take
@@ -34,7 +34,9 @@ class Parameter:
     def __init__(self, value: np.ndarray, name: str = ""):
         # contiguous, so Adam can update it in place through a flat view
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros, not zeros_like: pages nothing writes stay untouched, so
+        # a frozen embedding's gradient costs no memory
+        self.grad = np.zeros(self.value.shape)
         self.name = name
 
     def zero_grad(self, rows: np.ndarray | None = None) -> None:
@@ -166,44 +168,17 @@ def make_dropout_mask(shape, rate, rng: np.random.Generator) -> np.ndarray:
     return np.divide(mask >= rate, 1.0 - rate, out=mask)
 
 
-def dropout(x: np.ndarray, rate: float, mode: str = "train",
-            seed: int | np.random.Generator | None = None) -> np.ndarray:
-    """Inverted dropout; eval mode is a pure identity."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown dropout mode: {mode!r}")
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
-        return x
-    return x * make_dropout_mask(x.shape, rate, np.random.default_rng(seed))
-
-
-def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-          activation: str = "none") -> np.ndarray:
-    """activation(W @ x + b) over the last axis of x, with activation in
-    {relu, sigmoid, none}."""
+def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """sigmoid(W @ x + b) over the last axis of x."""
     if weights.shape[1] != x.shape[-1]:
         raise ValueError(f"shape mismatch: W is {weights.shape}, x is {x.shape}")
-    z = x @ weights.T + bias
-    if activation == "none":
-        return z
-    if activation == "relu":
-        return relu(z)
-    if activation == "sigmoid":
-        return sigmoid(z)
-    raise ValueError(f"unknown activation: {activation!r}")
+    return sigmoid(x @ weights.T + bias)
 
 
-def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray,
-                   activation: str, out: np.ndarray):
+def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray, out: np.ndarray):
     """Gradients of dense(), summed over the batch; ``out`` is the forward
-    output (used for the activation derivative)."""
-    if activation == "relu":
-        dout = dout * (out > 0.0)
-    elif activation == "sigmoid":
-        dout = dout * out * (1.0 - out)
-    elif activation != "none":
-        raise ValueError(f"unknown activation: {activation!r}")
+    output (used for the sigmoid derivative)."""
+    dout = dout * out * (1.0 - out)
     flat_dout = dout.reshape(-1, weights.shape[0])
     dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
     return dout @ weights, dweights, flat_dout.sum(axis=0)

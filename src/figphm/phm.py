@@ -2,8 +2,11 @@
 the figurative-gated pipeline combiner.
 
 ``PhmdModel`` is the text-only CNN; ``FeatAugModel`` is the same CNN with
-one more conv branch over the figurative-usage feature vector. Models own
-their Parameters; training runs one forward/backward per minibatch over the
+one more conv branch over the figurative-usage feature vector.
+``_parameter_shapes`` is the one list of their parameters' names and shapes.
+A model wraps one given array per entry: ``build_phmd``/``build_feataug``
+pass a copy of the embedding table and seeded kernels, ``load_model`` the
+checkpoint's arrays. Training runs one forward/backward per minibatch over the
 stacked examples, with the shuffle and every dropout mask drawn from one
 seeded generator in a fixed order, so traces are reproducible.
 
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -51,11 +56,17 @@ class ModelConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if min(self.pool, self.filters, self.epochs, self.batch_size,
-               *self.kernel_widths, self.right_kernel_width) < 1:
-            raise ValueError("pool, filters, epochs, batch and kernel widths must be >= 1")
+        # a float count would pass the checkpoint shape checks (2.0 == 2)
+        # and fail only when an array is sized or sliced with it
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (
+                self.max_sequence_length, self.pool, self.filters, self.epochs,
+                self.batch_size, self.right_kernel_width, *self.kernel_widths)):
+            raise ValueError("sequence length, pool, filters, epochs, batch and kernel "
+                             "widths must be integers >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.init_bound) and self.init_bound >= 0.0):
+            raise ValueError(f"init bound must be finite and >= 0, got {self.init_bound}")
         if self.max_sequence_length - max(self.kernel_widths) + 1 < self.pool:
             raise ValueError(f"max_sequence_length {self.max_sequence_length} shorter than "
                              f"largest kernel {max(self.kernel_widths)} plus pool - 1")
@@ -150,6 +161,9 @@ def _branch_specs(config: ModelConfig, dim: int,
     specs = [(f"conv{width}", width, dim, config.max_sequence_length)
              for width in config.kernel_widths]
     if feature_length is not None:
+        if feature_length - config.right_kernel_width + 1 < config.pool:
+            raise ValueError(f"feature vector of length {feature_length} shorter than "
+                             f"right kernel {config.right_kernel_width} plus pool - 1")
         specs.append(("right", config.right_kernel_width, 1, feature_length))
     return specs
 
@@ -162,7 +176,8 @@ def _pooled_size(config: ModelConfig, width: int, seq_len: int) -> int:
 def _parameter_shapes(config: ModelConfig, vocab_size: int, dim: int,
                       feature_length: int | None) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter in declaration order, from the
-    configuration alone; nothing is allocated."""
+    configuration alone; nothing is allocated. This is the one definition
+    of a model's parameters: building, loading and checkpoints follow it."""
     shapes = [("embedding", (vocab_size, dim))]
     hidden = 0
     for name, width, depth, seq_len in _branch_specs(config, dim, feature_length):
@@ -172,13 +187,30 @@ def _parameter_shapes(config: ModelConfig, vocab_size: int, dim: int,
     return shapes + [("dense_w", (1, hidden)), ("dense_b", (1,))]
 
 
+def _initial_arrays(table: EmbeddingTable, config: ModelConfig, seed: int,
+                    feature_length: int | None) -> list[np.ndarray]:
+    """Seeded starting values in declaration order: a copy of the table's
+    matrix, kernels and dense weights drawn uniform in +-init_bound from
+    ``seed`` one after another, zero biases."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for name, shape in _parameter_shapes(config, *table.matrix.shape, feature_length):
+        if name == "embedding":
+            arrays.append(table.matrix.copy())
+        elif name.endswith(("_bias", "_b")):
+            arrays.append(np.zeros(shape))
+        else:
+            arrays.append(nn.uniform_init(shape, config.init_bound, rng))
+    return arrays
+
+
 class _SentenceCnn:
     """Embedding lookup into parallel conv/relu/pool/dropout text branches,
     plus, when ``feature_length`` is set, one conv branch over the
     figurative-usage feature vector; a single sigmoid unit reads the
-    concatenated pooled features. Parameters are declared (and drawn from
-    the seed) in checkpoint order: embedding, text branches, feature
-    branch, dense head.
+    concatenated pooled features. The model adopts ``vocab`` and ``arrays``
+    without copying them: one array per ``_parameter_shapes`` entry, in that
+    order (embedding, text branches, feature branch, dense head).
 
     Every forward and backward runs on a batch. ``inputs`` is one example
     (token ids (T,), or the pair (ids, feature vector)) or a batch of them
@@ -188,23 +220,23 @@ class _SentenceCnn:
 
     kind = ""
 
-    def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int,
-                 dropout_rates: tuple[float, ...], feature_length: int | None):
-        if feature_length is not None and \
-                feature_length - config.right_kernel_width + 1 < config.pool:
-            raise ValueError(f"feature vector of length {feature_length} shorter than "
-                             f"right kernel {config.right_kernel_width} plus pool - 1")
+    def __init__(self, vocab: dict[str, int], config: ModelConfig,
+                 arrays: list[np.ndarray], dropout_rates: tuple[float, ...],
+                 feature_length: int | None):
         self.config = config
         self.feature_length = feature_length
         self.forward_count = 0
-        self._params: list[Parameter] = []
-        self.vocab = dict(table.vocab)
-        rng = np.random.default_rng(seed)
-        self.embedding = self._register(table.matrix.copy(), "embedding")
-        specs = _branch_specs(config, table.dim, feature_length)
+        self.vocab = vocab
+        shapes = _parameter_shapes(config, *arrays[0].shape, feature_length)
+        self._params = [Parameter(array, name)
+                        for (name, _), array in zip(shapes, arrays, strict=True)]
+        self.embedding, *conv, self.dense_w, self.dense_b = self._params
+        specs = _branch_specs(config, arrays[0].shape[1], feature_length)
         rates = tuple(dropout_rates) + (0.0,) * (feature_length is not None)
-        self._all_branches = [self._add_branch(name, width, depth, rate, rng)
-                              for (name, width, depth, _), rate in zip(specs, rates)]
+        self._all_branches = [
+            _ConvBranch(kernels, bias, width, rate, config.pool)
+            for kernels, bias, (_, width, _, _), rate
+            in zip(conv[0::2], conv[1::2], specs, rates, strict=True)]
         self.branches = self._all_branches[:len(config.kernel_widths)]
         self.right = None if feature_length is None else self._all_branches[-1]
         sizes = [_pooled_size(config, width, seq_len) for _, width, _, seq_len in specs]
@@ -215,9 +247,6 @@ class _SentenceCnn:
         column_rates = np.repeat([b.dropout_rate for b in self._all_branches], sizes)
         self._dropout_columns = np.flatnonzero(column_rates)
         self._dropout_rates = column_rates[self._dropout_columns]
-        self.dense_w = self._register(
-            nn.uniform_init((1, ends[-1]), config.init_bound, rng), "dense_w")
-        self.dense_b = self._register(np.zeros(1), "dense_b")
         # The backward needs every branch's ReLU activations, so training
         # runs a minibatch in passes of at most _PASS_EXAMPLES examples and
         # PASS_BYTES of activations, which bounds memory whatever the batch.
@@ -229,20 +258,6 @@ class _SentenceCnn:
                                              for _, width, _, seq_len in specs)
         self._pass_size = max(1, min(_PASS_EXAMPLES, PASS_BYTES // act_bytes))
 
-    def _add_branch(self, name: str, width: int, depth: int, dropout_rate: float,
-                    rng) -> _ConvBranch:
-        config = self.config
-        kernels = self._register(
-            nn.uniform_init((config.filters, width, depth), config.init_bound, rng),
-            f"{name}_kernels")
-        bias = self._register(np.zeros(config.filters), f"{name}_bias")
-        return _ConvBranch(kernels, bias, width, dropout_rate, config.pool)
-
-    def _register(self, value: np.ndarray, name: str) -> Parameter:
-        param = Parameter(value, name=name)
-        self._params.append(param)
-        return param
-
     def all_parameters(self) -> list[Parameter]:
         """Every parameter in declaration order (checkpoint order)."""
         return list(self._params)
@@ -252,9 +267,6 @@ class _SentenceCnn:
         if self.config.trainable_embeddings:
             return list(self._params)
         return [p for p in self._params if p.name != "embedding"]
-
-    def num_parameters(self) -> int:
-        return sum(p.value.size for p in self._params)
 
     def zero_grad(self) -> None:
         for p in self._params:
@@ -341,14 +353,14 @@ class _SentenceCnn:
             mask[:, self._dropout_columns] = nn.make_dropout_mask(
                 (batch, self._dropout_columns.size), self._dropout_rates, rng)
             hidden *= mask
-        out = nn.dense(hidden, self.dense_w.value, self.dense_b.value, "sigmoid")
+        out = nn.dense(hidden, self.dense_w.value, self.dense_b.value)
         probs = np.clip(out[:, 0], 1e-12, 1.0 - 1e-12)
         return probs, dict(ids=ids, inputs=branch_inputs, acts=acts, hidden=hidden,
                            mask=mask, out=out)
 
     def _backward(self, dprobs, cache, grad_scale):
         dhidden, dw, db = nn.dense_backward(dprobs[:, None], cache["hidden"],
-                                            self.dense_w.value, "sigmoid", cache["out"])
+                                            self.dense_w.value, cache["out"])
         self.dense_w.grad += grad_scale * dw
         self.dense_b.grad += grad_scale * db
         if cache["mask"] is not None:
@@ -388,8 +400,9 @@ class PhmdModel(_SentenceCnn):
 
     kind = "phmd"
 
-    def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int = 0):
-        super().__init__(table, config, seed, config.dropout_rates, None)
+    def __init__(self, vocab: dict[str, int], config: ModelConfig,
+                 arrays: list[np.ndarray]):
+        super().__init__(vocab, config, arrays, config.dropout_rates, None)
 
 
 class FeatAugModel(_SentenceCnn):
@@ -398,24 +411,25 @@ class FeatAugModel(_SentenceCnn):
 
     kind = "feataug"
 
-    def __init__(self, table: EmbeddingTable, config: ModelConfig, seed: int = 0,
-                 feature_length: int | None = None):
-        if feature_length is None:
-            feature_length = feature_vector_length(config.include_score_feature)
-        super().__init__(table, config, seed, config.feataug_dropout_rates,
+    def __init__(self, vocab: dict[str, int], config: ModelConfig,
+                 arrays: list[np.ndarray], feature_length: int):
+        super().__init__(vocab, config, arrays, config.feataug_dropout_rates,
                          feature_length)
 
 
 def build_phmd(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
                seed: int = 0) -> PhmdModel:
-    """PHMD classifier with the embedding matrix copied row-for-row from the
-    table and conv/dense parameters drawn uniform from the run seed."""
-    return PhmdModel(table, config, seed)
+    """PHMD classifier with its own copy of the table's matrix as the
+    embedding and conv/dense parameters drawn uniform from the run seed."""
+    return PhmdModel(dict(table.vocab), config, _initial_arrays(table, config, seed, None))
 
 
 def build_feataug(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
                   seed: int = 0, feature_length: int | None = None) -> FeatAugModel:
-    return FeatAugModel(table, config, seed, feature_length)
+    if feature_length is None:
+        feature_length = feature_vector_length(config.include_score_feature)
+    return FeatAugModel(dict(table.vocab), config,
+                        _initial_arrays(table, config, seed, feature_length), feature_length)
 
 
 def _as_feature_vector(verdict, config: ModelConfig) -> np.ndarray:
@@ -559,9 +573,8 @@ _MANIFEST_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 def load_model(path):
     """The model a ``save_model`` checkpoint holds. Every parameter shape the
-    manifest's config implies is compared with the stored arrays before the
-    model is built, so a manifest cannot ask for more memory than the
-    checkpoint's own arrays take."""
+    manifest's config implies is compared with the stored arrays, and the
+    model then adopts those arrays: it allocates only their gradients."""
     checkpoint = nn.load_checkpoint(path)
     manifest = checkpoint.manifest
     kind = manifest.get("kind")
@@ -576,10 +589,12 @@ def load_model(path):
             raw[key] = tuple(raw[key])
         config = ModelConfig(**raw)
         vocab = {word: i for i, word in enumerate(manifest["vocab"])}
-        feature_length = manifest["feature_length"] if kind == "feataug" else None
+        feature_length = operator.index(manifest["feature_length"]) \
+            if kind == "feataug" else None
         shapes = _parameter_shapes(config, len(vocab), stored[0][1], feature_length)
     except _MANIFEST_ERRORS as exc:
-        raise _bad_manifest(path, exc) from None
+        raise DataError(f"{path}: bad checkpoint manifest "
+                        f"({type(exc).__name__}: {exc})") from None
     if len(shapes) != len(stored):
         raise DataError(f"{path}: checkpoint has {len(stored)} arrays, "
                         f"model expects {len(shapes)}")
@@ -587,18 +602,6 @@ def load_model(path):
         if shape != array_shape:
             raise DataError(f"{path}: bad checkpoint manifest (shape mismatch for {name}: "
                             f"{array_shape} stored, {shape} from its config)")
-    try:
-        table = EmbeddingTable(vocab=vocab, matrix=checkpoint.arrays[0])
-        if kind == "phmd":
-            model = PhmdModel(table, config)
-        else:
-            model = FeatAugModel(table, config, feature_length=feature_length)
-    except _MANIFEST_ERRORS as exc:
-        raise _bad_manifest(path, exc) from None
-    for param, array in zip(model.all_parameters(), checkpoint.arrays):
-        param.value[...] = array
-    return model
-
-
-def _bad_manifest(path, exc: Exception) -> DataError:
-    return DataError(f"{path}: bad checkpoint manifest ({type(exc).__name__}: {exc})")
+    if kind == "phmd":
+        return PhmdModel(vocab, config, checkpoint.arrays)
+    return FeatAugModel(vocab, config, checkpoint.arrays, feature_length)

@@ -499,8 +499,8 @@ class TestLoadOntology:
         path = tmp_path / "lex.txt"
         path.write_text("cough hack whoop\n", encoding="utf-8")
         graph = load_ontology(path)
-        assert graph.neighbors("cough") == {"hack", "whoop"}
-        assert graph.neighbors("hack") == {"cough"}
+        assert graph.edges.get("cough", set()) == {"hack", "whoop"}
+        assert graph.edges.get("hack", set()) == {"cough"}
 
     def test_duplicate_edges_collapse(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -512,14 +512,14 @@ class TestLoadOntology:
         path = tmp_path / "lex.txt"
         path.write_text("alone\n\nx y\n", encoding="utf-8")
         graph = load_ontology(path)
-        assert graph.neighbors("alone") == set()
+        assert graph.edges.get("alone", set()) == set()
         assert graph.num_edges() == 1
 
     def test_self_loop_dropped(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("a a b\n", encoding="utf-8")
         graph = load_ontology(path)
-        assert graph.neighbors("a") == {"b"}
+        assert graph.edges.get("a", set()) == {"b"}
 
 
 def _chain_graph():

@@ -297,7 +297,8 @@ class TestRunExperiment:
         report = run_experiment(config, out_dir=tmp_path / "out")
         for approach in report.approaches:
             metrics = report.overall[(approach, "tiny")]
-            assert metrics.support() == 12  # micro counts cover the corpus
+            # micro counts cover the corpus
+            assert metrics.tp + metrics.fp + metrics.fn + metrics.tn == 12
         assert (tmp_path / "out" / "report.tsv").exists()
         assert (tmp_path / "out" / "report.txt").exists()
         dumps = list((tmp_path / "out" / "predictions").glob("*.tsv"))

@@ -118,60 +118,44 @@ class TestMaxpool1d:
         assert out.max() <= x.max() + 1e-12
 
 
+def _dropout(x, rate, seed):
+    return x * nn.make_dropout_mask(x.shape, rate, np.random.default_rng(seed))
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.arange(6, dtype=float)
-        assert np.array_equal(nn.dropout(x, 0.0, "train", seed=1), x)
-        assert np.array_equal(nn.dropout(x, 0.0, "eval"), x)
-
-    def test_eval_identity_any_rate(self):
-        x = np.arange(6, dtype=float)
-        assert nn.dropout(x, 0.9, "eval") is x
+        assert np.array_equal(_dropout(x, 0.0, seed=1), x)
 
     def test_statistics_of_inverted_scaling(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(0.5, 1.5, size=100000)
-        out = nn.dropout(x, 0.5, "train", seed=3)
+        out = _dropout(x, 0.5, seed=3)
         surviving = np.count_nonzero(out) / x.size
         assert abs(surviving - 0.5) <= 0.01
         assert abs(out.mean() - x.mean()) <= 0.02 * x.mean()
 
     def test_deterministic_per_seed(self):
         x = np.ones(100)
-        a = nn.dropout(x, 0.3, "train", seed=5)
-        b = nn.dropout(x, 0.3, "train", seed=5)
+        a = _dropout(x, 0.3, seed=5)
+        b = _dropout(x, 0.3, seed=5)
         assert np.array_equal(a, b)
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
-            nn.dropout(np.ones(3), 1.0, "train", seed=0)
+            _dropout(np.ones(3), 1.0, seed=0)
         with pytest.raises(ValueError):
-            nn.dropout(np.ones(3), -0.1, "train", seed=0)
-        with pytest.raises(ValueError):
-            nn.dropout(np.ones(3), 0.5, "proof", seed=0)
+            _dropout(np.ones(3), -0.1, seed=0)
 
 
 class TestDense:
-    def test_identity(self):
-        x = np.array([1.0, -2.0])
-        out = nn.dense(x, np.eye(2), np.zeros(2), "none")
-        assert np.array_equal(out, x)
-
     def test_sigmoid_at_zero(self):
-        out = nn.dense(np.zeros(3), np.zeros((1, 3)), np.zeros(1), "sigmoid")
+        out = nn.dense(np.zeros(3), np.zeros((1, 3)), np.zeros(1))
         assert out[0] == 0.5
-
-    def test_relu(self):
-        out = nn.dense(np.array([-1.0, 2.0]), np.eye(2), np.zeros(2), "relu")
-        assert out.tolist() == [0.0, 2.0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             nn.dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            nn.dense(np.zeros(2), np.eye(2), np.zeros(2), "tanh")
 
 
 class TestSigmoid:
@@ -339,13 +323,13 @@ class TestBatchedKernels:
     def test_dense_batch_equals_examples(self):
         rng = np.random.default_rng(8)
         x, weights, bias = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (2, 4)), np.ones(2)
-        out = nn.dense(x, weights, bias, "sigmoid")
+        out = nn.dense(x, weights, bias)
         dout = rng.normal(0, 1, (3, 2))
-        dx, dw, db = nn.dense_backward(dout, x, weights, "sigmoid", out)
-        singles = [nn.dense_backward(dout[b], x[b], weights, "sigmoid", out[b])
+        dx, dw, db = nn.dense_backward(dout, x, weights, out)
+        singles = [nn.dense_backward(dout[b], x[b], weights, out[b])
                    for b in range(3)]
         for b in range(3):
-            assert np.abs(out[b] - nn.dense(x[b], weights, bias, "sigmoid")).max() < 1e-12
+            assert np.abs(out[b] - nn.dense(x[b], weights, bias)).max() < 1e-12
             assert np.abs(dx[b] - singles[b][0]).max() < 1e-12
         assert np.abs(dw - sum(s[1] for s in singles)).max() < 1e-12
         assert np.abs(db - sum(s[2] for s in singles)).max() < 1e-12

@@ -57,7 +57,8 @@ class TestBuildPhmd:
         vocab_size = 7
         conv = (3 + 4 + 5) * 50 * 100 + 300
         dense = (48 // 2 + 47 // 2 + 46 // 2) * 100 + 1
-        assert model.num_parameters() == vocab_size * 50 + conv + dense
+        assert sum(p.value.size for p in model.all_parameters()) == \
+            vocab_size * 50 + conv + dense
 
     def test_same_seed_identical(self):
         table = table_for(4, 6)
@@ -81,6 +82,25 @@ class TestBuildPhmd:
         model = build_phmd(table, small_config(), seed=0)
         assert np.array_equal(model.embedding.value, table.matrix)
         assert model.embedding.value is not table.matrix
+
+    def test_models_share_no_memory_with_the_table_or_each_other(self):
+        """Each builder copies the table once: training one model leaves the
+        table and a sibling model built from it bitwise unchanged."""
+        table = table_for(4, 4)
+        trained = build_phmd(table, small_config(), seed=1)
+        other = build_feataug(table, small_config(), seed=1)
+        arrays = [table.matrix] + [p.value for model in (trained, other)
+                                   for p in model.all_parameters()]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        assert trained.vocab is not table.vocab and other.vocab is not table.vocab
+        table_before = table.matrix.tobytes()
+        other_before = [p.value.tobytes() for p in other.all_parameters()]
+        embedding_before = trained.embedding.value.copy()
+        train(trained, _toy_corpus(), epochs=1, seed=0)
+        assert not np.array_equal(trained.embedding.value, embedding_before)
+        assert table.matrix.tobytes() == table_before
+        assert [p.value.tobytes() for p in other.all_parameters()] == other_before
 
 
 class TestPredictPhmd:
@@ -278,6 +298,20 @@ class TestModelCheckpoint:
         assert loaded.feature_length == model.feature_length
         assert predict_one(loaded, seq, verdict).probability == expected
 
+    def test_load_adopts_the_stored_arrays(self, tmp_path):
+        """At V=20k, d=50 the load's tracemalloc peak is the stored arrays,
+        their gradients and the vocabulary, with no second copy of the
+        embedding (a load that copied it peaked at 3.26x the file size)."""
+        path = tmp_path / "m.ckpt"
+        save_model(build_phmd(table_for(20000, 50), ModelConfig()), path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * path.stat().st_size
+
 
 # JSON values for manifest fields. Sizes are tiny or too large for numpy to
 # allocate at all, so no example asks for a large but possible model.
@@ -370,6 +404,25 @@ class TestFuzzLoadModel:
         path = tmp_path / "m.ckpt"
         manifest, data = _checkpoint(path, build_phmd)
         manifest["config"].update(edits)
+        _write_checkpoint(path, manifest, data)
+        with pytest.raises(DataError, match="bad checkpoint manifest"):
+            load_model(path)
+
+
+    @pytest.mark.parametrize("build, edit", [
+        (build_phmd, {"filters": 2.0}), (build_phmd, {"max_sequence_length": 6.0}),
+        (build_phmd, {"pool": 2.0}), (build_phmd, {"kernel_widths": [3.0, 4, 5]}),
+        (build_feataug, {"right_kernel_width": 2.0}), (build_feataug, "feature_length")],
+        ids=["filters", "length", "pool", "kernels", "right", "feature_length"])
+    def test_float_counts_rejected(self, tmp_path, build, edit):
+        """A count stored as a float equals the int in every shape check, but
+        no array can be sized or sliced with it."""
+        path = tmp_path / "m.ckpt"
+        manifest, data = _checkpoint(path, build)
+        if edit == "feature_length":
+            manifest["feature_length"] = float(manifest["feature_length"])
+        else:
+            manifest["config"].update(edit)
         _write_checkpoint(path, manifest, data)
         with pytest.raises(DataError, match="bad checkpoint manifest"):
             load_model(path)
@@ -686,6 +739,11 @@ class TestTrainChecks:
     def test_config_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             small_config(learning_rate=lr)
+
+    @pytest.mark.parametrize("bound", [-0.1, float("nan"), float("inf")])
+    def test_config_init_bound_must_be_finite_and_non_negative(self, bound):
+        with pytest.raises(ValueError, match="init bound"):
+            small_config(init_bound=bound)
 
 
 class TestTrainUnusedRows:
