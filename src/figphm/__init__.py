@@ -7,8 +7,8 @@ kernels), ``phm`` (the classifiers and combiners), ``harness`` (configs,
 cross-validation, reports), ``synthetic`` (generated fixtures).
 """
 
-from .corpus import (Document, PaddedSequence, AnnotationPair, cohen_kappa,
-                     load_dataset, pad, tokenize, build_vocab)
+from .corpus import (Document, AnnotationPair, cohen_kappa, load_dataset, pad,
+                     tokenize, build_vocab)
 from .embeddings import (EmbeddingTable, OntologyGraph, cosine, load_ontology,
                          load_table, nearest_neighbors, random_table, retrofit,
                          save_table)

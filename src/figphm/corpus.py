@@ -66,14 +66,6 @@ class Document:
 
 
 @dataclass
-class PaddedSequence:
-    """Fixed-length id sequence fed to the CNN; PAD fills positions >= true_length."""
-
-    token_ids: list[int]
-    true_length: int
-
-
-@dataclass
 class AnnotationPair:
     item_id: str
     label_a: str
@@ -155,7 +147,7 @@ def save_dataset(documents: list[Document], path: str | Path) -> None:
             handle.write(f"{doc.id}\t{doc.disease}\t{text}\t{doc.label}\n")
 
 
-def build_vocab(documents: list[Document], min_freq: int = 1) -> dict[str, int]:
+def build_vocab(documents: list[Document]) -> dict[str, int]:
     """Build a word -> index map over the corpus with reserved PAD=0, UNK=1.
 
     Words are ordered by descending frequency, ties broken alphabetically,
@@ -165,22 +157,20 @@ def build_vocab(documents: list[Document], min_freq: int = 1) -> dict[str, int]:
     for doc in documents:
         for token in doc.tokens:
             freq[token] = freq.get(token, 0) + 1
-    words = sorted((w for w, c in freq.items() if c >= min_freq and w not in SENTINEL_TOKENS),
-                   key=lambda w: (-freq[w], w))
+    words = sorted((w for w in freq if w not in SENTINEL_TOKENS), key=lambda w: (-freq[w], w))
     vocab = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
     for word in words:
         vocab[word] = len(vocab)
     return vocab
 
 
-def pad(tokens: list[str], vocab: dict[str, int], max_len: int) -> PaddedSequence:
-    """Map tokens to ids, truncate to ``max_len`` and fill the tail with PAD."""
+def pad(tokens: list[str], vocab: dict[str, int], max_len: int) -> list[int]:
+    """The CNN's id row: map tokens to ids, truncate to ``max_len`` and fill
+    the tail with PAD."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     ids = [vocab.get(token, UNK_INDEX) for token in tokens[:max_len]]
-    true_length = len(ids)
-    ids.extend([PAD_INDEX] * (max_len - true_length))
-    return PaddedSequence(token_ids=ids, true_length=true_length)
+    return ids + [PAD_INDEX] * (max_len - len(ids))
 
 
 def load_annotations(path: str | Path) -> list[AnnotationPair]:

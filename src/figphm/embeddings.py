@@ -218,7 +218,8 @@ def save_table(table: EmbeddingTable, path: str | Path) -> None:
 
 
 def random_table(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
-    """Uniform[-0.25, 0.25] vectors for every word, deterministic per seed.
+    """Uniform[-0.25, 0.25] vectors for every word, deterministic per seed:
+    ``project_table`` from an empty table of width ``dim``.
 
     The PAD row stays all-zero; UNK gets a random row like any other word.
     """
@@ -226,12 +227,7 @@ def random_table(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not vocab:
         raise ValueError("random_table requires a non-empty vocabulary")
-    words = [w for w in vocab if w not in RESERVED_TOKENS]
-    table_vocab, matrix = _new_table(words, dim)
-    rng = np.random.default_rng(seed)
-    matrix[UNK_INDEX:] = rng.uniform(-RANDOM_INIT_BOUND, RANDOM_INIT_BOUND,
-                                     size=(len(table_vocab) - 1, dim))
-    return EmbeddingTable(vocab=table_vocab, matrix=matrix)
+    return project_table(EmbeddingTable(vocab={}, matrix=np.zeros((0, dim))), vocab, seed)
 
 
 def project_table(table: EmbeddingTable, vocab: list[str], seed: int) -> EmbeddingTable:
@@ -239,18 +235,21 @@ def project_table(table: EmbeddingTable, vocab: list[str], seed: int) -> Embeddi
 
     Words present in the source keep their vectors; missing words (UNK
     included) draw uniform[-0.25, 0.25] rows from a generator seeded once,
-    in vocabulary order, so the result is deterministic.
+    in vocabulary order, so the result is deterministic. The known rows are
+    copied with one index and the missing ones drawn in one call, which is
+    bitwise a draw per row.
     """
     words = [w for w in vocab if w not in RESERVED_TOKENS]
     target_vocab, matrix = _new_table(words, table.dim)
+    # target and source row of every word after the reserved two (-1: missing)
+    index = np.fromiter(target_vocab.values(), dtype=np.intp)[2:]
+    source = np.fromiter((table.vocab.get(word, -1) for word in target_vocab), dtype=np.intp)[2:]
+    known = source >= 0
+    matrix[index[known]] = table.matrix[source[known]]
+    missing = np.concatenate(([UNK_INDEX], index[~known]))
     rng = np.random.default_rng(seed)
-    for word, index in target_vocab.items():
-        if word == PAD_TOKEN:
-            continue
-        if word != UNK_TOKEN and word in table.vocab:
-            matrix[index] = table.matrix[table.vocab[word]]
-        else:
-            matrix[index] = rng.uniform(-RANDOM_INIT_BOUND, RANDOM_INIT_BOUND, size=table.dim)
+    matrix[missing] = rng.uniform(-RANDOM_INIT_BOUND, RANDOM_INIT_BOUND,
+                                  size=(len(missing), table.dim))
     return EmbeddingTable(vocab=target_vocab, matrix=matrix)
 
 

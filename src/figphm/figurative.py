@@ -187,10 +187,6 @@ class LinguisticFeatures:
     def vector_length() -> int:
         return 3 + 2 * len(TAGSET)
 
-    @staticmethod
-    def zeros() -> "LinguisticFeatures":
-        return LinguisticFeatures(0, np.zeros(len(TAGSET)), np.zeros(len(TAGSET)), 0, 0.0)
-
 
 @dataclass
 class FigurativeVerdict:
@@ -443,12 +439,9 @@ class FigurativeDetector:
                                                   include_target=self.include_target))
         score = max(scores) if scores else 0.5
 
-        tags = self.tagger(doc.tokens)
         target_index = occurrences[0][0] if occurrences else None
-        if doc.tokens:
-            features = extract_features(doc.tokens, target_index, tags, self.health_lexicon)
-        else:
-            features = LinguisticFeatures.zeros()
+        features = extract_features(doc.tokens, target_index, self.tagger(doc.tokens),
+                                    self.health_lexicon)
         return FigurativeVerdict(literal_score=score,
                                  label=classify(score, self.threshold),
                                  features=features)

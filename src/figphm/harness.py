@@ -580,10 +580,10 @@ def _cell_payload(config, spec_index, fold_index, table, fold_docs, sequences,
         "model_config": config.model,
         "approaches": config.approaches,
         "cell_seed": derive_seed(config.seed, spec.name, fold_index),
-        "train": [(sequences[d.id].token_ids, d.label, verdicts.get(d.id))
+        "train": [(sequences[d.id], d.label, verdicts.get(d.id))
                   for d in train_docs],
         "test_ids": [d.id for d in test_docs],
-        "test_sequences": np.array([sequences[d.id].token_ids for d in test_docs],
+        "test_sequences": np.array([sequences[d.id] for d in test_docs],
                                    dtype=np.intp),
         "test_verdicts": [verdicts.get(d.id) for d in test_docs],
         "test_gate_labels": [gate_labels.get(d.id) for d in test_docs],
@@ -808,7 +808,7 @@ def evaluate_model(model, documents: list[Document],
             raise ConfigError("evaluating a feataug checkpoint requires the "
                               "figurative detector configuration")
         verdicts = detector.verdicts(documents)
-    ids = [pad(doc.tokens, model.vocab, model.config.max_sequence_length).token_ids
+    ids = [pad(doc.tokens, model.vocab, model.config.max_sequence_length)
            for doc in documents]
     predictions = predict(model, ids, verdicts, [d.id for d in documents])
     metrics = compute_metrics([p.label for p in predictions], [d.label for d in documents])

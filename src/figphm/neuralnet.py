@@ -373,10 +373,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if data_len < size - 8 - header_len:
             raise DataError(f"{path}: trailing bytes after the last parameter array")
         try:
-            arrays = [np.frombuffer(handle.read(count * 8), dtype="<f8").reshape(shape).copy()
-                      for shape, count in zip(shapes, counts)]
+            arrays = [np.empty(shape, dtype="<f8") for shape in shapes]
         except ValueError as exc:  # an empty shape numpy cannot represent
             raise DataError(f"{path}: bad checkpoint shape ({exc})") from None
+        for array in arrays:  # read in place: no array is held twice
+            handle.readinto(array)
     names = manifest.get("param_names")
     for index, array in enumerate(arrays):
         if not np.isfinite(array).all():

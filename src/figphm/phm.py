@@ -2,7 +2,8 @@
 the figurative-gated pipeline combiner.
 
 ``PhmdModel`` is the text-only CNN; ``FeatAugModel`` is the same CNN with
-one more conv branch over the figurative-usage feature vector.
+one more conv branch over the figurative-usage feature vector, whose length
+``feature_vector_length(config.include_score_feature)`` fixes.
 ``_parameter_shapes`` is the one list of their parameters' names and shapes.
 A model wraps one given array per entry: ``build_phmd``/``build_feataug``
 pass a copy of the embedding table and seeded kernels, ``load_model`` the
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import NONPHM, PHM, PaddedSequence
+from .corpus import NONPHM, PHM
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .figurative import FIGURATIVE, FigurativeVerdict, LinguisticFeatures
@@ -161,9 +162,6 @@ def _branch_specs(config: ModelConfig, dim: int,
     specs = [(f"conv{width}", width, dim, config.max_sequence_length)
              for width in config.kernel_widths]
     if feature_length is not None:
-        if feature_length - config.right_kernel_width + 1 < config.pool:
-            raise ValueError(f"feature vector of length {feature_length} shorter than "
-                             f"right kernel {config.right_kernel_width} plus pool - 1")
         specs.append(("right", config.right_kernel_width, 1, feature_length))
     return specs
 
@@ -206,8 +204,8 @@ def _initial_arrays(table: EmbeddingTable, config: ModelConfig, seed: int,
 
 class _SentenceCnn:
     """Embedding lookup into parallel conv/relu/pool/dropout text branches,
-    plus, when ``feature_length`` is set, one conv branch over the
-    figurative-usage feature vector; a single sigmoid unit reads the
+    plus, for FeatAug, one conv branch over the figurative-usage feature
+    vector, whose length the config fixes; a single sigmoid unit reads the
     concatenated pooled features. The model adopts ``vocab`` and ``arrays``
     without copying them: one array per ``_parameter_shapes`` entry, in that
     order (embedding, text branches, feature branch, dense head).
@@ -354,9 +352,8 @@ class _SentenceCnn:
                 (batch, self._dropout_columns.size), self._dropout_rates, rng)
             hidden *= mask
         out = nn.dense(hidden, self.dense_w.value, self.dense_b.value)
-        probs = np.clip(out[:, 0], 1e-12, 1.0 - 1e-12)
-        return probs, dict(ids=ids, inputs=branch_inputs, acts=acts, hidden=hidden,
-                           mask=mask, out=out)
+        return out[:, 0], dict(ids=ids, inputs=branch_inputs, acts=acts, hidden=hidden,
+                               mask=mask, out=out)
 
     def _backward(self, dprobs, cache, grad_scale):
         dhidden, dw, db = nn.dense_backward(dprobs[:, None], cache["hidden"],
@@ -412,9 +409,9 @@ class FeatAugModel(_SentenceCnn):
     kind = "feataug"
 
     def __init__(self, vocab: dict[str, int], config: ModelConfig,
-                 arrays: list[np.ndarray], feature_length: int):
+                 arrays: list[np.ndarray]):
         super().__init__(vocab, config, arrays, config.feataug_dropout_rates,
-                         feature_length)
+                         feature_vector_length(config.include_score_feature))
 
 
 def build_phmd(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
@@ -425,11 +422,11 @@ def build_phmd(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
 
 
 def build_feataug(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
-                  seed: int = 0, feature_length: int | None = None) -> FeatAugModel:
-    if feature_length is None:
-        feature_length = feature_vector_length(config.include_score_feature)
-    return FeatAugModel(dict(table.vocab), config,
-                        _initial_arrays(table, config, seed, feature_length), feature_length)
+                  seed: int = 0) -> FeatAugModel:
+    """FeatAug classifier, drawn like ``build_phmd``; the feature branch
+    reads vectors of ``feature_vector_length(config.include_score_feature)``."""
+    return FeatAugModel(dict(table.vocab), config, _initial_arrays(
+        table, config, seed, feature_vector_length(config.include_score_feature)))
 
 
 def _as_feature_vector(verdict, config: ModelConfig) -> np.ndarray:
@@ -443,9 +440,7 @@ def _canonical_examples(model, corpus):
     the storage order of the input corpus."""
     examples = []
     for item in corpus:
-        seq, label = item[0], item[1]
-        ids = np.asarray(seq.token_ids if isinstance(seq, PaddedSequence) else seq,
-                         dtype=np.intp)
+        ids, label = np.asarray(item[0], dtype=np.intp), item[1]
         y = 1 if label == PHM else 0
         if model.kind == "feataug":
             if len(item) < 3 or item[2] is None:
@@ -573,8 +568,9 @@ _MANIFEST_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 def load_model(path):
     """The model a ``save_model`` checkpoint holds. Every parameter shape the
-    manifest's config implies is compared with the stored arrays, and the
-    model then adopts those arrays: it allocates only their gradients."""
+    manifest's config implies is compared with the stored arrays (a stored
+    FeatAug feature length must be the config's), and the model then adopts
+    those arrays: it allocates only their gradients."""
     checkpoint = nn.load_checkpoint(path)
     manifest = checkpoint.manifest
     kind = manifest.get("kind")
@@ -589,8 +585,11 @@ def load_model(path):
             raw[key] = tuple(raw[key])
         config = ModelConfig(**raw)
         vocab = {word: i for i, word in enumerate(manifest["vocab"])}
-        feature_length = operator.index(manifest["feature_length"]) \
+        feature_length = feature_vector_length(config.include_score_feature) \
             if kind == "feataug" else None
+        if kind == "feataug" and operator.index(manifest["feature_length"]) != feature_length:
+            raise ValueError(f"feature_length {manifest['feature_length']} stored, "
+                             f"{feature_length} from its config")
         shapes = _parameter_shapes(config, len(vocab), stored[0][1], feature_length)
     except _MANIFEST_ERRORS as exc:
         raise DataError(f"{path}: bad checkpoint manifest "
@@ -602,6 +601,4 @@ def load_model(path):
         if shape != array_shape:
             raise DataError(f"{path}: bad checkpoint manifest (shape mismatch for {name}: "
                             f"{array_shape} stored, {shape} from its config)")
-    if kind == "phmd":
-        return PhmdModel(vocab, config, checkpoint.arrays)
-    return FeatAugModel(vocab, config, checkpoint.arrays, feature_length)
+    return (PhmdModel if kind == "phmd" else FeatAugModel)(vocab, config, checkpoint.arrays)

@@ -8,16 +8,18 @@ same list and scores, and ``literal_usage_score_loop`` must agree to 1e-12.
 ``load_table_rows`` parses every value with ``float()``; the block parser
 must give the same table, bitwise, and the same ``DataError`` message.
 ``pos_tag_loop`` applies the tagging rules to every token, repeats included;
-the cached tagger must give the same tags.
+the cached tagger must give the same tags. ``project_table_loop`` copies or
+draws one row at a time; ``project_table`` and ``random_table`` must match it
+bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from figphm.corpus import SENTINEL_TOKENS, read_lines
-from figphm.embeddings import (RESERVED_TOKENS, EmbeddingTable, _in_vocab_neighborhoods,
-                               _new_table, cosine)
+from figphm.corpus import PAD_TOKEN, SENTINEL_TOKENS, UNK_TOKEN, read_lines
+from figphm.embeddings import (RANDOM_INIT_BOUND, RESERVED_TOKENS, EmbeddingTable,
+                               _in_vocab_neighborhoods, _new_table, cosine)
 from figphm.errors import DataError
 from figphm.figurative import (_TAG_LEXICON, LDA_ALPHA_DOC, LDA_BETA_WORD,
                                LDA_TOPIC_FIGURATIVE, LDA_TOPIC_LITERAL, _is_numeric,
@@ -67,6 +69,22 @@ def load_table_rows(path, format="glove_text", strip_prefix=None):
         raise DataError(f"{path}: line {rows[bad - len(RESERVED_TOKENS)][0]}: "
                         f"non-finite value")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
+
+
+def project_table_loop(table, vocab, seed):
+    """A known word's row is copied; PAD stays zero; UNK and every missing
+    word draw their own row from one generator, in vocabulary order."""
+    words = [w for w in vocab if w not in RESERVED_TOKENS]
+    target_vocab, matrix = _new_table(words, table.dim)
+    rng = np.random.default_rng(seed)
+    for word, index in target_vocab.items():
+        if word == PAD_TOKEN:
+            continue
+        if word != UNK_TOKEN and word in table.vocab:
+            matrix[index] = table.matrix[table.vocab[word]]
+        else:
+            matrix[index] = rng.uniform(-RANDOM_INIT_BOUND, RANDOM_INIT_BOUND, size=table.dim)
+    return EmbeddingTable(vocab=target_vocab, matrix=matrix)
 
 
 def pos_tag_loop(tokens):

@@ -18,8 +18,8 @@ from figphm.corpus import (AnnotationPair, NONPHM, PHM, build_vocab,
 from figphm.embeddings import (EmbeddingTable, OntologyGraph, random_table,
                                retrofit, retrofit_objective,
                                _in_vocab_neighborhoods)
-from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict,
-                               LinguisticFeatures, classify, lda_estimate)
+from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict, classify,
+                               extract_features, lda_estimate)
 from figphm.harness import (ExperimentReport, Metrics, compute_metrics,
                             load_config, run_experiment, stratified_kfold)
 from figphm.phm import (ModelConfig, build_feataug, build_phmd, pipeline_predict,
@@ -189,7 +189,8 @@ def test_pipeline_bypass():
         ids.append(rng.integers(0, len(table.vocab), size=6).tolist())
         label = FIGURATIVE if i % 2 == 0 else LITERAL
         verdicts.append(FigurativeVerdict(literal_score=0.05 if label == FIGURATIVE else 0.9,
-                                          label=label, features=LinguisticFeatures.zeros()))
+                                          label=label,
+                                          features=extract_features([], None, [], set())))
 
     phmd = predict(model, ids)
     before = model.forward_count
@@ -215,7 +216,7 @@ def test_overfit_smoke():
     model = build_phmd(table, ModelConfig(max_sequence_length=max_len), seed=52)
     corpus = [(pad(d.tokens, vocab, max_len), d.label) for d in docs]
     train(model, corpus, epochs=35, batch=128, seed=53)
-    preds = predict(model, [seq.token_ids for seq, _ in corpus])
+    preds = predict(model, [ids for ids, _ in corpus])
     correct = sum(1 for pred, (_, label) in zip(preds, corpus) if pred.label == label)
     elapsed = time.monotonic() - start
     assert correct / len(corpus) >= 0.95, f"train accuracy {correct / len(corpus):.3f}"

@@ -117,18 +117,13 @@ class TestPad:
     VOCAB = {"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "c": 4}
 
     def test_padding(self):
-        seq = pad(["a", "b", "c"], self.VOCAB, 5)
-        assert seq.token_ids == [2, 3, 4, 0, 0]
-        assert seq.true_length == 3
+        assert pad(["a", "b", "c"], self.VOCAB, 5) == [2, 3, 4, 0, 0]
 
     def test_truncation(self):
-        seq = pad(["a"] * 7, self.VOCAB, 5)
-        assert seq.token_ids == [2] * 5
-        assert seq.true_length == 5
+        assert pad(["a"] * 7, self.VOCAB, 5) == [2] * 5
 
     def test_unknown_token(self):
-        seq = pad(["a", "zzz"], self.VOCAB, 3)
-        assert seq.token_ids == [2, UNK_INDEX, PAD_INDEX]
+        assert pad(["a", "zzz"], self.VOCAB, 3) == [2, UNK_INDEX, PAD_INDEX]
 
     def test_max_len_validation(self):
         with pytest.raises(ValueError):
@@ -137,10 +132,11 @@ class TestPad:
     @given(st.lists(st.sampled_from(["a", "b", "c", "oov", "??"]), max_size=12),
            st.integers(min_value=1, max_value=8))
     def test_ids_always_in_range(self, tokens, max_len):
-        seq = pad(tokens, self.VOCAB, max_len)
-        assert len(seq.token_ids) == max_len
-        assert all(0 <= i < len(self.VOCAB) for i in seq.token_ids)
-        assert seq.true_length >= 0
+        ids = pad(tokens, self.VOCAB, max_len)
+        assert len(ids) == max_len
+        assert all(0 <= i < len(self.VOCAB) for i in ids)
+        kept = min(len(tokens), max_len)
+        assert PAD_INDEX not in ids[:kept] and ids[kept:] == [PAD_INDEX] * (max_len - kept)
 
 
 class TestBuildVocab:

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from figphm.corpus import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
-from figphm.embeddings import (_BLOCK_ROWS, OntologyGraph, _fields, _loadtxt_block, cosine,
-                               load_ontology, load_table, nearest_neighbors, project_table,
-                               random_table, retrofit, retrofit_objective, save_table)
+from figphm.embeddings import (_BLOCK_ROWS, EmbeddingTable, OntologyGraph, _fields,
+                               _loadtxt_block, cosine, load_ontology, load_table,
+                               nearest_neighbors, project_table, random_table, retrofit,
+                               retrofit_objective, save_table)
 from figphm.errors import DataError
 from figphm.synthetic import planted_corpus
 
 from conftest import make_table
-from scalar_reference import load_table_rows, nearest_neighbors_loop, retrofit_loop
+from scalar_reference import (load_table_rows, nearest_neighbors_loop, project_table_loop,
+                              retrofit_loop)
 
 
 class TestLoadTable:
@@ -585,3 +587,22 @@ class TestProjectTable:
         assert np.abs(out.vector("new")).max() <= 0.25
         again = project_table(source, [PAD_TOKEN, UNK_TOKEN, "cat", "new"], seed=4)
         assert np.array_equal(out.matrix, again.matrix)
+
+    @pytest.mark.parametrize("n_source", [0, 40])
+    def test_equals_the_row_by_row_loop(self, n_source):
+        """One index for the known rows and one draw for the missing ones is
+        bitwise a copy or draw per row, in vocabulary order."""
+        source = random_table([f"w{i}" for i in range(0, 3 * n_source, 3)], 5, seed=1) \
+            if n_source else EmbeddingTable(vocab={}, matrix=np.zeros((0, 5)))
+        vocab = [UNK_TOKEN, PAD_TOKEN, UNK_TOKEN] + [f"w{i}" for i in range(100)] \
+            + [UNK_TOKEN, "new"]
+        out = project_table(source, vocab, seed=8)
+        expected = project_table_loop(source, vocab, seed=8)
+        assert out.vocab == expected.vocab
+        assert out.matrix.tobytes() == expected.matrix.tobytes()
+
+    def test_random_table_is_a_projection_of_nothing(self):
+        words = [f"w{i}" for i in range(500)]
+        empty = EmbeddingTable(vocab={}, matrix=np.zeros((0, 7)))
+        assert random_table(words, 7, seed=3).matrix.tobytes() == \
+            project_table_loop(empty, words, seed=3).matrix.tobytes()

@@ -13,11 +13,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from figphm import neuralnet as nn
 from figphm import phm
 from figphm.cli import main as cli_main
-from figphm.corpus import NONPHM, PHM, PaddedSequence, build_vocab, pad
+from figphm.corpus import NONPHM, PHM, build_vocab, pad
 from figphm.embeddings import random_table
 from figphm.errors import DataError
 from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict,
-                               LinguisticFeatures)
+                               LinguisticFeatures, extract_features)
 from figphm.phm import (FeatAugModel, ModelConfig, build_feataug, build_phmd,
                         feature_vector_length, load_model, pipeline_predict,
                         predict, save_model, train, verdict_feature_vector)
@@ -36,18 +36,19 @@ def table_for(n_words, dim, seed=0):
 
 
 def seq_of(ids, max_len):
-    padded = list(ids) + [0] * (max_len - len(ids))
-    return PaddedSequence(padded, len(ids))
+    return list(ids) + [0] * (max_len - len(ids))
+
+
+def no_features():
+    return extract_features([], None, [], set())
 
 
 def make_verdict(label, score=0.9):
-    return FigurativeVerdict(literal_score=score, label=label,
-                             features=LinguisticFeatures.zeros())
+    return FigurativeVerdict(literal_score=score, label=label, features=no_features())
 
 
 def predict_one(model, seq, verdict=None, doc_id=""):
-    return predict(model, [seq.token_ids], None if verdict is None else [verdict],
-                   [doc_id])[0]
+    return predict(model, [seq], None if verdict is None else [verdict], [doc_id])[0]
 
 
 class TestBuildPhmd:
@@ -154,11 +155,10 @@ class TestPipelinePredict:
 class TestFeatAug:
     def test_feature_too_short_rejected(self):
         with pytest.raises(ValueError, match="shorter than right kernel"):
-            build_feataug(table_for(4, 4), small_config(), seed=0, feature_length=1)
+            small_config(right_kernel_width=40)
 
     def test_feature_length_mismatch_at_predict(self):
-        model = build_feataug(table_for(4, 4), small_config(), seed=0,
-                              feature_length=5)
+        model = build_feataug(table_for(4, 4), small_config(), seed=0)
         with pytest.raises(ValueError, match="feature vector"):
             predict_one(model, seq_of([2], 8), np.zeros(7))
 
@@ -495,8 +495,8 @@ def _golden_corpus():
         ids = rng.integers(2, 11, size=n).tolist() + [0] * (8 - n)
         verdict = FigurativeVerdict(literal_score=float(rng.uniform()),
                                     label=FIGURATIVE if i % 3 == 0 else LITERAL,
-                                    features=LinguisticFeatures.zeros())
-        corpus.append((PaddedSequence(ids, n), PHM if i % 2 else NONPHM, verdict))
+                                    features=no_features())
+        corpus.append((ids, PHM if i % 2 else NONPHM, verdict))
     return corpus
 
 
@@ -784,17 +784,34 @@ class TestLoadModelMessages:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize("overrides, feature_length", [
-        ({}, None), ({}, 17), ({"pool": 1, "kernel_widths": (2,), "dropout_rates": (0.1,),
-                              "feataug_dropout_rates": (0.0,)}, 5),
-        ({"pool": 3, "right_kernel_width": 3}, 9)])
-    def test_shapes_from_the_config_are_the_built_shapes(self, overrides, feature_length):
-        table = table_for(5, 3)
-        config = small_config(**overrides)
-        if feature_length is None:
-            model = build_phmd(table, config)
-        else:
-            model = build_feataug(table, config, feature_length=feature_length)
+    @pytest.mark.parametrize("stored", [feature_vector_length(True) + 1,
+                                        feature_vector_length(False), "29", None],
+                             ids=["same_shapes", "no_score", "string", "null"])
+    def test_feature_length_must_match_the_config(self, tmp_path, stored):
+        """The stored feature length must be the integer the config implies,
+        even where the pooled shapes could not tell the two apart (29 and 30
+        both pool to 14 windows)."""
+        path = tmp_path / "m.ckpt"
+        manifest, data = _checkpoint(path, build_feataug)
+        assert manifest["feature_length"] == feature_vector_length(True)
+        manifest["feature_length"] = stored
+        _write_checkpoint(path, manifest, data)
+        with pytest.raises(DataError, match="bad checkpoint manifest") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    # ids: pool size, with (s) or without (ns) the score feature, builder
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug], ids=["phmd", "aug"])
+    @pytest.mark.parametrize("include_score", [True, False], ids=["s", "ns"])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"pool": 1, "kernel_widths": (2,), "dropout_rates": (0.1,),
+             "feataug_dropout_rates": (0.0,)},
+        {"pool": 3, "right_kernel_width": 3}], ids=["p2", "p1", "p3"])
+    def test_shapes_from_the_config_are_the_built_shapes(self, overrides, include_score, build):
+        config = small_config(include_score_feature=include_score, **overrides)
+        model = build(table_for(5, 3), config)
+        feature_length = None if build is build_phmd else feature_vector_length(include_score)
+        assert model.feature_length == feature_length
         assert phm._parameter_shapes(config, 7, 3, feature_length) == [
             (p.name, p.value.shape) for p in model.all_parameters()]
 
