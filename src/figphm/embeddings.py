@@ -77,8 +77,9 @@ class OntologyGraph:
 
 
 def _new_table(words: list[str], dim: int) -> tuple[dict[str, int], np.ndarray]:
+    """The reserved rows, then one row per distinct word in first-seen order."""
     vocab = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
-    for word in words:
+    for word in dict.fromkeys(words):
         vocab[word] = len(vocab)
     matrix = np.zeros((len(vocab), dim), dtype=np.float64)
     return vocab, matrix

@@ -5,7 +5,9 @@ masks, a sigmoid dense head, binary cross-entropy, and Adam.
 Everything runs in float64. Each forward function has a matching backward
 that consumes the upstream gradient and the forward inputs. The kernels take
 an optional leading batch axis; backward passes sum parameter gradients over
-it. ``gradient_check``
+it. Each kernel can write its large outputs into caller-owned buffers
+(``out=`` and the like), so a training loop can reuse one set of buffers
+for every pass. ``gradient_check``
 verifies any parameterized scalar-loss model against central differences.
 """
 
@@ -27,36 +29,50 @@ ADAM_BLOCK = 1 << 16        # entries per in-place Adam block
 
 
 class Parameter:
-    """A trainable array with its gradient accumulator."""
+    """A trainable array with its gradient accumulator. The gradient is
+    allocated, zeroed, the first time it is read, so a parameter nothing
+    differentiates (a frozen or just-loaded embedding) holds none."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "_grad")
 
     def __init__(self, value: np.ndarray, name: str = ""):
         # contiguous, so Adam can update it in place through a flat view
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        # np.zeros, not zeros_like: pages nothing writes stay untouched, so
-        # a frozen embedding's gradient costs no memory
-        self.grad = np.zeros(self.value.shape)
+        self._grad = None
         self.name = name
 
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            # np.zeros, not zeros_like: pages nothing writes stay untouched
+            self._grad = np.zeros(self.value.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
+
     def zero_grad(self, rows: np.ndarray | None = None) -> None:
-        """Zero the gradient, or only its ``rows`` (first-axis indices)."""
+        """Zero the gradient, or only its ``rows`` (first-axis indices); an
+        unallocated gradient is zero already."""
+        if self._grad is None:
+            return
         if rows is None:
-            self.grad.fill(0.0)
+            self._grad.fill(0.0)
         else:
-            self.grad[rows] = 0.0
+            self._grad[rows] = 0.0
 
 
 def uniform_init(shape: tuple[int, ...], bound: float, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(np.float64)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dout * (x > 0.0)
+def relu_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(dout, x > 0.0, out=out)
 
 
 def sigmoid(x):
@@ -70,36 +86,60 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+           windows: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Valid-padding stride-1 convolution over the last two axes, as one
     GEMM for the whole batch.
 
     x: (..., T, d) sequences, kernels: (F, w, d), bias: (F,) -> output
     (..., T-w+1, F) with out[..., t, f] = bias[f] + sum_{i,j} x[..., t+i, j] * kernels[f, i, j].
+    The im2col matrix (..., T-w+1, w*d) is built in ``windows`` when given,
+    so ``conv1d_backward`` can reuse it, and the output goes to ``out``.
     """
     seq_len, width = x.shape[-2], kernels.shape[1]
     if seq_len < width:
         raise ValueError(f"sequence shorter than kernel: {seq_len} < {width}")
-    windows = _windows(x, width)                     # (..., T-w+1, w*d)
-    out = windows.reshape(-1, windows.shape[-1]) @ kernels.reshape(kernels.shape[0], -1).T
-    out += bias
-    return out.reshape(windows.shape[:-1] + (kernels.shape[0],))
+    view = _windows(x, width)                        # (..., T-w+1, w*d)
+    if windows is not None:
+        windows[...] = view
+        view = windows
+    n_filters = kernels.shape[0]
+    flat_out = np.matmul(view.reshape(-1, view.shape[-1]), kernels.reshape(n_filters, -1).T,
+                         out=None if out is None else out.reshape(-1, n_filters))
+    flat_out += bias
+    return flat_out.reshape(view.shape[:-1] + (n_filters,))
 
 
 def conv1d_backward(dout: np.ndarray, x: np.ndarray, kernels: np.ndarray,
-                    input_grad: bool = True):
+                    input_grad: bool = True, windows: np.ndarray | None = None,
+                    dkernels: np.ndarray | None = None, contrib: np.ndarray | None = None,
+                    dx: np.ndarray | None = None):
     """Gradients of conv1d w.r.t. input, kernels, and bias, summed over the
-    batch; the input gradient is None when ``input_grad`` is false."""
+    batch; the input gradient is None when ``input_grad`` is false.
+
+    ``windows`` is the forward's im2col matrix of ``x`` (built again when
+    absent). ``dkernels`` (the kernels' shape), ``contrib`` ((..., T-w+1, w,
+    d)) and ``dx`` (x's shape) are buffers for the kernel gradient, the input
+    gradient's GEMM and its sum. The kernel gradient is formed first, so
+    ``contrib`` may be the ``windows`` buffer.
+    """
     n_filters, width, dim = kernels.shape
     flat_dout = dout.reshape(-1, n_filters)
     dbias = flat_dout.sum(axis=0)
-    dkernels = (flat_dout.T @ _windows(x, width).reshape(-1, width * dim)
-                ).reshape(n_filters, width, dim)
+    if windows is None:
+        windows = _windows(x, width)
+    dkernels = np.matmul(flat_dout.T, windows.reshape(-1, width * dim),
+                         out=None if dkernels is None else dkernels.reshape(n_filters, -1)
+                         ).reshape(n_filters, width, dim)
     if not input_grad:
         return None, dkernels, dbias
-    contrib = (flat_dout @ kernels.reshape(n_filters, -1)).reshape(
+    flat_contrib = None if contrib is None else contrib.reshape(-1, width * dim)
+    contrib = np.matmul(flat_dout, kernels.reshape(n_filters, -1), out=flat_contrib).reshape(
         dout.shape[:-1] + (width, dim))
-    dx = np.zeros_like(x)
+    if dx is None:
+        dx = np.zeros_like(x)
+    else:
+        dx.fill(0.0)
     out_len = dout.shape[-2]
     for i in range(width):
         dx[..., i:i + out_len, :] += contrib[..., i, :]
@@ -120,19 +160,25 @@ def _windows(x: np.ndarray, width: int) -> np.ndarray:
                       buffer=x, strides=tuple(strides[:-1]) + (x.itemsize,))
 
 
-def maxpool1d(x: np.ndarray, pool: int) -> np.ndarray:
+def maxpool1d(x: np.ndarray, pool: int, out: np.ndarray | None = None) -> np.ndarray:
     """Non-overlapping max pooling along axis -2 with stride = pool; the
     tail beyond floor(T/pool)*pool is dropped."""
-    return _pool_view(x, pool).max(axis=-2)
+    return _pool_view(x, pool).max(axis=-2, out=out)
 
 
-def maxpool1d_backward(dout: np.ndarray, x: np.ndarray, pool: int) -> np.ndarray:
+def maxpool1d_backward(dout: np.ndarray, x: np.ndarray, pool: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Routes each window's gradient to its argmax (first index on ties),
     found by comparison: entry i wins if no earlier entry won and it is at
     least the maximum of the entries after it."""
     view = _pool_view(x, pool)
-    dx = np.zeros_like(x)
-    dwindows = dx[..., :view.shape[-3] * pool, :].reshape(view.shape)   # a view of dx
+    covered = view.shape[-3] * pool
+    if out is None:
+        dx = np.zeros_like(x)
+    else:
+        dx = out
+        dx[..., covered:, :] = 0.0                  # the tail no window reaches
+    dwindows = dx[..., :covered, :].reshape(view.shape)   # a view of dx
     unrouted = np.ones(dout.shape, dtype=bool)
     for i in range(pool - 1):
         rest = view[..., i + 1, :] if i + 2 == pool else view[..., i + 1:, :].max(axis=-2)
@@ -155,17 +201,22 @@ def _pool_view(x: np.ndarray, pool: int) -> np.ndarray:
         x.shape[:-2] + (n_windows, pool, x.shape[-1]))
 
 
-def make_dropout_mask(shape, rate, rng: np.random.Generator) -> np.ndarray:
+def make_dropout_mask(shape, rate, rng: np.random.Generator,
+                      out: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability rate, survivors scaled
     by 1/(1-rate) so the expectation matches the input. ``rate`` may be an
-    array of per-column rates along the last axis."""
+    array of per-column rates along the last axis. The mask is drawn into
+    ``out`` (C-contiguous, of ``shape``) when given, from the same stream,
+    and ``keep`` is a bool buffer of ``shape`` for the survivor test."""
     rate = np.asarray(rate, dtype=np.float64)
     if not np.all((0.0 <= rate) & (rate < 1.0)):
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if not rate.any():
-        return np.ones(shape)
-    mask = rng.random(shape)
-    return np.divide(mask >= rate, 1.0 - rate, out=mask)
+        mask = np.empty(shape) if out is None else out
+        mask.fill(1.0)
+        return mask
+    mask = rng.random(shape) if out is None else rng.random(out=out)
+    return np.divide(np.greater_equal(mask, rate, out=keep), 1.0 - rate, out=mask)
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -175,13 +226,15 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return sigmoid(x @ weights.T + bias)
 
 
-def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray, out: np.ndarray):
+def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray, out: np.ndarray,
+                   dx: np.ndarray | None = None):
     """Gradients of dense(), summed over the batch; ``out`` is the forward
-    output (used for the sigmoid derivative)."""
+    output (used for the sigmoid derivative) and ``dx`` a buffer of x's
+    shape for the input gradient."""
     dout = dout * out * (1.0 - out)
     flat_dout = dout.reshape(-1, weights.shape[0])
     dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
-    return dout @ weights, dweights, flat_dout.sum(axis=0)
+    return np.matmul(dout, weights, out=dx), dweights, flat_dout.sum(axis=0)
 
 
 def bce_loss(p, y):

@@ -9,7 +9,10 @@ A model wraps one given array per entry: ``build_phmd``/``build_feataug``
 pass a copy of the embedding table and seeded kernels, ``load_model`` the
 checkpoint's arrays. Training runs one forward/backward per minibatch over the
 stacked examples, with the shuffle and every dropout mask drawn from one
-seeded generator in a fixed order, so traces are reproducible.
+seeded generator in a fixed order, so traces are reproducible. Every pass of
+one call (``train``, ``loss``, ``predict_proba``, ``loss_and_grad``) writes
+its activations and gradients into one ``_Workspace`` that lives for that
+call only.
 
 ``predict`` labels a whole split with one eval forward per model, and
 ``pipeline_predict`` is the one copy of the pipeline rule: it combines the
@@ -105,6 +108,33 @@ def feature_vector_length(include_score: bool = True) -> int:
     return 1 + LinguisticFeatures.vector_length() + int(include_score)
 
 
+class _Workspace:
+    """Named buffers that every pass of one call reuses. A request gets the
+    leading part of its key's buffer, which is allocated on first use and
+    replaced when a request outgrows it. A call's first pass is its largest,
+    so a key that several branches share settles within one pass.
+
+    Without it every pass allocates and frees a few MB of temporaries, and
+    the allocator hands them back to the system and faults them in again:
+    a desk experiment took 570k minor page faults that way.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def __call__(self, key, shape: tuple[int, ...], dtype=np.float64,
+                 fill: float | None = None) -> np.ndarray:
+        """An array of ``shape``; ``fill`` is written only when the buffer
+        is allocated, so entries a pass leaves alone keep it."""
+        size = math.prod(shape)
+        flat = self._buffers.get(key)
+        if flat is None or flat.size < size:
+            flat = self._buffers[key] = np.empty(size, dtype)
+            if fill is not None:
+                flat.fill(fill)
+        return flat[:size].reshape(shape)
+
+
 class _ConvBranch:
     """conv -> relu -> maxpool over one kernel width, for a batch; the
     model applies the branch's dropout to the pooled output."""
@@ -117,18 +147,44 @@ class _ConvBranch:
         self.dropout_rate = dropout_rate
         self.pool = pool
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x (B, T, depth) -> (ReLU activations, pooled (B, windows, F))."""
-        act = nn.relu(nn.conv1d(x, self.kernels.value, self.bias.value))
-        return act, nn.maxpool1d(act, self.pool)
+    def forward(self, x: np.ndarray, pooled: np.ndarray, ws: _Workspace,
+                key: int | None) -> tuple[np.ndarray | None, np.ndarray]:
+        """x (B, T, depth) -> (im2col windows, ReLU activations), both in
+        ``ws`` under ``key`` for the backward; the pooled (B, windows, F)
+        maxima go to ``pooled``. With no key (an eval pass) the windows are
+        not kept and the activations go to a buffer every branch shares."""
+        batch, seq_len, depth = x.shape
+        out_len = seq_len - self.width + 1
+        windows = None if key is None else ws((key, "windows"),
+                                              (batch, out_len, self.width * depth))
+        act = nn.conv1d(x, self.kernels.value, self.bias.value, windows=windows,
+                        out=ws((key, "act"), (batch, out_len, self.kernels.value.shape[0])))
+        nn.relu(act, out=act)
+        nn.maxpool1d(act, self.pool, out=pooled)
+        return windows, act
 
-    def backward(self, dpooled: np.ndarray, x: np.ndarray, act: np.ndarray,
-                 grad_scale: float, input_grad: bool) -> np.ndarray | None:
+    def backward(self, dpooled: np.ndarray, x: np.ndarray, windows: np.ndarray,
+                 act: np.ndarray, grad_scale: float, ws: _Workspace,
+                 dx_key: str | None) -> np.ndarray | None:
+        """Adds the parameter gradients; returns the input gradient, in
+        ``ws`` under ``dx_key``, or None without a key. The pool and kernel
+        gradients' buffers are shared by every branch, and the input
+        gradient's GEMM overwrites this branch's windows, which are dead
+        once the kernel gradient is formed."""
+        # a contiguous copy: numpy's iterator gives each operand it cannot
+        # walk as one block a 64 KiB buffer, and dpooled is a column slice
+        contiguous = ws("dpooled", dpooled.shape)
+        contiguous[...] = dpooled
+        dpre = nn.maxpool1d_backward(contiguous, act, self.pool,
+                                     out=ws("dpre", act.shape))
         # act > 0 exactly where the pre-activation is, so act stands in for it
-        dpre = nn.relu_backward(nn.maxpool1d_backward(dpooled, act, self.pool), act)
-        dx, dkernels, dbias = nn.conv1d_backward(dpre, x, self.kernels.value,
-                                                 input_grad=input_grad)
-        self.kernels.grad += grad_scale * dkernels
+        nn.relu_backward(dpre, act, out=dpre)
+        dx, dkernels, dbias = nn.conv1d_backward(
+            dpre, x, self.kernels.value, input_grad=dx_key is not None, windows=windows,
+            dkernels=ws("dkernels", self.kernels.value.shape), contrib=windows,
+            dx=None if dx_key is None else ws(dx_key, x.shape))
+        dkernels *= grad_scale
+        self.kernels.grad += dkernels
         self.bias.grad += grad_scale * dbias
         return dx
 
@@ -271,25 +327,29 @@ class _SentenceCnn:
             p.zero_grad()
 
     def loss(self, inputs, target) -> float:
-        """Summed BCE over the batch, dropout-free."""
+        """Summed BCE over the batch in one dropout-free pass."""
         ids, features, _ = self._batch(inputs)
-        probs, _ = self._forward(ids, features, train=False, rng=None)
+        probs, _ = self._forward(ids, features, False, None, _Workspace())
         return float(nn.bce_loss(probs, self._targets(target, ids.shape[0])).sum())
 
     def loss_and_grad(self, inputs, target, train: bool = False, rng=None,
-                      grad_scale: float = 1.0, accumulate: bool = False) -> float:
+                      grad_scale: float = 1.0, accumulate: bool = False,
+                      workspace: _Workspace | None = None) -> float:
         """Summed BCE over the batch; adds grad_scale times its gradient to
-        every parameter's grad (after zeroing them, unless accumulating)."""
+        every parameter's grad (after zeroing them, unless accumulating).
+        The passes run in ``workspace`` (``train`` passes one for all its
+        minibatches), or in one made for this call."""
         if not accumulate:
             self.zero_grad()
         ids, features, _ = self._batch(inputs)
         targets = self._targets(target, ids.shape[0])
+        ws = _Workspace() if workspace is None else workspace
         loss = 0.0
         for start in range(0, ids.shape[0], self._pass_size):
             rows = slice(start, start + self._pass_size)
             probs, cache = self._forward(ids[rows], None if features is None else features[rows],
-                                         train=train, rng=rng)
-            self._backward(nn.bce_grad(probs, targets[rows]), cache, grad_scale)
+                                         train, rng, ws, backward=True)
+            self._backward(nn.bce_grad(probs, targets[rows]), cache, grad_scale, ws)
             loss += float(nn.bce_loss(probs, targets[rows]).sum())
         return loss
 
@@ -300,10 +360,11 @@ class _SentenceCnn:
         1.7 MiB of activations."""
         ids, features, single = self._batch(inputs)
         probs = np.empty(ids.shape[0])
+        ws = _Workspace()
         for start in range(0, ids.shape[0], self._pass_size):
             rows = slice(start, start + self._pass_size)
             probs[rows], _ = self._forward(ids[rows], None if features is None else features[rows],
-                                           train=False, rng=None)
+                                           False, None, ws)
         return float(probs[0]) if single else probs
 
     @staticmethod
@@ -331,44 +392,60 @@ class _SentenceCnn:
             features = features.reshape(ids.shape[0], self.feature_length)
         return ids, features, single
 
-    def _branch_inputs(self, ids, features) -> list[np.ndarray]:
-        x = self.embedding.value[ids]
+    def _branch_inputs(self, ids, features, ws: _Workspace | None = None) -> list[np.ndarray]:
+        embedded = None if ws is None else ws("embedded",
+                                                ids.shape + self.embedding.value.shape[1:])
+        x = self.embedding.value.take(ids, axis=0, out=embedded)
         return [x] * len(self.branches) + ([] if features is None else [features[:, :, None]])
 
-    def _forward(self, ids, features, train, rng):
-        branch_inputs = self._branch_inputs(ids, features)
+    def _forward(self, ids, features, train, rng, ws, backward=False):
+        """Probabilities and the cache ``_backward`` reads, which holds each
+        branch's windows and activations only when ``backward`` is set."""
+        branch_inputs = self._branch_inputs(ids, features, ws)
         batch = ids.shape[0]
         self.forward_count += batch
-        hidden = np.empty((batch, self.dense_w.value.shape[1]))
-        acts = []
-        for branch, x, columns in zip(self._all_branches, branch_inputs, self._columns):
-            act, pooled = branch.forward(x)
+        width = self.dense_w.value.shape[1]
+        hidden = ws("hidden", (batch, width))
+        windows, acts = [], []
+        for key, (branch, x, columns) in enumerate(zip(self._all_branches, branch_inputs,
+                                                       self._columns)):
+            pooled = hidden[:, columns].reshape(batch, -1, branch.kernels.value.shape[0])
+            branch_windows, act = branch.forward(x, pooled, ws, key if backward else None)
+            windows.append(branch_windows)
             acts.append(act)
-            hidden[:, columns] = pooled.reshape(batch, -1)
         mask = None
         if train and self._dropout_columns.size:
-            mask = np.ones_like(hidden)
+            # columns without dropout keep the 1.0 written at allocation
+            mask = ws("mask", (batch, width), fill=1.0)
+            shape = (batch, self._dropout_columns.size)
+            # the draw borrows dhidden's buffer, which only the backward writes
             mask[:, self._dropout_columns] = nn.make_dropout_mask(
-                (batch, self._dropout_columns.size), self._dropout_rates, rng)
+                shape, self._dropout_rates, rng, out=ws("dhidden", shape),
+                keep=ws("keep", shape, dtype=bool))
             hidden *= mask
         out = nn.dense(hidden, self.dense_w.value, self.dense_b.value)
-        return out[:, 0], dict(ids=ids, inputs=branch_inputs, acts=acts, hidden=hidden,
-                               mask=mask, out=out)
+        return out[:, 0], dict(ids=ids, inputs=branch_inputs, windows=windows, acts=acts,
+                               hidden=hidden, mask=mask, out=out)
 
-    def _backward(self, dprobs, cache, grad_scale):
-        dhidden, dw, db = nn.dense_backward(dprobs[:, None], cache["hidden"],
-                                            self.dense_w.value, cache["out"])
-        self.dense_w.grad += grad_scale * dw
+    def _backward(self, dprobs, cache, grad_scale, ws):
+        hidden = cache["hidden"]
+        dhidden, dw, db = nn.dense_backward(dprobs[:, None], hidden, self.dense_w.value,
+                                            cache["out"], dx=ws("dhidden", hidden.shape))
+        dw *= grad_scale
+        self.dense_w.grad += dw
         self.dense_b.grad += grad_scale * db
         if cache["mask"] is not None:
             dhidden *= cache["mask"]
         trainable = self.config.trainable_embeddings
         dembedded = None
-        for branch, x, act, columns in zip(self._all_branches, cache["inputs"],
-                                           cache["acts"], self._columns):
+        for branch, x, windows, act, columns in zip(self._all_branches, cache["inputs"],
+                                                    cache["windows"], cache["acts"],
+                                                    self._columns):
             dpooled = dhidden[:, columns].reshape(act.shape[0], -1, act.shape[-1])
-            dx = branch.backward(dpooled, x, act, grad_scale,
-                                 input_grad=trainable and branch is not self.right)
+            input_grad = trainable and branch is not self.right
+            # the first input gradient is the sum the others are added to
+            dx_key = ("dembedded" if dembedded is None else "dx") if input_grad else None
+            dx = branch.backward(dpooled, x, windows, act, grad_scale, ws, dx_key)
             if dx is None:
                 continue
             if dembedded is None:
@@ -484,6 +561,8 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
     used = np.zeros(embedding.value.shape[0], dtype=bool)
     written = None
     rng = np.random.default_rng(seed)
+    # one set of pass buffers for every minibatch; freed when train returns
+    workspace = _Workspace()
     trace = []
     for _ in range(epochs):
         order = rng.permutation(len(examples))
@@ -495,7 +574,8 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
             used[written] = True
             inputs = ids[chunk] if features is None else (ids[chunk], features[chunk])
             epoch_loss += model.loss_and_grad(inputs, targets[chunk], train=True, rng=rng,
-                                              grad_scale=1.0 / len(chunk), accumulate=True)
+                                              grad_scale=1.0 / len(chunk), accumulate=True,
+                                              workspace=workspace)
             if not math.isfinite(epoch_loss):
                 raise FloatingPointError("non-finite training loss")
             rows = {embedding: np.flatnonzero(used)}

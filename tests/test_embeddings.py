@@ -328,6 +328,12 @@ class TestRandomTable:
         with pytest.raises(ValueError):
             random_table([], 3, seed=1)
 
+    def test_repeated_word_keeps_its_first_row(self):
+        repeated = random_table(["x", "x", "y"], 2, 0)
+        plain = random_table(["x", "y"], 2, 0)
+        assert repeated.vocab == plain.vocab == {PAD_TOKEN: 0, UNK_TOKEN: 1, "x": 2, "y": 3}
+        assert np.array_equal(repeated.matrix, plain.matrix)
+
     def test_pad_row_zero(self):
         table = random_table(["x", "y"], 3, seed=2)
         assert np.array_equal(table.matrix[PAD_INDEX], np.zeros(3))

@@ -368,6 +368,81 @@ class TestBatchedKernels:
             assert np.array_equal(row[3:], nn.make_dropout_mask(2, 0.5, rng))
 
 
+class TestOutputBuffers:
+    """A kernel writing into caller-owned buffers gives bitwise what it
+    returns when it allocates its own, whatever the buffers held before."""
+
+    @staticmethod
+    def _garbage(shape, dtype=np.float64):
+        buffer = np.empty(shape, dtype)
+        buffer.fill(True if dtype is bool else np.nan)
+        return buffer
+
+    def test_conv1d_backward_given_the_forward_windows(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(0, 1, (4, 9, 3))
+        kernels, bias = rng.normal(0, 1, (5, 3, 3)), rng.normal(0, 1, 5)
+        dout = rng.normal(0, 1, (4, 7, 5))
+        windows, out = self._garbage((4, 7, 9)), self._garbage((4, 7, 5))
+        forward = nn.conv1d(x, kernels, bias, windows=windows, out=out)
+        assert forward.tobytes() == nn.conv1d(x, kernels, bias).tobytes()
+        want = nn.conv1d_backward(dout, x, kernels)
+        got = nn.conv1d_backward(dout, x, kernels, windows=windows)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # the input gradient's GEMM may overwrite the windows it has used
+        got = nn.conv1d_backward(dout, x, kernels, windows=windows,
+                                 dkernels=self._garbage(kernels.shape), contrib=windows,
+                                 dx=self._garbage(x.shape))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("pool", [2, 3])
+    def test_pool_and_relu_in_buffers(self, pool):
+        rng = np.random.default_rng(pool)
+        x = np.maximum(rng.integers(-2, 3, size=(3, 8, 4)).astype(float), 0.0)  # ties
+        pooled = self._garbage((3, 8 // pool, 4))
+        assert nn.maxpool1d(x, pool, out=pooled).tobytes() == nn.maxpool1d(x, pool).tobytes()
+        dout = rng.normal(0, 1, pooled.shape)
+        routed = nn.maxpool1d_backward(dout, x, pool, out=self._garbage(x.shape))
+        assert routed.tobytes() == nn.maxpool1d_backward(dout, x, pool).tobytes()
+        want = nn.relu_backward(routed, x)
+        assert nn.relu_backward(routed, x, out=routed).tobytes() == want.tobytes()
+        pre = rng.normal(0, 1, x.shape)
+        want = nn.relu(pre)
+        assert nn.relu(pre, out=pre).tobytes() == want.tobytes()
+
+    def test_dropout_mask_draws_the_same_stream(self):
+        rates = np.repeat([0.2, 0.5], [3, 2])
+        plain, buffered = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(2):
+            want = nn.make_dropout_mask((4, 5), rates, plain)
+            got = nn.make_dropout_mask((4, 5), rates, buffered, out=self._garbage((4, 5)),
+                                       keep=self._garbage((4, 5), bool))
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(nn.make_dropout_mask((2, 5), 0.0, plain, out=np.zeros((2, 5))),
+                              np.ones((2, 5)))
+
+    def test_dense_backward_input_gradient_in_a_buffer(self):
+        rng = np.random.default_rng(8)
+        x, weights = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (1, 4))
+        out = nn.dense(x, weights, np.ones(1))
+        dout = rng.normal(0, 1, (3, 1))
+        want = nn.dense_backward(dout, x, weights, out)
+        got = nn.dense_backward(dout, x, weights, out, dx=self._garbage(x.shape))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+class TestLazyGradient:
+    def test_allocated_zeroed_on_first_read(self):
+        param = nn.Parameter(np.ones((3, 2)))
+        param.zero_grad()
+        param.zero_grad(np.array([1]))
+        assert param._grad is None
+        assert param.grad.tobytes() == np.zeros((3, 2)).tobytes()
+        param.grad += 1.0
+        param.zero_grad(np.array([1]))
+        assert param.grad.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+
+
 class TestAdamInPlace:
     def test_bitwise_equal_to_textbook_form(self):
         rng = np.random.default_rng(10)

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import struct
@@ -311,6 +312,21 @@ class TestModelCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * path.stat().st_size
+
+    def test_load_allocates_no_gradient(self, tmp_path):
+        """Gradients are allocated on first use, so the load's peak is the
+        stored arrays and the vocabulary: 1.25x the file size at V=20k,
+        d=50, against 2.23x when every gradient was allocated at build."""
+        path = tmp_path / "m.ckpt"
+        save_model(build_phmd(table_for(20000, 50), ModelConfig()), path)
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(p._grad is None for p in model.all_parameters())
+        assert peak <= 1.4 * path.stat().st_size
 
 
 # JSON values for manifest fields. Sizes are tiny or too large for numpy to
@@ -763,6 +779,68 @@ class TestTrainUnusedRows:
         assert after[6:].tobytes() == before[6:].tobytes()
         assert np.signbit(after[7]).all()
         assert not np.array_equal(after[2:6], before[2:6])
+
+
+def _desk_pass(build):
+    """A model at desk shape (T=16, d=20, F=100, widths 3/4/5, pool 2) and
+    one training pass's worth of examples (16)."""
+    model = build(table_for(500, 20, seed=1), ModelConfig(max_sequence_length=16), seed=3)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, len(model.vocab), size=(16, 16))
+    targets = rng.integers(0, 2, size=16).astype(float)
+    if build is build_feataug:
+        return model, (ids, rng.random((16, model.feature_length))), targets
+    return model, ids, targets
+
+
+class TestWorkspace:
+    # tracemalloc peak of that pass before the workspace existed (numpy 2.4):
+    # PHMD 1,893,392 B and FeatAug 3,106,288 B; in a warm workspace
+    # 172,568 B and 207,112 B
+    PASS_PEAK_WITHOUT_WORKSPACE = {"phmd": 1_893_392, "feataug": 3_106_288}
+
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug])
+    def test_warm_pass_allocates_a_tenth_of_a_pass_without_one(self, build):
+        model, inputs, targets = _desk_pass(build)
+        workspace = phm._Workspace()
+        rng = np.random.default_rng(0)
+
+        def one_pass():
+            model.loss_and_grad(inputs, targets, train=True, rng=rng, accumulate=True,
+                                workspace=workspace)
+        one_pass()                                  # allocates buffers and gradients
+        tracemalloc.start()
+        try:
+            one_pass()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PASS_PEAK_WITHOUT_WORKSPACE[model.kind] / 10
+
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug])
+    def test_train_leaves_only_the_gradients(self, build):
+        """The workspace (about 2 MB here) is freed when train returns."""
+        def model_and_corpus():
+            model, inputs, targets = _desk_pass(build)
+            labels = [PHM if t else NONPHM for t in targets]
+            if build is build_feataug:
+                return model, list(zip(inputs[0], labels, inputs[1])) * 2
+            return model, list(zip(inputs, labels)) * 2
+
+        train(*model_and_corpus(), epochs=1, batch=32, seed=0)    # warms numpy's own caches
+        model, corpus = model_and_corpus()
+        attributes = set(vars(model))
+        assert all(p._grad is None for p in model.all_parameters())
+        tracemalloc.start()
+        try:
+            train(model, corpus, epochs=1, batch=32, seed=0)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gradients = sum(p.grad.nbytes for p in model.all_parameters())
+        assert set(vars(model)) == attributes
+        assert gradients <= held <= gradients + 16_384
 
 
 class TestLoadModelMessages:
