@@ -107,8 +107,7 @@ def cmd_retrofit(args) -> int:
 def cmd_fig_score(args) -> int:
     config = harness.load_config(args.config)
     detector = harness.build_detector(config)
-    dataset = args.dataset if args.dataset else config.dataset
-    documents = corpus.load_dataset(dataset)
+    documents = harness.load_documents(args.dataset if args.dataset else config.dataset)
     verdicts = detector.verdicts(documents)
     text = figurative.format_verdicts(documents, verdicts)
     if args.out:
@@ -149,9 +148,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = phm.load_model(args.model)
-    documents = corpus.load_dataset(args.dataset)
-    if not documents:
-        raise DataError(f"dataset {args.dataset} is empty")
+    documents = harness.load_documents(args.dataset)
     detector = None
     if model.kind == "feataug":
         if not args.config:

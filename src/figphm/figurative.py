@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,9 +111,6 @@ _SUFFIX_RULES = (
     ("al", "ADJ"),
 )
 
-Tagger = Callable[[Sequence[str]], list[str]]
-
-
 def pos_tag(tokens: Sequence[str]) -> list[str]:
     """Rule tagger over the 12-tag universal set: lexicon first, then digit,
     punctuation and suffix rules; unknown words fall back to X."""
@@ -175,18 +172,6 @@ class LinguisticFeatures:
     health_word_presence: int
     health_word_count_norm: float
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate((
-            [float(self.has_subordinate_clause)],
-            self.left_pos,
-            self.right_pos,
-            [float(self.health_word_presence), self.health_word_count_norm],
-        ))
-
-    @staticmethod
-    def vector_length() -> int:
-        return 3 + 2 * len(TAGSET)
-
 
 @dataclass
 class FigurativeVerdict:
@@ -196,6 +181,25 @@ class FigurativeVerdict:
     literal_score: float
     label: str
     features: LinguisticFeatures
+
+
+def feature_row(verdict: FigurativeVerdict, include_score: bool = True) -> np.ndarray:
+    """The FeatAug feature branch's input for one verdict: the figurative
+    bit, the linguistic block (subordinate bit, left and right POS one-hots,
+    health-word presence and share), then the literal score if included."""
+    features = verdict.features
+    return np.concatenate((
+        [float(verdict.label == FIGURATIVE), float(features.has_subordinate_clause)],
+        features.left_pos,
+        features.right_pos,
+        [float(features.health_word_presence), features.health_word_count_norm],
+        [verdict.literal_score] if include_score else [],
+    ))
+
+
+def feature_row_length(include_score: bool = True) -> int:
+    """The length of every ``feature_row``."""
+    return 4 + 2 * len(TAGSET) + int(include_score)
 
 
 @dataclass
@@ -392,7 +396,8 @@ def default_health_lexicon() -> set[str]:
 
 
 def mark_symptoms(documents: Sequence[Document], keywords: set[str]) -> None:
-    """Fill each document's symptom_indices with keyword token positions."""
+    """Fill each document's symptom_indices with keyword token positions.
+    A standalone helper: the detector finds the positions itself."""
     for doc in documents:
         doc.symptom_indices = [i for i, t in enumerate(doc.tokens) if t in keywords]
 
@@ -411,7 +416,6 @@ class FigurativeDetector:
                  health_lexicon: set[str] | None = None,
                  k: int = DEFAULT_RELATED_WORDS,
                  threshold: float = DEFAULT_THRESHOLD,
-                 tagger: Tagger = pos_tag,
                  include_target: bool = False):
         self.table = table
         self.keywords = set(keywords)
@@ -419,7 +423,7 @@ class FigurativeDetector:
             else default_health_lexicon()
         self.k = k
         self.threshold = threshold
-        self.tagger = tagger
+        self.tagger = pos_tag
         self.include_target = include_target
         self.representations = {
             kw: build_literal_representation(table, kw, k)
@@ -427,28 +431,22 @@ class FigurativeDetector:
         }
 
     def verdict(self, doc: Document) -> FigurativeVerdict:
-        occurrences = [(i, doc.tokens[i]) for i in doc.symptom_indices] \
-            if doc.symptom_indices else \
-            [(i, t) for i, t in enumerate(doc.tokens) if t in self.representations]
-
-        scores = []
-        for _, keyword in occurrences:
-            rep = self.representations.get(keyword)
-            if rep is not None:
-                scores.append(literal_usage_score(doc.tokens, rep, self.table,
-                                                  include_target=self.include_target))
+        """The verdict on ``doc``'s tokens; keyword positions are found here,
+        never read from the document."""
+        tokens = doc.tokens
+        positions = [i for i, t in enumerate(tokens) if t in self.keywords]
+        scores = [literal_usage_score(tokens, self.representations[tokens[i]], self.table,
+                                      include_target=self.include_target)
+                  for i in positions if tokens[i] in self.representations]
         score = max(scores) if scores else 0.5
-
-        target_index = occurrences[0][0] if occurrences else None
-        features = extract_features(doc.tokens, target_index, self.tagger(doc.tokens),
-                                    self.health_lexicon)
+        features = extract_features(tokens, positions[0] if positions else None,
+                                    self.tagger(tokens), self.health_lexicon)
         return FigurativeVerdict(literal_score=score,
                                  label=classify(score, self.threshold),
                                  features=features)
 
     def verdicts(self, documents: Sequence[Document]) -> list[FigurativeVerdict]:
-        """Mark each document's keyword positions, then give its verdict."""
-        mark_symptoms(documents, self.keywords)
+        """Each document's verdict, in order; the documents are not changed."""
         return [self.verdict(doc) for doc in documents]
 
 

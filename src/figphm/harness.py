@@ -352,7 +352,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# cross-validation
+# datasets and cross-validation
+
+def load_documents(path: str | Path) -> list[Document]:
+    """The documents of a dataset that must hold some: ``load_dataset``'s,
+    or a DataError naming the file when it holds none."""
+    documents = load_dataset(path)
+    if not documents:
+        raise DataError(f"dataset {path} is empty")
+    return documents
+
 
 def stratified_kfold(corpus: list[Document], k: int, seed: int) -> list[list[Document]]:
     """Partition into k folds balanced within every (disease, label) stratum.
@@ -632,16 +641,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     approaches = tuple(a for a in APPROACHES if a in set(config.approaches) | {"phmd"})
     config = replace(config, approaches=approaches)
 
-    documents = load_dataset(config.dataset)
-    if not documents:
-        raise DataError(f"dataset {config.dataset} is empty")
+    documents = load_documents(config.dataset)
     if config.folds > len(documents):
         raise ConfigError(f"folds = {config.folds} exceeds the {len(documents)} "
                           f"documents in {config.dataset}")
     if out_dir is not None:     # an unwritable out_dir fails before any training
         (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
     vocab = build_vocab(documents)
-    vocab_list = sorted(vocab, key=vocab.get)
     sequences = {d.id: pad(d.tokens, vocab, config.model.max_sequence_length)
                  for d in documents}
 
@@ -655,7 +661,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                        for doc_id, v in verdicts.items()}
 
     fold_docs = stratified_kfold(documents, config.folds, config.seed)
-    tables = [build_spec_table(spec, vocab_list, config.seed)
+    tables = [build_spec_table(spec, list(vocab), config.seed)
               for spec in config.embeddings]
     payloads = [
         _cell_payload(config, spec_index, fold_index, tables[spec_index],
@@ -778,12 +784,9 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
     spec = next((s for s in config.embeddings if s.name == embedding_name), None)
     if spec is None:
         raise ConfigError(f"no [embedding {embedding_name}] section in config")
-    documents = load_dataset(config.dataset)
-    if not documents:
-        raise DataError(f"dataset {config.dataset} is empty")
+    documents = load_documents(config.dataset)
     vocab = build_vocab(documents)
-    vocab_list = sorted(vocab, key=vocab.get)
-    table = build_spec_table(spec, vocab_list, config.seed)
+    table = build_spec_table(spec, list(vocab), config.seed)
     sequences = [pad(d.tokens, vocab, config.model.max_sequence_length)
                  for d in documents]
     seed = derive_seed(config.seed, spec.name, "full")

@@ -2,8 +2,8 @@
 the figurative-gated pipeline combiner.
 
 ``PhmdModel`` is the text-only CNN; ``FeatAugModel`` is the same CNN with
-one more conv branch over the figurative-usage feature vector, whose length
-``feature_vector_length(config.include_score_feature)`` fixes.
+one more conv branch over the figurative-usage feature row, whose length
+``feature_row_length(config.include_score_feature)`` fixes.
 ``_parameter_shapes`` is the one list of their parameters' names and shapes.
 A model wraps one given array per entry: ``build_phmd``/``build_feataug``
 pass a copy of the embedding table and seeded kernels, ``load_model`` the
@@ -12,7 +12,7 @@ stacked examples, with the shuffle and every dropout mask drawn from one
 seeded generator in a fixed order, so traces are reproducible. Every pass of
 one call (``train``, ``loss``, ``predict_proba``, ``loss_and_grad``) writes
 its activations and gradients into one ``_Workspace`` that lives for that
-call only.
+call only; ``loss`` and ``predict_proba`` share one loop of eval passes.
 
 ``predict`` labels a whole split with one eval forward per model, and
 ``pipeline_predict`` is the one copy of the pipeline rule: it combines the
@@ -32,7 +32,7 @@ import numpy as np
 from .corpus import NONPHM, PHM
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .figurative import FIGURATIVE, FigurativeVerdict, LinguisticFeatures
+from .figurative import FIGURATIVE, FigurativeVerdict, feature_row, feature_row_length
 from . import neuralnet as nn
 from .neuralnet import Parameter
 
@@ -74,7 +74,7 @@ class ModelConfig:
         if self.max_sequence_length - max(self.kernel_widths) + 1 < self.pool:
             raise ValueError(f"max_sequence_length {self.max_sequence_length} shorter than "
                              f"largest kernel {max(self.kernel_widths)} plus pool - 1")
-        if feature_vector_length(self.include_score_feature) \
+        if feature_row_length(self.include_score_feature) \
                 - self.right_kernel_width + 1 < self.pool:
             raise ValueError(f"feature vector shorter than right kernel "
                              f"{self.right_kernel_width} plus pool - 1")
@@ -91,21 +91,6 @@ class Prediction:
     probability: float
     label: str
     figurative_label: str | None = None
-
-
-def verdict_feature_vector(verdict: FigurativeVerdict,
-                           include_score: bool = True) -> np.ndarray:
-    """Figurative-usage feature block for the augmented classifier:
-    thresholded label bit, linguistic features, and optionally the raw score."""
-    parts = [np.array([1.0 if verdict.label == FIGURATIVE else 0.0]),
-             verdict.features.to_vector()]
-    if include_score:
-        parts.append(np.array([verdict.literal_score]))
-    return np.concatenate(parts)
-
-
-def feature_vector_length(include_score: bool = True) -> int:
-    return 1 + LinguisticFeatures.vector_length() + int(include_score)
 
 
 class _Workspace:
@@ -327,9 +312,9 @@ class _SentenceCnn:
             p.zero_grad()
 
     def loss(self, inputs, target) -> float:
-        """Summed BCE over the batch in one dropout-free pass."""
+        """Summed BCE over the batch, on ``predict_proba``'s eval passes."""
         ids, features, _ = self._batch(inputs)
-        probs, _ = self._forward(ids, features, False, None, _Workspace())
+        probs = self._eval_probs(ids, features)
         return float(nn.bce_loss(probs, self._targets(target, ids.shape[0])).sum())
 
     def loss_and_grad(self, inputs, target, train: bool = False, rng=None,
@@ -354,18 +339,22 @@ class _SentenceCnn:
         return loss
 
     def predict_proba(self, inputs):
-        """Eval-mode probability: a float for one example, an array for a
-        batch. A batch runs in training-sized passes: 2000 documents at paper
-        shape in one pass peaked at 571 MiB; a pass of 16 there caches
-        1.7 MiB of activations."""
+        """Eval-mode probability: a float for one example, an array for a batch."""
         ids, features, single = self._batch(inputs)
+        probs = self._eval_probs(ids, features)
+        return float(probs[0]) if single else probs
+
+    def _eval_probs(self, ids, features) -> np.ndarray:
+        """Dropout-free probabilities of a batch in training-sized passes:
+        2000 documents at paper shape in one pass peaked at 571 MiB; a pass
+        of 16 there caches 1.7 MiB of activations."""
         probs = np.empty(ids.shape[0])
         ws = _Workspace()
         for start in range(0, ids.shape[0], self._pass_size):
             rows = slice(start, start + self._pass_size)
             probs[rows], _ = self._forward(ids[rows], None if features is None else features[rows],
                                            False, None, ws)
-        return float(probs[0]) if single else probs
+        return probs
 
     @staticmethod
     def _targets(target, batch: int) -> np.ndarray:
@@ -480,15 +469,15 @@ class PhmdModel(_SentenceCnn):
 
 
 class FeatAugModel(_SentenceCnn):
-    """PHMD plus the feature branch over the figurative-usage vector, with
-    its own dropout rates; inputs are (ids, feature vector) pairs."""
+    """PHMD plus the feature branch over the figurative-usage feature row,
+    with its own dropout rates; inputs are (ids, feature row) pairs."""
 
     kind = "feataug"
 
     def __init__(self, vocab: dict[str, int], config: ModelConfig,
                  arrays: list[np.ndarray]):
         super().__init__(vocab, config, arrays, config.feataug_dropout_rates,
-                         feature_vector_length(config.include_score_feature))
+                         feature_row_length(config.include_score_feature))
 
 
 def build_phmd(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
@@ -501,35 +490,36 @@ def build_phmd(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
 def build_feataug(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
                   seed: int = 0) -> FeatAugModel:
     """FeatAug classifier, drawn like ``build_phmd``; the feature branch
-    reads vectors of ``feature_vector_length(config.include_score_feature)``."""
+    reads rows of ``feature_row_length(config.include_score_feature)``."""
     return FeatAugModel(dict(table.vocab), config, _initial_arrays(
-        table, config, seed, feature_vector_length(config.include_score_feature)))
+        table, config, seed, feature_row_length(config.include_score_feature)))
 
 
-def _as_feature_vector(verdict, config: ModelConfig) -> np.ndarray:
-    if isinstance(verdict, FigurativeVerdict):
-        return verdict_feature_vector(verdict, config.include_score_feature)
-    return np.asarray(verdict, dtype=np.float64)
+def _feature_rows(items, config: ModelConfig) -> np.ndarray:
+    """(B, n) FeatAug feature rows, one per item: a FigurativeVerdict's
+    ``feature_row``, or the item itself as a row."""
+    return np.array([feature_row(item, config.include_score_feature)
+                     if isinstance(item, FigurativeVerdict) else item for item in items],
+                    dtype=np.float64)
 
 
-def _canonical_examples(model, corpus):
-    """Normalize and sort training examples so the trace is invariant to
-    the storage order of the input corpus."""
-    examples = []
-    for item in corpus:
-        ids, label = np.asarray(item[0], dtype=np.intp), item[1]
-        y = 1 if label == PHM else 0
-        if model.kind == "feataug":
-            if len(item) < 3 or item[2] is None:
-                raise ValueError("feature-augmented training requires a figurative "
-                                 "verdict per example")
-            features = _as_feature_vector(item[2], model.config)
-        else:
-            features = None
-        examples.append((ids, y, features))
-    examples.sort(key=lambda e: (tuple(e[0]), e[1],
-                                 tuple(e[2]) if e[2] is not None else ()))
-    return examples
+def _training_arrays(model, corpus):
+    """(ids (N, T), targets (N,), feature rows (N, n) or None) of the
+    (ids, label[, verdict]) examples, ordered by one stable lexsort on ids,
+    then target, then feature row, so the trace does not depend on the
+    corpus's storage order."""
+    ids = np.array([item[0] for item in corpus], dtype=np.intp)
+    targets = np.array([1.0 if item[1] == PHM else 0.0 for item in corpus])
+    keys = [targets, *ids.T[::-1]]
+    features = None
+    if model.kind == "feataug":
+        if any(len(item) < 3 or item[2] is None for item in corpus):
+            raise ValueError("feature-augmented training requires a figurative "
+                             "verdict per example")
+        features = _feature_rows([item[2] for item in corpus], model.config)
+        keys[:0] = features.T[::-1]
+    order = np.lexsort(keys)
+    return ids[order], targets[order], None if features is None else features[order]
 
 
 def train(model, corpus, epochs: int | None = None, batch: int | None = None,
@@ -548,10 +538,7 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
-    examples = _canonical_examples(model, corpus)
-    ids = np.stack([e[0] for e in examples])
-    targets = np.array([e[1] for e in examples], dtype=np.float64)
-    features = np.stack([e[2] for e in examples]) if model.kind == "feataug" else None
+    ids, targets, features = _training_arrays(model, corpus)
     optimizer = nn.Adam(model.parameters(), lr=lr)
     # A minibatch writes the embedding gradient only on its own ids, so the
     # embedding is zeroed on the rows the last minibatch wrote and stepped
@@ -565,9 +552,9 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
     workspace = _Workspace()
     trace = []
     for _ in range(epochs):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(targets))
         epoch_loss = 0.0
-        for start in range(0, len(examples), batch):
+        for start in range(0, len(targets), batch):
             chunk = order[start:start + batch]
             optimizer.zero_grad({embedding: written})
             written = np.unique(ids[chunk])
@@ -581,7 +568,7 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
             rows = {embedding: np.flatnonzero(used)}
             optimizer.step(rows)
             _check_finite(optimizer.params, rows)
-        trace.append(epoch_loss / len(examples))
+        trace.append(epoch_loss / len(targets))
     return trace
 
 
@@ -599,7 +586,7 @@ def predict(model, ids, verdicts=None, doc_ids=None) -> list[Prediction]:
     """Eval-mode predictions for the padded id rows ``ids`` (B, T), in one
     ``predict_proba``; PHM iff the probability reaches 0.5.
 
-    ``verdicts`` (FigurativeVerdicts or feature vectors, one per row) feed
+    ``verdicts`` (FigurativeVerdicts or feature rows, one per id row) feed
     the FeatAug feature branch, which requires them; a FigurativeVerdict's
     label becomes the prediction's figurative label.
     """
@@ -608,8 +595,7 @@ def predict(model, ids, verdicts=None, doc_ids=None) -> list[Prediction]:
         if verdicts is None:
             raise ValueError("feature-augmented prediction requires a figurative "
                              "verdict per document")
-        probs = model.predict_proba(
-            (ids, np.stack([_as_feature_vector(v, model.config) for v in verdicts])))
+        probs = model.predict_proba((ids, _feature_rows(verdicts, model.config)))
     else:
         probs = model.predict_proba(ids)
     verdicts = [None] * len(ids) if verdicts is None else verdicts
@@ -665,7 +651,7 @@ def load_model(path):
             raw[key] = tuple(raw[key])
         config = ModelConfig(**raw)
         vocab = {word: i for i, word in enumerate(manifest["vocab"])}
-        feature_length = feature_vector_length(config.include_score_feature) \
+        feature_length = feature_row_length(config.include_score_feature) \
             if kind == "feataug" else None
         if kind == "feataug" and operator.index(manifest["feature_length"]) != feature_length:
             raise ValueError(f"feature_length {manifest['feature_length']} stored, "

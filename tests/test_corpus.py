@@ -360,13 +360,14 @@ def test_only_read_lines_opens_text_inputs():
     assert not found, "files opened for reading outside corpus.read_lines: " + ", ".join(found)
 
 
-def _calls_by_function(tree, function="<module>"):
+def _calls_by_function(tree, function="<module>", kind=ast.Call):
+    """(enclosing function's name, node) for every ``kind`` node in ``tree``."""
     for node in ast.iter_child_nodes(tree):
         name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
             else function
-        if isinstance(node, ast.Call):
+        if isinstance(node, kind):
             yield function, node
-        yield from _calls_by_function(node, name)
+        yield from _calls_by_function(node, name, kind)
 
 
 def _reads_a_file(call: ast.Call) -> bool:

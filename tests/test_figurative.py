@@ -1,19 +1,24 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from figphm import figurative
 from figphm.corpus import Document, FIGURATIVE, LITERAL
-from figphm.figurative import (FigurativeDetector, LinguisticFeatures,
+from figphm.figurative import (FigurativeDetector, FigurativeVerdict,
                                LiteralRepresentation, TAGSET,
                                build_literal_representation, classify,
                                default_health_lexicon, extract_features,
-                               lda_estimate, literal_usage_score, load_word_list,
+                               feature_row, feature_row_length, lda_estimate,
+                               literal_usage_score, load_word_list,
                                mark_symptoms, pos_tag)
 
 from figphm.synthetic import planted_corpus
 
 from conftest import make_table
+from test_corpus import _calls_by_function
 from scalar_reference import (lda_loop, literal_usage_score_loop,
                               nearest_neighbors_loop, pos_tag_loop)
 
@@ -193,9 +198,9 @@ class TestExtractFeatures:
     def test_vector_layout(self):
         feats = extract_features(["because", "cough"], 1,
                                  pos_tag(["because", "cough"]), self.LEXICON)
-        vec = feats.to_vector()
-        assert vec.shape == (LinguisticFeatures.vector_length(),)
-        assert vec[0] == 1.0  # subordinate bit leads
+        vec = feature_row(FigurativeVerdict(0.5, LITERAL, feats))
+        assert vec.shape == (feature_row_length(),)
+        assert vec[1] == 1.0  # subordinate bit follows the figurative bit
 
 
 class TestLdaEstimate:
@@ -293,12 +298,46 @@ class TestFigurativeDetector:
         docs = [Document("5", "other", "", ["market", "drop", "cough"], "NonPHM"),
                 Document("6", "other", "", ["doctor", "cough", "cough"], "PHM")]
         verdicts = det.verdicts(docs)
-        assert [d.symptom_indices for d in docs] == [[2], [1, 2]]
         for verdict, doc in zip(verdicts, docs, strict=True):
             expected = det.verdict(doc)
             assert (verdict.literal_score, verdict.label) == \
                 (expected.literal_score, expected.label)
-            assert np.array_equal(verdict.features.to_vector(), expected.features.to_vector())
+            assert np.array_equal(feature_row(verdict), feature_row(expected))
+
+    def test_verdict_depends_only_on_detector_and_document(self):
+        """Another detector's ``verdicts`` on the same document, with other
+        keywords, leaves this detector's verdict unchanged."""
+        det = self._detector()
+        other = FigurativeDetector(det.table, {"drop"}, health_lexicon={"doctor"}, k=2)
+        doc = Document("7", "other", "", ["market", "drop", "cough"], "NonPHM")
+        before = det.verdict(doc)
+        other.verdicts([doc])
+        after = det.verdict(doc)
+        assert (after.literal_score, after.label) == (before.literal_score, before.label)
+        assert np.array_equal(feature_row(after), feature_row(before))
+
+    def test_verdicts_leave_symptom_indices_alone(self):
+        det = self._detector()
+        docs = [Document("8", "other", "", ["market", "drop", "cough"], "NonPHM",
+                         symptom_indices=[0]),
+                Document("9", "other", "", ["doctor", "cough"], "PHM")]
+        det.verdicts(docs)
+        assert [d.symptom_indices for d in docs] == [[0], []]
+
+
+def test_only_mark_symptoms_touches_symptom_indices():
+    """The detector finds keyword positions itself: nothing in the package
+    reads ``symptom_indices``, and only ``mark_symptoms`` assigns it."""
+    package = Path(__file__).resolve().parent.parent / "src" / "figphm"
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text("utf-8"))
+        for function, node in _calls_by_function(tree, kind=ast.Attribute):
+            if node.attr == "symptom_indices" and not (
+                    isinstance(node.ctx, ast.Store)
+                    and (source.stem, function) == ("figurative", "mark_symptoms")):
+                found.append(f"{source.name}:{node.lineno} in {function}")
+    assert not found, "symptom_indices used outside mark_symptoms: " + ", ".join(found)
 
 
 class TestArrayPathsMatchLoops:

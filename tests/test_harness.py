@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from figphm.phm import ModelConfig, PhmdModel, build_feataug, build_phmd, save_m
 from figphm.synthetic import write_planted_fixture
 
 from conftest import make_table
+from test_corpus import _calls_by_function
 
 
 class TestComputeMetrics:
@@ -735,11 +737,45 @@ class TestCli:
         assert (tmp_path / "verdicts.tsv").read_text(encoding="utf-8") == stdout
         assert stdout.count("\n") == 12 and stdout.startswith("d0\t")
 
+    @pytest.mark.parametrize("argv", [
+        ["fig-score", "--config", "cfg.ini"],
+        ["fig-score", "--config", "cfg.ini", "--dataset", "data.tsv"],
+        ["experiment", "--config", "cfg.ini", "--out", "run"],
+        ["train", "--config", "cfg.ini", "--embedding", "tiny", "--out", "m2.ckpt"],
+        ["evaluate", "--model", "m.ckpt", "--dataset", "data.tsv"],
+    ], ids=["fig_score", "fig_score_dataset", "experiment", "train", "evaluate"])
+    def test_empty_dataset_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        _experiment_config(tmp_path)
+        save_model(build_phmd(make_table({"cough": [0.1, 0.2]}),
+                              ModelConfig(max_sequence_length=6, filters=2), seed=0),
+                   tmp_path / "m.ckpt")
+        (tmp_path / "data.tsv").write_text("", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"data error: dataset \S*data\.tsv is empty\n", captured.err)
+
     def test_synth_cli(self, tmp_path, capsys):
         assert cli_main(["synth", "--out", str(tmp_path / "fix"), "--docs", "40",
                          "--seed", "1"]) == 0
         assert (tmp_path / "fix" / "dataset.tsv").exists()
         assert (tmp_path / "fix" / "experiment.ini").exists()
+
+
+def test_only_the_loaders_call_load_dataset():
+    """Every dataset in the package is read by ``harness.load_documents``,
+    which rejects an empty one, or by ``load_figurative_gold``."""
+    allowed = {("harness", "load_documents"), ("harness", "load_figurative_gold")}
+    package = Path(__file__).resolve().parent.parent / "src" / "figphm"
+    found = []
+    for source in sorted(package.glob("*.py")):
+        for function, call in _calls_by_function(ast.parse(source.read_text("utf-8"))):
+            name = call.func.id if isinstance(call.func, ast.Name) else \
+                getattr(call.func, "attr", None)
+            if name == "load_dataset" and (source.stem, function) not in allowed:
+                found.append(f"{source.name}:{call.lineno} in {function}")
+    assert not found, "load_dataset called outside the loaders: " + ", ".join(found)
 
 
 class TestWritePlantedFixture:

@@ -17,11 +17,11 @@ from figphm.cli import main as cli_main
 from figphm.corpus import NONPHM, PHM, build_vocab, pad
 from figphm.embeddings import random_table
 from figphm.errors import DataError
-from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict,
-                               LinguisticFeatures, extract_features)
+from figphm.figurative import (FIGURATIVE, LITERAL, TAGSET, FigurativeVerdict,
+                               LinguisticFeatures, extract_features, feature_row,
+                               feature_row_length)
 from figphm.phm import (FeatAugModel, ModelConfig, build_feataug, build_phmd,
-                        feature_vector_length, load_model, pipeline_predict,
-                        predict, save_model, train, verdict_feature_vector)
+                        load_model, pipeline_predict, predict, save_model, train)
 from figphm.synthetic import separable_corpus
 from test_corpus import _calls_by_function
 
@@ -197,12 +197,12 @@ class TestFeatAug:
 
     def test_verdict_feature_vector_layout(self):
         verdict = make_verdict(FIGURATIVE, 0.12)
-        vec = verdict_feature_vector(verdict, include_score=True)
-        assert vec.shape == (feature_vector_length(True),)
+        vec = feature_row(verdict, include_score=True)
+        assert vec.shape == (feature_row_length(True),)
         assert vec[0] == 1.0
         assert vec[-1] == pytest.approx(0.12)
-        vec2 = verdict_feature_vector(make_verdict(LITERAL), include_score=False)
-        assert vec2.shape == (feature_vector_length(False),)
+        vec2 = feature_row(make_verdict(LITERAL), include_score=False)
+        assert vec2.shape == (feature_row_length(False),)
         assert vec2[0] == 0.0
 
 
@@ -231,6 +231,26 @@ class TestTrain:
         a = train(build_phmd(table, small_config(), seed=1), corpus, seed=5)
         b = train(build_phmd(table, small_config(), seed=1), reordered, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug])
+    def test_examples_in_tuple_sort_order(self, build):
+        """One lexsort orders the examples as a sort on the tuples (ids,
+        target, feature row) does; the rows repeat so that ties occur."""
+        model = build(table_for(4, 4), small_config(), seed=1)
+        rng = np.random.default_rng(2)
+        ids = rng.integers(0, 3, size=(6, 8))[rng.integers(0, 6, size=40)]
+        rows = rng.integers(0, 3, size=(40, model.feature_length or 1)) / 2.0
+        targets = rng.integers(0, 2, size=40)
+        corpus = [(i, PHM if t else NONPHM, r) for i, t, r in zip(ids, targets, rows)]
+        expected = sorted(zip(map(tuple, ids), targets, map(tuple, rows)),
+                          key=lambda e: e if build is build_feataug else e[:2])
+        got_ids, got_targets, got_rows = phm._training_arrays(model, corpus)
+        assert [tuple(i) for i in got_ids] == [e[0] for e in expected]
+        assert got_targets.tolist() == [float(e[1]) for e in expected]
+        if build is build_feataug:
+            assert [tuple(r) for r in got_rows] == [e[2] for e in expected]
+        else:
+            assert got_rows is None
 
     def test_feataug_requires_verdicts(self):
         table = table_for(4, 4)
@@ -677,7 +697,7 @@ class TestPredictionGoldenValues:
     @staticmethod
     def _verdicts():
         rng = np.random.default_rng(31)
-        n_tags = (LinguisticFeatures.vector_length() - 3) // 2
+        n_tags = len(TAGSET)
         return [FigurativeVerdict(literal_score=float(rng.uniform()),
                                   label=FIGURATIVE if i % 3 == 0 else LITERAL,
                                   features=LinguisticFeatures(
@@ -781,16 +801,43 @@ class TestTrainUnusedRows:
         assert not np.array_equal(after[2:6], before[2:6])
 
 
-def _desk_pass(build):
+def _desk_pass(build, n=16):
     """A model at desk shape (T=16, d=20, F=100, widths 3/4/5, pool 2) and
-    one training pass's worth of examples (16)."""
+    ``n`` examples, by default one training pass's worth."""
     model = build(table_for(500, 20, seed=1), ModelConfig(max_sequence_length=16), seed=3)
     rng = np.random.default_rng(0)
-    ids = rng.integers(0, len(model.vocab), size=(16, 16))
-    targets = rng.integers(0, 2, size=16).astype(float)
+    ids = rng.integers(0, len(model.vocab), size=(n, 16))
+    targets = rng.integers(0, 2, size=n).astype(float)
     if build is build_feataug:
-        return model, (ids, rng.random((16, model.feature_length))), targets
+        return model, (ids, rng.random((n, model.feature_length))), targets
     return model, ids, targets
+
+
+class TestEvalPasses:
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug])
+    def test_loss_peak_is_predict_probas(self, build):
+        """``loss`` runs in ``predict_proba``'s passes. As one pass over 64
+        desk-shape examples its tracemalloc peak was 3.97x (PHMD) and 3.51x
+        (FeatAug) predict_proba's on the same batch."""
+        model, inputs, targets = _desk_pass(build, 64)
+        calls = (lambda: model.predict_proba(inputs), lambda: model.loss(inputs, targets))
+        peaks = []
+        for call in calls:
+            call()                                  # warms numpy's own caches
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug])
+    def test_loss_is_the_summed_bce_of_predict_proba(self, build, n):
+        model, inputs, targets = _desk_pass(build, n)
+        probs = model.predict_proba(inputs)
+        assert model.loss(inputs, targets) == float(nn.bce_loss(probs, targets).sum())
 
 
 class TestWorkspace:
@@ -862,8 +909,8 @@ class TestLoadModelMessages:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize("stored", [feature_vector_length(True) + 1,
-                                        feature_vector_length(False), "29", None],
+    @pytest.mark.parametrize("stored", [feature_row_length(True) + 1,
+                                        feature_row_length(False), "29", None],
                              ids=["same_shapes", "no_score", "string", "null"])
     def test_feature_length_must_match_the_config(self, tmp_path, stored):
         """The stored feature length must be the integer the config implies,
@@ -871,7 +918,7 @@ class TestLoadModelMessages:
         both pool to 14 windows)."""
         path = tmp_path / "m.ckpt"
         manifest, data = _checkpoint(path, build_feataug)
-        assert manifest["feature_length"] == feature_vector_length(True)
+        assert manifest["feature_length"] == feature_row_length(True)
         manifest["feature_length"] = stored
         _write_checkpoint(path, manifest, data)
         with pytest.raises(DataError, match="bad checkpoint manifest") as info:
@@ -888,7 +935,7 @@ class TestLoadModelMessages:
     def test_shapes_from_the_config_are_the_built_shapes(self, overrides, include_score, build):
         config = small_config(include_score_feature=include_score, **overrides)
         model = build(table_for(5, 3), config)
-        feature_length = None if build is build_phmd else feature_vector_length(include_score)
+        feature_length = None if build is build_phmd else feature_row_length(include_score)
         assert model.feature_length == feature_length
         assert phm._parameter_shapes(config, 7, 3, feature_length) == [
             (p.name, p.value.shape) for p in model.all_parameters()]
