@@ -49,18 +49,13 @@ class Parameter:
         return self._grad
 
     @grad.setter
-    def grad(self, value: np.ndarray) -> None:
-        self._grad = value
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value          # None frees it
 
-    def zero_grad(self, rows: np.ndarray | None = None) -> None:
-        """Zero the gradient, or only its ``rows`` (first-axis indices); an
-        unallocated gradient is zero already."""
-        if self._grad is None:
-            return
-        if rows is None:
+    def zero_grad(self) -> None:
+        """Zero the gradient; an unallocated gradient is zero already."""
+        if self._grad is not None:
             self._grad.fill(0.0)
-        else:
-            self._grad[rows] = 0.0
 
 
 def uniform_init(shape: tuple[int, ...], bound: float, rng: np.random.Generator) -> np.ndarray:
@@ -216,7 +211,8 @@ def make_dropout_mask(shape, rate, rng: np.random.Generator,
         mask.fill(1.0)
         return mask
     mask = rng.random(shape) if out is None else rng.random(out=out)
-    return np.divide(np.greater_equal(mask, rate, out=keep), 1.0 - rate, out=mask)
+    # keep * (1/(1-rate)) is bitwise keep / (1-rate): keep is 0 or 1
+    return np.multiply(np.greater_equal(mask, rate, out=keep), 1.0 / (1.0 - rate), out=mask)
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -234,7 +230,15 @@ def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray, out: np
     dout = dout * out * (1.0 - out)
     flat_dout = dout.reshape(-1, weights.shape[0])
     dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
-    return np.matmul(dout, weights, out=dx), dweights, flat_dout.sum(axis=0)
+    if weights.shape[0] == 1:
+        # one unit: the input gradient is an outer product. A broadcast
+        # multiply gives the GEMM's bits in about 0.7x its time; the GEMM
+        # adds each product to a zeroed output, so a zero product is +0.0.
+        dx = np.multiply(dout, weights[0], out=dx)
+        dx += 0.0
+    else:
+        dx = np.matmul(dout, weights, out=dx)
+    return dx, dweights, flat_dout.sum(axis=0)
 
 
 def bce_loss(p, y):
@@ -264,12 +268,11 @@ class Adam:
     m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g**2;
     p -= lr (m / c1) / (sqrt(v / c2) + eps).
 
-    ``step`` and ``zero_grad`` take an optional ``rows`` mapping from a
-    parameter to the first-axis rows to touch. A row whose gradient has been
-    zero at every step so far has m = v = 0, so its textbook update is
-    value - 0.0: with a finite lr and epsilon > 0 it is bitwise unchanged,
-    and stepping only the other rows gives the dense step's values and
-    moments bit for bit.
+    An entry whose gradient has been zero at every step so far has m = v = 0,
+    so its update is value - 0.0: with a finite lr and epsilon > 0 it is
+    bitwise unchanged, -0.0 included. ``phm.train`` relies on this to step a
+    table of the embedding rows its corpus holds, some of which a minibatch
+    has not used yet.
     """
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
@@ -280,39 +283,22 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        # np.zeros, not zeros_like: a large block comes zeroed from the
-        # allocator, so the moments of rows a row-restricted step never
-        # touches need not be written
         self.m = [np.zeros(p.value.shape) for p in params]
         self.v = [np.zeros(p.value.shape) for p in params]
         block = min(ADAM_BLOCK, max((p.value.size for p in params), default=0))
         self._scratch = (np.empty(block), np.empty(block))
 
-    def step(self, rows: dict[Parameter, np.ndarray] | None = None) -> None:
-        """One update. A parameter in ``rows`` is updated on its listed rows
-        only: every other row must have had a zero gradient at every step so
-        far. Without a finite lr and epsilon > 0 the step is dense."""
+    def step(self) -> None:
+        """One update of every parameter, ADAM_BLOCK entries at a time."""
         self.step_count += 1
         correction1 = 1.0 - self.beta1 ** self.step_count
         correction2 = 1.0 - self.beta2 ** self.step_count
-        if not (math.isfinite(self.lr) and self.epsilon > 0.0):
-            rows = None
         for p, m, v in zip(self.params, self.m, self.v):
-            index = None if rows is None else rows.get(p)
-            if index is None:
-                self._step_flat(p.value, p.grad, m, v, correction1, correction2)
-                continue
-            value, grad, m_rows, v_rows = (a[index] for a in (p.value, p.grad, m, v))
-            self._step_flat(value, grad, m_rows, v_rows, correction1, correction2)
-            p.value[index], m[index], v[index] = value, m_rows, v_rows
-
-    def _step_flat(self, value, grad, m, v, correction1, correction2) -> None:
-        """Update contiguous arrays in place, ADAM_BLOCK entries at a time."""
-        value, grad, m, v = (a.reshape(-1) for a in (value, grad, m, v))
-        for start in range(0, value.size, ADAM_BLOCK):
-            block = slice(start, start + ADAM_BLOCK)
-            self._update(value[block], grad[block], m[block], v[block],
-                         correction1, correction2)
+            value, grad, m, v = (a.reshape(-1) for a in (p.value, p.grad, m, v))
+            for start in range(0, value.size, ADAM_BLOCK):
+                block = slice(start, start + ADAM_BLOCK)
+                self._update(value[block], grad[block], m[block], v[block],
+                             correction1, correction2)
 
     def _update(self, value, grad, m, v, correction1, correction2) -> None:
         a, b = (buf[:value.size] for buf in self._scratch)
@@ -331,11 +317,9 @@ class Adam:
         np.divide(a, b, out=a)
         np.subtract(value, a, out=value)
 
-    def zero_grad(self, rows: dict[Parameter, np.ndarray | None] | None = None) -> None:
-        """Zero every gradient; a parameter in ``rows`` only on its listed
-        rows (all of them when they are None)."""
+    def zero_grad(self) -> None:
         for p in self.params:
-            p.zero_grad(None if rows is None else rows.get(p))
+            p.zero_grad()
 
 
 def gradient_check(model, inputs, target, epsilon: float = 1e-4) -> float:

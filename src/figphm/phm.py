@@ -9,7 +9,8 @@ A model wraps one given array per entry: ``build_phmd``/``build_feataug``
 pass a copy of the embedding table and seeded kernels, ``load_model`` the
 checkpoint's arrays. Training runs one forward/backward per minibatch over the
 stacked examples, with the shuffle and every dropout mask drawn from one
-seeded generator in a fixed order, so traces are reproducible. Every pass of
+seeded generator in a fixed order, so traces are reproducible, and the
+embedding trains as a table of only the rows the examples hold. Every pass of
 one call (``train``, ``loss``, ``predict_proba``, ``loss_and_grad``) writes
 its activations and gradients into one ``_Workspace`` that lives for that
 call only; ``loss`` and ``predict_proba`` share one loop of eval passes.
@@ -528,6 +529,9 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
 
     The per-epoch shuffle and all dropout masks come from one generator
     seeded here, so identical (corpus, seed) pairs give identical traces.
+    The embedding trains as a table of the rows the examples hold, written
+    back into the model's own array when training ends or fails; it keeps
+    no gradient afterwards.
     """
     if not corpus:
         raise ValueError("training corpus is empty")
@@ -539,45 +543,48 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
     ids, targets, features = _training_arrays(model, corpus)
-    optimizer = nn.Adam(model.parameters(), lr=lr)
-    # A minibatch writes the embedding gradient only on its own ids, so the
-    # embedding is zeroed on the rows the last minibatch wrote and stepped
-    # (and checked) on the rows any minibatch has used; Adam leaves the rest
-    # bitwise unchanged (see nn.Adam).
+    # Only the rows the examples hold ever get a gradient, so the gradient
+    # and Adam's moments need only those rows. A row no minibatch has used
+    # yet has zero moments, and Adam leaves it bitwise unchanged (see
+    # nn.Adam), so every value ends as a step over the whole table leaves it.
     embedding = model.embedding
-    used = np.zeros(embedding.value.shape[0], dtype=bool)
-    written = None
-    rng = np.random.default_rng(seed)
-    # one set of pass buffers for every minibatch; freed when train returns
-    workspace = _Workspace()
-    trace = []
-    for _ in range(epochs):
-        order = rng.permutation(len(targets))
-        epoch_loss = 0.0
-        for start in range(0, len(targets), batch):
-            chunk = order[start:start + batch]
-            optimizer.zero_grad({embedding: written})
-            written = np.unique(ids[chunk])
-            used[written] = True
-            inputs = ids[chunk] if features is None else (ids[chunk], features[chunk])
-            epoch_loss += model.loss_and_grad(inputs, targets[chunk], train=True, rng=rng,
-                                              grad_scale=1.0 / len(chunk), accumulate=True,
-                                              workspace=workspace)
-            if not math.isfinite(epoch_loss):
-                raise FloatingPointError("non-finite training loss")
-            rows = {embedding: np.flatnonzero(used)}
-            optimizer.step(rows)
-            _check_finite(optimizer.params, rows)
-        trace.append(epoch_loss / len(targets))
-    return trace
+    table = embedding.value
+    rows, inverse = np.unique(ids, return_inverse=True)
+    embedding.value = table[rows]       # an id outside the table raises here
+    embedding.grad = None
+    ids = inverse.reshape(ids.shape)
+    try:
+        optimizer = nn.Adam(model.parameters(), lr=lr)
+        rng = np.random.default_rng(seed)
+        # one set of pass buffers for every minibatch; freed when train returns
+        workspace = _Workspace()
+        trace = []
+        for _ in range(epochs):
+            order = rng.permutation(len(targets))
+            epoch_loss = 0.0
+            for start in range(0, len(targets), batch):
+                chunk = order[start:start + batch]
+                inputs = ids[chunk] if features is None else (ids[chunk], features[chunk])
+                epoch_loss += model.loss_and_grad(inputs, targets[chunk], train=True, rng=rng,
+                                                  grad_scale=1.0 / len(chunk),
+                                                  workspace=workspace)
+                if not math.isfinite(epoch_loss):
+                    raise FloatingPointError("non-finite training loss")
+                optimizer.step()
+                _check_finite(optimizer.params)
+            trace.append(epoch_loss / len(targets))
+        return trace
+    finally:
+        table[rows] = embedding.value
+        embedding.value = table
+        embedding.grad = None
 
 
-def _check_finite(params: list[Parameter], rows: dict[Parameter, np.ndarray]) -> None:
+def _check_finite(params: list[Parameter]) -> None:
     """Name the first parameter, in declaration order, with a non-finite
-    value; a parameter in ``rows`` is read on those rows only."""
+    value."""
     for param in params:
-        index = rows.get(param)
-        if not np.isfinite(param.value if index is None else param.value[index]).all():
+        if not np.isfinite(param.value).all():
             raise FloatingPointError(f"non-finite values in parameter {param.name!r} "
                                      f"after an Adam step")
 

@@ -435,12 +435,13 @@ class TestLazyGradient:
     def test_allocated_zeroed_on_first_read(self):
         param = nn.Parameter(np.ones((3, 2)))
         param.zero_grad()
-        param.zero_grad(np.array([1]))
         assert param._grad is None
         assert param.grad.tobytes() == np.zeros((3, 2)).tobytes()
         param.grad += 1.0
-        param.zero_grad(np.array([1]))
-        assert param.grad.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+        param.zero_grad()
+        assert param.grad.tobytes() == np.zeros((3, 2)).tobytes()
+        param.grad = None
+        assert param._grad is None
 
 
 class TestAdamInPlace:
@@ -468,16 +469,14 @@ class TestAdamInPlace:
                 assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
 
 
-def _adam_row_run(restricted: bool):
+def _adam_row_run():
     """Six Adam steps on a 4000 x 20 embedding-like parameter (larger than
     ADAM_BLOCK) and a small dense one. Rows join the written set at steps 1,
-    3 and 5 (the last join gathers more than ADAM_BLOCK entries); row 5 is
-    written at every step with a gradient of exactly 0, rows 5 and 9 hold
-    -0.0 entries, and rows 7 and 8 (one of them all -0.0) are never written.
-    Each step's gradient is written only on that step's rows, as
-    ``np.add.at`` writes the embedding gradient. ``restricted`` zeroes and
-    steps only the rows written so far; otherwise the step is dense.
-    Returns (value, m, v) of both parameters after every step."""
+    3 and 5; row 5 is written at every step with a gradient of exactly 0,
+    rows 5 and 9 hold -0.0 entries, and rows 7 and 8 (one of them all -0.0)
+    are never written. Each step's gradient is written only on that step's
+    rows, as ``np.add.at`` writes the embedding gradient. Returns (value, m,
+    v) of both parameters after every step."""
     rng = np.random.default_rng(2024)
     table = rng.normal(0.0, 1.0, (4000, 20))
     table[5, :4] = -0.0
@@ -489,13 +488,9 @@ def _adam_row_run(restricted: bool):
     joins = {1: np.array([0, 3, 5, 11]), 3: np.arange(20, 60),
              5: np.array([9] + [r for r in range(100, 3700) if r not in never])}
     used = np.zeros(table.shape[0], dtype=bool)
-    written = None
     states = []
     for step in range(1, 7):
-        if restricted:
-            opt.zero_grad({emb: written})
-        else:
-            opt.zero_grad()
+        opt.zero_grad()
         fresh = joins.get(step, np.array([], dtype=np.intp))
         old = np.flatnonzero(used)
         written = np.union1d(fresh, old[rng.random(old.size) < 0.5])
@@ -504,19 +499,17 @@ def _adam_row_run(restricted: bool):
         emb.grad[written] = rng.normal(0.0, 1.0, (written.size, table.shape[1]))
         emb.grad[5] = 0.0
         other.grad[...] = rng.normal(0.0, 1.0, other.grad.shape)
-        if restricted:
-            opt.step({emb: np.flatnonzero(used)})
-        else:
-            opt.step()
+        opt.step()
         states.append([a.copy() for p, m, v in zip(opt.params, opt.m, opt.v)
                        for a in (p.value, m, v)])
     return states, table
 
 
 class TestAdamRows:
-    """Row-restricted Adam against the dense step, bitwise. DENSE_SHA256 is
-    the digest of every state of the dense run, recorded with the dense-only
-    optimizer before row restriction existed."""
+    """Adam on rows that gradients reach at different steps. DENSE_SHA256 is
+    the digest of every state of the run, recorded with the dense-only
+    optimizer before row-restricted steps existed. Rows never written stay
+    bitwise as they were, -0.0 included."""
 
     DENSE_SHA256 = "656ae0657a91293befedcbd832b2bf5e6c2ccdb3f40095ae450eddf6b6c63d5b"
 
@@ -529,32 +522,41 @@ class TestAdamRows:
         return digest.hexdigest()
 
     def test_dense_run_matches_the_recorded_digest(self):
-        states, _ = _adam_row_run(restricted=False)
+        states, table = _adam_row_run()
         assert self._digest(states) == self.DENSE_SHA256
-
-    def test_restricted_equals_dense_bitwise(self):
-        dense, table = _adam_row_run(restricted=False)
-        restricted, _ = _adam_row_run(restricted=True)
-        assert self._digest(restricted) == self.DENSE_SHA256
-        for step, (a, b) in enumerate(zip(dense, restricted), start=1):
-            for x, y in zip(a, b):
-                assert x.tobytes() == y.tobytes(), f"step {step}"
-        final = restricted[-1][0]
+        final = states[-1][0]
         for row in (7, 8):
             assert final[row].tobytes() == table[row].tobytes()
         assert np.signbit(final[7]).all()
 
-    @pytest.mark.parametrize("lr, epsilon", [(float("inf"), 1e-8), (0.01, 0.0)],
-                             ids=["infinite-lr", "zero-epsilon"])
-    def test_step_is_dense_when_zero_updates_are_not_exact(self, lr, epsilon):
-        """An infinite lr or a zero epsilon turns a zero moment into a NaN
-        update, so the rows are ignored and every row is stepped."""
-        def run(restricted):
-            param = nn.Parameter(np.arange(6.0).reshape(3, 2))
-            param.grad[0] = [0.5, -1.0]
-            opt = nn.Adam([param], lr=lr, epsilon=epsilon)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                opt.step({param: np.array([0])} if restricted else None)
-            return param.value
-        assert np.array_equal(run(True), run(False), equal_nan=True)
-        assert np.isnan(run(True)[1:]).all()
+
+class TestBitwiseTrims:
+    """The dropout mask and the one-unit head's input gradient against the
+    formulas they replaced, bit for bit, at desk shape (16 examples, 1900
+    pooled features in branches of 700, 600 and 600 columns)."""
+
+    RATES = np.repeat([0.2, 0.3, 0.5], [700, 600, 600])
+
+    @pytest.mark.parametrize("rate", [0.5, 0.3, "columns"])
+    def test_dropout_mask_is_the_divided_survivor_test(self, rate):
+        rate = self.RATES if rate == "columns" else rate
+        for seed in range(3):
+            got = nn.make_dropout_mask((16, 1900), rate, np.random.default_rng(seed))
+            draw = np.random.default_rng(seed).random((16, 1900))
+            want = np.divide(np.greater_equal(draw, rate), 1.0 - np.asarray(rate))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [None, 1, 16])
+    def test_dense_input_gradient_is_the_matmul(self, batch):
+        rng = np.random.default_rng(14)
+        shape = (1900,) if batch is None else (batch, 1900)
+        x, weights = rng.normal(0, 1, shape), rng.normal(0, 0.05, (1, 1900))
+        weights[0, :4] = [0.0, -0.0, 0.0, -0.0]
+        out = nn.dense(x, weights, np.zeros(1))
+        dout = rng.normal(0, 1, out.shape)
+        # a clamped probability's BCE gradient is 0.0; -0.0 as well
+        dout.reshape(-1)[:2] = [0.0, -0.0][:dout.size]
+        dx = nn.dense_backward(dout, x, weights, out)[0]
+        want = np.matmul(dout * out * (1.0 - out), weights)
+        assert dx.tobytes() == want.tobytes()
+        assert (dx == 0.0).sum() >= 4 and (weights < 0.0).any()

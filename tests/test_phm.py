@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import json
 import math
 import struct
@@ -771,6 +772,36 @@ class TestTrainChecks:
         with pytest.raises(FloatingPointError, match="parameter 'embedding'"):
             train(model, _toy_corpus(), epochs=1, seed=5, lr=float("inf"))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failed_training_leaves_the_model_its_table(self):
+        """An infinite lr fails after the first step. The model keeps its own
+        table array at full shape, without a gradient, and the rows no
+        example holds (1 and 6-9: the corpus holds 0 and 2-5) stay as they
+        were; a step over the whole table made them NaN."""
+        model = build_phmd(table_for(8, 4), small_config(), seed=1)
+        table = model.embedding.value
+        before = table.copy()
+        with pytest.raises(FloatingPointError, match="parameter 'embedding'"):
+            train(model, _toy_corpus(), epochs=1, seed=5, lr=float("inf"))
+        assert model.embedding.value is table and table.shape == (10, 4)
+        assert model.embedding._grad is None
+        unheld = [1, 6, 7, 8, 9]
+        assert table[unheld].tobytes() == before[unheld].tobytes()
+        assert not np.isfinite(table[[0, 2, 3, 4, 5]]).all()
+
+    @pytest.mark.parametrize("bad", [10, -11])
+    def test_id_outside_the_table_changes_nothing(self, bad):
+        model = build_phmd(table_for(8, 4), small_config(), seed=1)
+        table = model.embedding.value
+        before = [p.value.tobytes() for p in model.all_parameters()]
+        corpus = _toy_corpus() + [(seq_of([2, bad], 8), PHM)]
+        with pytest.raises(IndexError, match=f"^index {bad} is out of bounds for axis 0 "
+                                             f"with size 10$"):
+            train(model, corpus, epochs=1, seed=5)
+        assert model.embedding.value is table
+        assert [p.value.tobytes() for p in model.all_parameters()] == before
+        assert model.forward_count == 0
+
     @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_config_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
@@ -799,6 +830,68 @@ class TestTrainUnusedRows:
         assert after[6:].tobytes() == before[6:].tobytes()
         assert np.signbit(after[7]).all()
         assert not np.array_equal(after[2:6], before[2:6])
+
+
+class TestTrainDigest:
+    """Two successive ``train`` calls on one model, pinned bit for bit to a
+    SHA-256 over both loss traces and every parameter's bytes after each
+    call. The digests were recorded when ``train`` stepped the model's whole
+    table on the rows minibatches had used. The table has 16 rows; examples
+    hold rows 0-11 only, rows 12 and 13 hold -0.0 entries (as does the used
+    row 3), and 20 examples in minibatches of 7 leave a partial last one."""
+
+    SHA256 = {
+        ("phmd", False):
+            "99736652fb209e99a7ffaa05a1c7bd73be19564cbb8131ebf4a32c2699af8c11",
+        ("phmd", True):
+            "3fa11df3695baeb8707b2e9527ed489e75932f2c74ce1a74d57b4e8866bb9f3c",
+        ("feataug", False):
+            "d49b56e384bf5e6f709e74fa1d697d7e11ef1a09926ce8262e7abba9ea73379f",
+        ("feataug", True):
+            "827eb7e52fa35f6c956cb13bdb91cca2c39884d35f334f47e9fc297246636bbb",
+        ("frozen", False):
+            "ccb5b25f2141e6344ad77e82db3da66e6fcfcfdf6a0421a57484911e2e5d3a5a",
+        ("frozen", True):
+            "2863ffaa867f447ac20901920332c957253b6d08062be7273d2e8da8890819e4",
+    }
+
+    @staticmethod
+    def _corpus(kind):
+        rng = np.random.default_rng(51)
+        corpus = []
+        for i in range(20):
+            n = int(rng.integers(3, 9))
+            ids = seq_of(rng.integers(1, 12, size=n).tolist(), 8)
+            item = (ids, PHM if i % 2 else NONPHM)
+            if kind == "feataug":
+                item += (make_verdict(FIGURATIVE if i % 3 == 0 else LITERAL,
+                                      float(rng.uniform())),)
+            corpus.append(item)
+        return corpus
+
+    @pytest.mark.parametrize("one_example_passes", [False, True])
+    @pytest.mark.parametrize("kind", ["phmd", "feataug", "frozen"])
+    def test_two_calls_match_the_recorded_digest(self, kind, one_example_passes, monkeypatch):
+        if one_example_passes:
+            monkeypatch.setattr(phm, "PASS_BYTES", 1)
+        table = random_table([f"w{i}" for i in range(14)], 5, seed=52)
+        table.matrix[3, 1] = -0.0
+        table.matrix[12] = -0.0
+        table.matrix[13, ::2] = -0.0
+        config = ModelConfig(max_sequence_length=8, filters=4, batch_size=7,
+                             trainable_embeddings=kind != "frozen")
+        build = build_feataug if kind == "feataug" else build_phmd
+        model = build(table, config, seed=53)
+        embedding = model.embedding.value
+        digest = hashlib.sha256()
+        for seed in (54, 55):
+            trace = train(model, self._corpus(kind), epochs=2, seed=seed)
+            digest.update(np.array(trace).tobytes())
+            for param in model.all_parameters():
+                digest.update(param.value.tobytes())
+        assert model.embedding.value is embedding
+        assert embedding[12:].tobytes() == table.matrix[12:].tobytes()
+        assert digest.hexdigest() == self.SHA256[kind, one_example_passes]
 
 
 def _desk_pass(build, n=16):
@@ -866,7 +959,9 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("build", [build_phmd, build_feataug])
     def test_train_leaves_only_the_gradients(self, build):
-        """The workspace (about 2 MB here) is freed when train returns."""
+        """The workspace (about 2 MB here) and the embedding's table of
+        rows, gradient and Adam moments are freed when train returns: what
+        stays is the other parameters' gradients."""
         def model_and_corpus():
             model, inputs, targets = _desk_pass(build)
             labels = [PHM if t else NONPHM for t in targets]
@@ -885,9 +980,37 @@ class TestWorkspace:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        gradients = sum(p.grad.nbytes for p in model.all_parameters())
+        assert model.embedding._grad is None
+        gradients = sum(p.grad.nbytes for p in model.all_parameters()[1:])
         assert set(vars(model)) == attributes
-        assert gradients <= held <= gradients + 16_384
+        assert gradients - 16_384 <= held <= gradients + 16_384
+
+
+class TestTrainMemory:
+    """tracemalloc peak of one PHMD ``train`` call at V=20k, d=50, T=50 (one
+    epoch), as a multiple of the table's bytes. When Adam stepped the whole
+    table it was 8.80x at full row coverage and 4.83x when the examples
+    held 5% of the rows; a table of the rows the examples hold reads 5.79x
+    and 1.82x."""
+
+    @pytest.mark.parametrize("coverage, bound", [(1.0, 7.0), (0.05, 2.5)])
+    def test_peak_follows_the_rows_the_examples_hold(self, coverage, bound):
+        table = table_for(20_000 - 2, 50, seed=1)
+        model = build_phmd(table, ModelConfig(), seed=2)
+        vocab_size = table.matrix.shape[0]
+        held = np.random.default_rng(3).permutation(vocab_size)[:round(coverage * vocab_size)]
+        n = -(-held.size // 50)
+        corpus = [(row, PHM if i % 2 else NONPHM)
+                  for i, row in enumerate(np.resize(held, (n, 50)))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            train(model, corpus, epochs=1, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * table.matrix.nbytes
+        assert model.embedding._grad is None
 
 
 class TestLoadModelMessages:
