@@ -211,8 +211,7 @@ def make_dropout_mask(shape, rate, rng: np.random.Generator,
         mask.fill(1.0)
         return mask
     mask = rng.random(shape) if out is None else rng.random(out=out)
-    # keep * (1/(1-rate)) is bitwise keep / (1-rate): keep is 0 or 1
-    return np.multiply(np.greater_equal(mask, rate, out=keep), 1.0 / (1.0 - rate), out=mask)
+    return np.divide(np.greater_equal(mask, rate, out=keep), 1.0 - rate, out=mask)
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -230,15 +229,7 @@ def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray, out: np
     dout = dout * out * (1.0 - out)
     flat_dout = dout.reshape(-1, weights.shape[0])
     dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
-    if weights.shape[0] == 1:
-        # one unit: the input gradient is an outer product. A broadcast
-        # multiply gives the GEMM's bits in about 0.7x its time; the GEMM
-        # adds each product to a zeroed output, so a zero product is +0.0.
-        dx = np.multiply(dout, weights[0], out=dx)
-        dx += 0.0
-    else:
-        dx = np.matmul(dout, weights, out=dx)
-    return dx, dweights, flat_dout.sum(axis=0)
+    return np.matmul(dout, weights, out=dx), dweights, flat_dout.sum(axis=0)
 
 
 def bce_loss(p, y):

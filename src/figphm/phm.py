@@ -508,8 +508,13 @@ def _training_arrays(model, corpus):
     """(ids (N, T), targets (N,), feature rows (N, n) or None) of the
     (ids, label[, verdict]) examples, ordered by one stable lexsort on ids,
     then target, then feature row, so the trace does not depend on the
-    corpus's storage order."""
+    corpus's storage order. An id outside the embedding table raises, a
+    negative one included: numpy would wrap it onto another row."""
     ids = np.array([item[0] for item in corpus], dtype=np.intp)
+    size = model.embedding.value.shape[0]
+    outside = ids[(ids < 0) | (ids >= size)]
+    if outside.size:
+        raise IndexError(f"index {outside[0]} is out of bounds for axis 0 with size {size}")
     targets = np.array([1.0 if item[1] == PHM else 0.0 for item in corpus])
     keys = [targets, *ids.T[::-1]]
     features = None
@@ -550,7 +555,7 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
     embedding = model.embedding
     table = embedding.value
     rows, inverse = np.unique(ids, return_inverse=True)
-    embedding.value = table[rows]       # an id outside the table raises here
+    embedding.value = table[rows]
     embedding.grad = None
     ids = inverse.reshape(ids.shape)
     try:
@@ -575,9 +580,10 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
             trace.append(epoch_loss / len(targets))
         return trace
     finally:
-        table[rows] = embedding.value
-        embedding.value = table
+        # restore the model's own array before the write-back can raise
+        compact, embedding.value = embedding.value, table
         embedding.grad = None
+        table[rows] = compact
 
 
 def _check_finite(params: list[Parameter]) -> None:

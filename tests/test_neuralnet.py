@@ -528,35 +528,3 @@ class TestAdamRows:
         for row in (7, 8):
             assert final[row].tobytes() == table[row].tobytes()
         assert np.signbit(final[7]).all()
-
-
-class TestBitwiseTrims:
-    """The dropout mask and the one-unit head's input gradient against the
-    formulas they replaced, bit for bit, at desk shape (16 examples, 1900
-    pooled features in branches of 700, 600 and 600 columns)."""
-
-    RATES = np.repeat([0.2, 0.3, 0.5], [700, 600, 600])
-
-    @pytest.mark.parametrize("rate", [0.5, 0.3, "columns"])
-    def test_dropout_mask_is_the_divided_survivor_test(self, rate):
-        rate = self.RATES if rate == "columns" else rate
-        for seed in range(3):
-            got = nn.make_dropout_mask((16, 1900), rate, np.random.default_rng(seed))
-            draw = np.random.default_rng(seed).random((16, 1900))
-            want = np.divide(np.greater_equal(draw, rate), 1.0 - np.asarray(rate))
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("batch", [None, 1, 16])
-    def test_dense_input_gradient_is_the_matmul(self, batch):
-        rng = np.random.default_rng(14)
-        shape = (1900,) if batch is None else (batch, 1900)
-        x, weights = rng.normal(0, 1, shape), rng.normal(0, 0.05, (1, 1900))
-        weights[0, :4] = [0.0, -0.0, 0.0, -0.0]
-        out = nn.dense(x, weights, np.zeros(1))
-        dout = rng.normal(0, 1, out.shape)
-        # a clamped probability's BCE gradient is 0.0; -0.0 as well
-        dout.reshape(-1)[:2] = [0.0, -0.0][:dout.size]
-        dx = nn.dense_backward(dout, x, weights, out)[0]
-        want = np.matmul(dout * out * (1.0 - out), weights)
-        assert dx.tobytes() == want.tobytes()
-        assert (dx == 0.0).sum() >= 4 and (weights < 0.0).any()

@@ -789,12 +789,26 @@ class TestTrainChecks:
         assert table[unheld].tobytes() == before[unheld].tobytes()
         assert not np.isfinite(table[[0, 2, 3, 4, 5]]).all()
 
-    @pytest.mark.parametrize("bad", [10, -11])
+    def test_failed_write_back_leaves_the_model_its_table(self):
+        """Training steps a copy of the rows, so it completes on a read-only
+        table; the write-back then raises, with the model's own array back
+        in place and no embedding gradient left."""
+        model = build_phmd(table_for(8, 4), small_config(), seed=1)
+        table = model.embedding.value
+        table.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            train(model, _toy_corpus(), epochs=1, seed=5)
+        assert model.embedding.value is table and table.shape == (10, 4)
+        assert model.embedding._grad is None
+
+    @pytest.mark.parametrize("bad", [10, -11, -1])
     def test_id_outside_the_table_changes_nothing(self, bad):
+        """-1 raises too: numpy would wrap it onto row 9, which the same
+        example holds, and train the two as separate rows."""
         model = build_phmd(table_for(8, 4), small_config(), seed=1)
         table = model.embedding.value
         before = [p.value.tobytes() for p in model.all_parameters()]
-        corpus = _toy_corpus() + [(seq_of([2, bad], 8), PHM)]
+        corpus = _toy_corpus() + [(seq_of([2, bad, 9], 8), PHM)]
         with pytest.raises(IndexError, match=f"^index {bad} is out of bounds for axis 0 "
                                              f"with size 10$"):
             train(model, corpus, epochs=1, seed=5)
