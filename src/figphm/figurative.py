@@ -406,9 +406,9 @@ class FigurativeDetector:
     """Bundles the similarity table, keyword representations, and feature
     extraction into a per-document verdict function.
 
-    Documents with several keyword occurrences get the maximum occurrence
-    score (one literal use is enough); features come from the first
-    occurrence. Documents with no keyword at all score 0.5 and come out
+    Documents with several keyword occurrences get the maximum score over
+    their distinct keywords (one literal use is enough); features come from
+    the first occurrence. Documents with no keyword at all score 0.5 and come out
     literal, leaving the decision to the downstream classifier.
     """
 
@@ -435,9 +435,11 @@ class FigurativeDetector:
         never read from the document."""
         tokens = doc.tokens
         positions = [i for i, t in enumerate(tokens) if t in self.keywords]
-        scores = [literal_usage_score(tokens, self.representations[tokens[i]], self.table,
+        # a keyword's score does not depend on where it occurs: score each once
+        scores = [literal_usage_score(tokens, self.representations[keyword], self.table,
                                       include_target=self.include_target)
-                  for i in positions if tokens[i] in self.representations]
+                  for keyword in dict.fromkeys(tokens[i] for i in positions)
+                  if keyword in self.representations]
         score = max(scores) if scores else 0.5
         features = extract_features(tokens, positions[0] if positions else None,
                                     self.tagger(tokens), self.health_lexicon)

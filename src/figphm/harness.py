@@ -1,9 +1,14 @@
 """Experiment harness: declarative configs, stratified cross-validation,
 metrics, the embedding-sweep experiment, and report files.
 
-Counts are micro-averaged over folds for each embedding initialisation and
-then macro-averaged across initialisations; re-running with the same config
-and seed reproduces the structured report byte for byte.
+The experiment works on document positions: the padded ids are one (N, T)
+array, labels, verdicts and gate labels are lists in document order, and a
+fold is an array of positions. Each (embedding, fold) cell gets the rows of
+its training and test documents and returns only its predictions, which are
+stored back at the test positions. Counts are micro-averaged over folds for
+each embedding initialisation and then macro-averaged across
+initialisations; re-running with the same config and seed reproduces the
+structured report byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
 from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
                          load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
-from .figurative import FigurativeDetector, FigurativeVerdict, lda_estimate, load_word_list
+from .figurative import FigurativeDetector, lda_estimate, load_word_list
 from .phm import (ModelConfig, Prediction, build_feataug, build_phmd, pipeline_predict,
                   predict, train)
 
@@ -452,12 +457,9 @@ class ExperimentReport:
                 metrics = self.overall[(approach, emb)]
                 lines.append(_structured_row(approach, emb, "overall", metrics,
                                              self.delta_f(approach, emb)))
-                for disease in self.diseases:
-                    key = (approach, emb, disease)
-                    if key in self.per_disease:
-                        lines.append(_structured_row(
-                            approach, emb, f"disease:{disease}",
-                            self.per_disease[key], None))
+                lines += [_structured_row(approach, emb, f"disease:{disease}",
+                                          self.per_disease[(approach, emb, disease)], None)
+                          for disease in self.diseases]
         for approach in self.approaches:
             p, r, f = self.average(approach)
             lines.append("\t".join([
@@ -574,53 +576,26 @@ def _structured_row(approach, emb, scope, metrics: Metrics, delta_f) -> str:
     ])
 
 
-def _cell_payload(config, spec_index, fold_index, table, fold_docs, sequences,
-                  verdicts, gate_labels):
-    spec = config.embeddings[spec_index]
-    train_docs = [d for j, docs in enumerate(fold_docs) if j != fold_index
-                  for d in docs]
-    test_docs = fold_docs[fold_index]
-    return {
-        "spec_index": spec_index,
-        "spec_name": spec.name,
-        "fold_index": fold_index,
-        "vocab": table.vocab,
-        "matrix": table.matrix,
-        "model_config": config.model,
-        "approaches": config.approaches,
-        "cell_seed": derive_seed(config.seed, spec.name, fold_index),
-        "train": [(sequences[d.id], d.label, verdicts.get(d.id))
-                  for d in train_docs],
-        "test_ids": [d.id for d in test_docs],
-        "test_sequences": np.array([sequences[d.id] for d in test_docs],
-                                   dtype=np.intp),
-        "test_verdicts": [verdicts.get(d.id) for d in test_docs],
-        "test_gate_labels": [gate_labels.get(d.id) for d in test_docs],
-    }
-
-
-def _run_cell(payload: dict) -> dict:
-    """Train the models for one (embedding, fold) cell and predict the test
-    split; returns each approach's predictions."""
-    config: ModelConfig = payload["model_config"]
-    table = EmbeddingTable(vocab=payload["vocab"], matrix=payload["matrix"])
-    approaches = payload["approaches"]
-    cell_seed = payload["cell_seed"]
-    test_ids, test_sequences = payload["test_ids"], payload["test_sequences"]
+def _run_cell(model_config: ModelConfig, approaches, table: EmbeddingTable, seed: int,
+              fit, test) -> dict[str, list[Prediction]]:
+    """Train the models of one (embedding, fold) cell on ``fit`` and label
+    ``test``; each is the (ids, doc ids, labels, verdicts, gate labels) of
+    its documents. Returns each approach's predictions in test order."""
+    fit_ids, _, fit_labels, fit_verdicts, _ = fit
+    corpus = list(zip(fit_ids, fit_labels, fit_verdicts))
+    ids, doc_ids, _, verdicts, gate_labels = test
 
     # PHMD training reads (sequence, label) and ignores the verdict.
-    phmd = build_phmd(table, config, seed=cell_seed)
-    train(phmd, payload["train"], seed=derive_seed(cell_seed, "train-phmd"))
-    results = {"phmd": predict(phmd, test_sequences, doc_ids=test_ids)}
+    phmd = build_phmd(table, model_config, seed=seed)
+    train(phmd, corpus, seed=derive_seed(seed, "train-phmd"))
+    results = {"phmd": predict(phmd, ids, doc_ids=doc_ids)}
     if "pipeline" in approaches:
-        results["pipeline"] = pipeline_predict(payload["test_gate_labels"], results["phmd"])
+        results["pipeline"] = pipeline_predict(gate_labels, results["phmd"])
     if "feataug" in approaches:
-        feataug = build_feataug(table, config, seed=derive_seed(cell_seed, "init-feataug"))
-        train(feataug, payload["train"], seed=derive_seed(cell_seed, "train-feataug"))
-        results["feataug"] = predict(feataug, test_sequences, payload["test_verdicts"],
-                                     test_ids)
-    return {"spec_index": payload["spec_index"], "fold_index": payload["fold_index"],
-            "predictions": results}
+        feataug = build_feataug(table, model_config, seed=derive_seed(seed, "init-feataug"))
+        train(feataug, corpus, seed=derive_seed(seed, "train-feataug"))
+        results["feataug"] = predict(feataug, ids, verdicts, doc_ids)
+    return results
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
@@ -648,40 +623,52 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     if out_dir is not None:     # an unwritable out_dir fails before any training
         (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
     vocab = build_vocab(documents)
-    sequences = {d.id: pad(d.tokens, vocab, config.model.max_sequence_length)
-                 for d in documents}
-
-    verdicts: dict[str, FigurativeVerdict] = {}
-    gate_labels: dict[str, str] = {}
+    ids = np.array([pad(d.tokens, vocab, config.model.max_sequence_length)
+                    for d in documents], dtype=np.intp)
+    verdicts = gate_labels = [None] * len(documents)
     if config.needs_detector():
-        detector = build_detector(config)
-        verdicts = dict(zip([d.id for d in documents], detector.verdicts(documents)))
-        flip = _noise_flips(config, [d.id for d in documents])
-        gate_labels = {doc_id: _flip_label(v.label) if flip[doc_id] else v.label
-                       for doc_id, v in verdicts.items()}
+        verdicts = build_detector(config).verdicts(documents)
+        gate_labels = [v.label for v in verdicts]
+        rate = config.figurative.pipeline_noise
+        if rate > 0.0:      # a degraded gate channel, for robustness probes
+            rng = np.random.default_rng(derive_seed(config.seed, "pipeline-noise"))
+            gate_labels = [FIG_LABELS[1 - FIG_LABELS.index(label)] if draw < rate else label
+                           for label, draw in zip(gate_labels, rng.random(len(documents)))]
+    columns = ([d.id for d in documents], [d.label for d in documents], verdicts,
+               gate_labels)
 
-    fold_docs = stratified_kfold(documents, config.folds, config.seed)
+    def rows(positions):
+        """(ids, doc ids, labels, verdicts, gate labels) at ``positions``."""
+        return ids[positions], *([column[i] for i in positions] for column in columns)
+
+    # the folds hold the loaded Document objects themselves
+    position = {id(doc): i for i, doc in enumerate(documents)}
+    folds = [np.array([position[id(doc)] for doc in fold], dtype=np.intp)
+             for fold in stratified_kfold(documents, config.folds, config.seed)]
     tables = [build_spec_table(spec, list(vocab), config.seed)
               for spec in config.embeddings]
-    payloads = [
-        _cell_payload(config, spec_index, fold_index, tables[spec_index],
-                      fold_docs, sequences, verdicts, gate_labels)
-        for spec_index in range(len(config.embeddings))
-        for fold_index in range(config.folds)
-    ]
+    cells = [(spec.name, table, fold) for spec, table in zip(config.embeddings, tables)
+             for fold in range(config.folds)]
 
-    cells = []
+    predictions: dict[tuple[str, str], list[Prediction]] = {}
     with _cell_pool(config.jobs) if config.jobs > 1 else nullcontext() as pool:
-        futures = [None if pool is None else pool.submit(_run_cell, p) for p in payloads]
-        for payload, future in zip(payloads, futures):
+        cell_args = [(config.model, approaches, table, derive_seed(config.seed, name, fold),
+                      rows(np.concatenate(folds[:fold] + folds[fold + 1:])), rows(folds[fold]))
+                     for name, table, fold in cells]
+        futures = [None if pool is None else pool.submit(_run_cell, *args)
+                   for args in cell_args]
+        for (name, _, fold), args, future in zip(cells, cell_args, futures):
             try:
-                cells.append(_run_cell(payload) if future is None else future.result())
+                results = _run_cell(*args) if future is None else future.result()
             except Exception as exc:
-                raise RuntimeError(
-                    f"experiment cell failed (embedding={payload['spec_name']}, "
-                    f"fold={payload['fold_index']}): {exc}") from exc
+                raise RuntimeError(f"experiment cell failed (embedding={name}, "
+                                   f"fold={fold}): {exc}") from exc
+            for approach, preds in results.items():
+                stored = predictions.setdefault((approach, name), [None] * len(documents))
+                for i, pred in zip(folds[fold], preds):
+                    stored[i] = pred
 
-    return _assemble_report(config, documents, cells, out_dir)
+    return _assemble_report(config, documents, predictions, out_dir)
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -709,48 +696,25 @@ def _cell_pool(jobs: int):
                 os.environ[name] = value
 
 
-def _noise_flips(config: ExperimentConfig, doc_ids: list[str]) -> dict[str, bool]:
-    """Optional degradation of the pipeline gate channel (robustness probes)."""
-    rate = config.figurative.pipeline_noise
-    if rate <= 0.0:
-        return {doc_id: False for doc_id in doc_ids}
-    rng = np.random.default_rng(derive_seed(config.seed, "pipeline-noise"))
-    draws = rng.random(len(doc_ids))
-    return {doc_id: bool(draw < rate) for doc_id, draw in zip(doc_ids, draws)}
-
-
-def _flip_label(label: str) -> str:
-    return FIG_LABELS[1 - FIG_LABELS.index(label)]
-
-
-def _assemble_report(config, documents, cells, out_dir) -> ExperimentReport:
-    disease_of = {d.id: d.disease for d in documents}
-    gold_of = {d.id: d.label for d in documents}
-    embeddings = [spec.name for spec in config.embeddings]
-    diseases = [d for d in DISEASES if d in set(disease_of.values())]
-
-    cells.sort(key=lambda c: (c["spec_index"], c["fold_index"]))
-    rows: dict[tuple[str, str], list[Prediction]] = {}
-    for cell in cells:
-        emb = embeddings[cell["spec_index"]]
-        for approach, preds in cell["predictions"].items():
-            rows.setdefault((approach, emb), []).extend(preds)
-
+def _assemble_report(config, documents, predictions, out_dir) -> ExperimentReport:
+    """Score each (approach, embedding)'s predictions, which are in document
+    order, overall and per disease; write the report files to ``out_dir``."""
+    golds = [d.label for d in documents]
+    disease_rows = {disease: [i for i, d in enumerate(documents) if d.disease == disease]
+                    for disease in DISEASES}
+    diseases = [disease for disease in DISEASES if disease_rows[disease]]
     overall = {}
     per_disease = {}
-    for (approach, emb), preds in rows.items():
+    for (approach, emb), preds in predictions.items():
         labels = [p.label for p in preds]
-        golds = [gold_of[p.doc_id] for p in preds]
         overall[(approach, emb)] = compute_metrics(labels, golds)
         for disease in diseases:
-            pairs = [(p.label, gold_of[p.doc_id]) for p in preds
-                     if disease_of[p.doc_id] == disease]
-            if pairs:
-                per_disease[(approach, emb, disease)] = compute_metrics(
-                    [a for a, _ in pairs], [b for _, b in pairs])
+            per_disease[(approach, emb, disease)] = compute_metrics(
+                [labels[i] for i in disease_rows[disease]],
+                [golds[i] for i in disease_rows[disease]])
 
     report = ExperimentReport(
-        approaches=list(config.approaches), embeddings=embeddings,
+        approaches=list(config.approaches), embeddings=[spec.name for spec in config.embeddings],
         overall=overall, per_disease=per_disease, diseases=diseases,
         seed=config.seed, folds=config.folds)
 
@@ -758,7 +722,7 @@ def _assemble_report(config, documents, cells, out_dir) -> ExperimentReport:
         out_dir = Path(out_dir)
         (out_dir / "report.tsv").write_text(report.to_structured(), encoding="utf-8")
         (out_dir / "report.txt").write_text(report.to_tables(), encoding="utf-8")
-        for (approach, emb), preds in sorted(rows.items()):
+        for (approach, emb), preds in sorted(predictions.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
             (out_dir / "predictions" / f"{safe}__{approach}.tsv").write_text(
                 format_predictions(sorted(preds, key=lambda p: p.doc_id)),
@@ -779,7 +743,8 @@ def format_predictions(predictions: Iterable[Prediction]) -> str:
 def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
     """Train one model of the given approach on the whole dataset using the
     named embedding initialisation; returns (model, loss trace)."""
-    if approach not in ("phmd", "feataug"):
+    builders = {"phmd": build_phmd, "feataug": build_feataug}
+    if approach not in builders:
         raise ConfigError(f"trainable approaches are phmd/feataug, got {approach!r}")
     spec = next((s for s in config.embeddings if s.name == embedding_name), None)
     if spec is None:
@@ -787,18 +752,14 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
     documents = load_documents(config.dataset)
     vocab = build_vocab(documents)
     table = build_spec_table(spec, list(vocab), config.seed)
-    sequences = [pad(d.tokens, vocab, config.model.max_sequence_length)
-                 for d in documents]
+    # only the feature branch reads a verdict
+    verdicts = build_detector(config).verdicts(documents) if approach == "feataug" \
+        else [None] * len(documents)
+    corpus = [(pad(d.tokens, vocab, config.model.max_sequence_length), d.label, verdict)
+              for d, verdict in zip(documents, verdicts)]
     seed = derive_seed(config.seed, spec.name, "full")
-    if approach == "phmd":
-        model = build_phmd(table, config.model, seed=seed)
-        corpus = list(zip(sequences, [d.label for d in documents]))
-    else:
-        verdicts = build_detector(config).verdicts(documents)
-        model = build_feataug(table, config.model, seed=seed)
-        corpus = list(zip(sequences, [d.label for d in documents], verdicts))
-    trace = train(model, corpus, seed=derive_seed(seed, "train"))
-    return model, trace
+    model = builders[approach](table, config.model, seed=seed)
+    return model, train(model, corpus, seed=derive_seed(seed, "train"))
 
 
 def evaluate_model(model, documents: list[Document],

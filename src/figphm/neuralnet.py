@@ -321,7 +321,7 @@ def gradient_check(model, inputs, target, epsilon: float = 1e-4) -> float:
     inputs the loss is the sum over its examples. The relative
     error per parameter entry is |a - n| / max(1e-8, |a| + |n|). Call this
     only at safe points (no ReLU kink or pooling near-tie within epsilon;
-    see the models' activation_margins()).
+    the test suite's ``activation_margins`` measures both).
     """
     model.loss_and_grad(inputs, target)
     analytic = [p.grad.copy() for p in model.parameters()]

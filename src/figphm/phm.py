@@ -174,28 +174,6 @@ class _ConvBranch:
         self.bias.grad += grad_scale * dbias
         return dx
 
-    def margins(self, x: np.ndarray) -> tuple[float, float]:
-        """(min |relu pre-activation|, min active pooling-window gap)."""
-        pre = nn.conv1d(x, self.kernels.value, self.bias.value)
-        return float(np.abs(pre).min()), _pool_gap(nn.relu(pre), self.pool)
-
-
-def _pool_gap(act: np.ndarray, pool: int) -> float:
-    """Smallest top1-top2 gap over pooling windows whose max is positive.
-
-    Windows whose entries are all zero (fully inactive ReLUs) are harmless
-    ties: every route carries zero gradient, so they are excluded.
-    """
-    if pool < 2:
-        return math.inf
-    n_windows = act.shape[-2] // pool
-    view = np.sort(act[..., :n_windows * pool, :].reshape(
-        act.shape[:-2] + (n_windows, pool, act.shape[-1])), axis=-2)
-    top1 = view[..., -1, :]
-    top2 = view[..., -2, :]
-    gaps = np.where(top1 > 0.0, top1 - top2, math.inf)
-    return float(gaps.min()) if gaps.size else math.inf
-
 
 def _branch_specs(config: ModelConfig, dim: int,
                   feature_length: int | None) -> list[tuple[str, int, int, int]]:
@@ -446,15 +424,6 @@ class _SentenceCnn:
             dembedded *= grad_scale
             np.add.at(self.embedding.grad, cache["ids"], dembedded)
 
-    def activation_margins(self, inputs) -> tuple[float, float]:
-        """(min ReLU pre-activation magnitude, min active pool gap) over the
-        batch; both must clear the finite-difference step for a safe
-        gradient check."""
-        ids, features, _ = self._batch(inputs)
-        margins = [b.margins(x) for b, x in zip(self._all_branches,
-                                                self._branch_inputs(ids, features))]
-        return min(r for r, _ in margins), min(g for _, g in margins)
-
 
 # PhmdModel and FeatAugModel are siblings, never parent and child, so that
 # per-class method patches (e.g. tracing wrappers) apply exactly once.
@@ -580,10 +549,12 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
             trace.append(epoch_loss / len(targets))
         return trace
     finally:
-        # restore the model's own array before the write-back can raise
+        # restore the model's own array before the write-back can raise; a
+        # frozen table's rows cannot have changed, and it may be read-only
         compact, embedding.value = embedding.value, table
         embedding.grad = None
-        table[rows] = compact
+        if config.trainable_embeddings:
+            table[rows] = compact
 
 
 def _check_finite(params: list[Parameter]) -> None:

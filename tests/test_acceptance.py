@@ -26,6 +26,7 @@ from figphm.phm import (ModelConfig, build_feataug, build_phmd, pipeline_predict
                         predict, train)
 from figphm.synthetic import separable_corpus, write_planted_fixture
 
+from conftest import activation_margins
 from test_harness import _docs
 
 
@@ -65,7 +66,7 @@ def _safe_point(build, seed):
     """Model + input whose ReLU margins and active pool gaps clear the guard."""
     for attempt in range(200):
         model, inputs, target = build(seed * 1000 + attempt)
-        relu_margin, pool_gap = model.activation_margins(inputs)
+        relu_margin, pool_gap = activation_margins(model, inputs)
         if relu_margin >= GRAD_GUARD and pool_gap >= GRAD_GUARD:
             return model, inputs, target
     raise AssertionError("no safe point found (resampling exhausted)")

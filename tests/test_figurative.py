@@ -285,6 +285,33 @@ class TestFigurativeDetector:
         verdict = det.verdict(doc)
         assert verdict.label == LITERAL
 
+    def test_each_distinct_keyword_is_scored_once(self, monkeypatch):
+        """``cough`` three times and ``fever`` once make two scores; the
+        verdict is still the maximum over all four occurrences, with the
+        features of the first."""
+        table = make_table({
+            "cough": [1.0, 0.0], "fever": [0.6, 0.4], "hack": [0.9, 0.1],
+            "doctor": [0.95, 0.05], "market": [0.0, 1.0], "drop": [0.05, 0.95],
+        })
+        det = FigurativeDetector(table, {"cough", "fever"}, health_lexicon={"doctor"}, k=2)
+        tokens = ["market", "cough", "doctor", "cough", "fever", "drop", "cough"]
+        occurrences = [literal_usage_score(tokens, det.representations[t], table)
+                       for t in tokens if t in det.keywords]
+        assert len(occurrences) == 4 and len(set(occurrences)) == 2
+        score = max(occurrences)
+        expected = FigurativeVerdict(score, classify(score, det.threshold),
+                                     extract_features(tokens, 1, pos_tag(tokens), {"doctor"}))
+        calls = []
+
+        def counting(tokens, rep, *args, **kwargs):
+            calls.append(rep.keyword)
+            return literal_usage_score(tokens, rep, *args, **kwargs)
+        monkeypatch.setattr(figurative, "literal_usage_score", counting)
+        verdict = det.verdict(Document("10", "other", "", tokens, "PHM"))
+        assert calls == ["cough", "fever"]
+        assert (verdict.literal_score, verdict.label) == (expected.literal_score, expected.label)
+        assert np.array_equal(feature_row(verdict), feature_row(expected))
+
     def test_verdict_respects_threshold_invariant(self):
         det = self._detector()
         for tokens in (["doctor", "cough"], ["market", "cough"], ["drop"]):

@@ -378,10 +378,10 @@ class TestRunExperiment:
         config = _experiment_config(tmp_path)
         import figphm.harness as harness_mod
 
-        def boom(payload):
+        def boom(*args):
             raise RuntimeError("synthetic failure")
         monkeypatch.setattr(harness_mod, "_run_cell", boom)
-        with pytest.raises(RuntimeError, match=r"embedding=tiny, fold=0"):
+        with pytest.raises(RuntimeError, match=r"embedding=tiny, fold=0\): synthetic failure"):
             run_experiment(config)
 
 

@@ -24,6 +24,7 @@ from figphm.figurative import (FIGURATIVE, LITERAL, TAGSET, FigurativeVerdict,
 from figphm.phm import (FeatAugModel, ModelConfig, build_feataug, build_phmd,
                         load_model, pipeline_predict, predict, save_model, train)
 from figphm.synthetic import separable_corpus
+from conftest import activation_margins
 from test_corpus import _calls_by_function
 
 
@@ -266,6 +267,23 @@ class TestTrain:
                   for seq, label in _toy_corpus(n=8)]
         trace = train(model, corpus, epochs=1, seed=5)
         assert len(trace) == 1
+
+    def test_frozen_model_over_read_only_table_trains(self):
+        """A frozen embedding's rows cannot change, so ``train`` writes
+        nothing into its array: a read-only one trains as a writable one."""
+        writable = build_phmd(table_for(8, 4, seed=2), small_config(trainable_embeddings=False),
+                              seed=1)
+        frozen = build_phmd(table_for(8, 4, seed=2), small_config(trainable_embeddings=False),
+                            seed=1)
+        table = frozen.embedding.value
+        table.flags.writeable = False
+        before = table.copy()
+        trace = train(frozen, _toy_corpus(), epochs=2, batch=7, seed=5)
+        assert trace == train(writable, _toy_corpus(), epochs=2, batch=7, seed=5)
+        assert frozen.embedding.value is table
+        assert table.tobytes() == before.tobytes()
+        for mine, theirs in zip(frozen.all_parameters(), writable.all_parameters()):
+            assert mine.value.tobytes() == theirs.value.tobytes(), mine.name
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -643,7 +661,7 @@ class TestBatchedPath:
             model, inputs, targets = _batch_of(kind, 3, seed=seed)
             model.dense_w.value *= 0.02       # keep the sigmoid out of its clamp
             model.dense_b.value[:] = 0.0
-            relu_margin, pool_gap = model.activation_margins(inputs)
+            relu_margin, pool_gap = activation_margins(model, inputs)
             if relu_margin >= guard and pool_gap >= guard:
                 break
         else:
