@@ -408,8 +408,8 @@ class FigurativeDetector:
 
     Documents with several keyword occurrences get the maximum score over
     their distinct keywords (one literal use is enough); features come from
-    the first occurrence. Documents with no keyword at all score 0.5 and come out
-    literal, leaving the decision to the downstream classifier.
+    the first occurrence. Documents with no keyword at all score 0.5 and
+    come out literal, leaving the decision to the downstream classifier.
     """
 
     def __init__(self, table: EmbeddingTable, keywords: set[str],

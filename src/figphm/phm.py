@@ -504,8 +504,8 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
     The per-epoch shuffle and all dropout masks come from one generator
     seeded here, so identical (corpus, seed) pairs give identical traces.
     The embedding trains as a table of the rows the examples hold, written
-    back into the model's own array when training ends or fails; it keeps
-    no gradient afterwards.
+    back into the model's own array (unless frozen) when training ends or
+    fails; it keeps no gradient afterwards.
     """
     if not corpus:
         raise ValueError("training corpus is empty")
