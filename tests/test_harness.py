@@ -5,6 +5,7 @@ import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -293,6 +294,30 @@ def _experiment_config(tmp_path, extra_experiment="", approaches="all", epochs=1
     return load_config(tmp_path / "cfg.ini")
 
 
+NOISY_GATE_CONFIG = """\
+[experiment]
+dataset = dataset.tsv
+folds = 3
+seed = 42
+
+[model]
+max_sequence_length = 16
+epochs = 2
+batch = 64
+
+[figurative]
+embedding = fig_embeddings.txt
+keywords = keywords.txt
+threshold = 0.2
+pipeline_noise = 0.25
+
+[embedding rand20]
+source = random
+dim = 20
+seed = 1
+"""
+
+
 class TestRunExperiment:
     def test_smoke_with_report_invariants(self, tmp_path):
         config = _experiment_config(tmp_path)
@@ -373,6 +398,41 @@ class TestRunExperiment:
         assert literal  # the fixture gates some docs through to the classifier
         for doc_id in literal:
             assert pipeline[doc_id][:2] == phmd[doc_id][:2]
+
+    def test_dump_figurative_columns_under_noisy_gate(self, tmp_path, capsys):
+        """Each dump's fourth column names what steered its approach: the
+        flipped gate label for +Pipeline, the detector's own verdict label
+        (as ``fig-score`` prints it) for +FeatAug, and ``-`` for PHMD."""
+        paths = write_planted_fixture(tmp_path, seed=3, n_docs=24)
+        (tmp_path / "cfg.ini").write_text(NOISY_GATE_CONFIG, encoding="utf-8")
+        assert cli_main(["fig-score", "--config", str(tmp_path / "cfg.ini"),
+                         "--out", str(tmp_path / "verdicts.tsv")]) == 0
+        verdict = {doc_id: label for doc_id, _, label in
+                   (line.split("\t") for line in
+                    (tmp_path / "verdicts.tsv").read_text(encoding="utf-8").splitlines())}
+        doc_ids = [line.split("\t")[0] for line in
+                   paths["dataset"].read_text(encoding="utf-8").splitlines()]
+        # the gate's noise: one draw per document, in dataset order
+        draws = np.random.default_rng(derive_seed(42, "pipeline-noise")).random(len(doc_ids))
+        flipped = {LITERAL: FIGURATIVE, FIGURATIVE: LITERAL}
+        gate = {doc_id: flipped[verdict[doc_id]] if draw < 0.25 else verdict[doc_id]
+                for doc_id, draw in zip(doc_ids, draws)}
+        assert gate != verdict and set(gate.values()) == {LITERAL, FIGURATIVE}
+
+        assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),
+                         "--out", str(tmp_path / "run"), "--jobs", "1"]) == 0
+
+        def rows(approach):
+            dump = tmp_path / "run" / "predictions" / f"rand20__{approach}.tsv"
+            return {r[0]: r[1:] for r in (line.split("\t") for line in
+                                          dump.read_text(encoding="utf-8").splitlines())}
+        phmd, pipeline, feataug = rows("phmd"), rows("pipeline"), rows("feataug")
+        assert {d: fig for d, (_, _, fig) in phmd.items()} == dict.fromkeys(doc_ids, "-")
+        assert {d: fig for d, (_, _, fig) in pipeline.items()} == gate
+        assert {d: fig for d, (_, _, fig) in feataug.items()} == verdict
+        for doc_id in doc_ids:
+            expected = ["0.000000", NONPHM] if gate[doc_id] == FIGURATIVE else phmd[doc_id][:2]
+            assert pipeline[doc_id][:2] == expected
 
     def test_cell_failure_names_coordinate(self, tmp_path, monkeypatch):
         config = _experiment_config(tmp_path)
