@@ -13,14 +13,13 @@ from .embeddings import (EmbeddingTable, OntologyGraph, cosine, load_ontology,
                          load_table, nearest_neighbors, random_table, retrofit,
                          save_table)
 from .figurative import (FigurativeDetector, FigurativeVerdict,
-                         LinguisticFeatures, LiteralRepresentation, classify,
-                         extract_features, lda_estimate,
-                         literal_usage_score, pos_tag)
+                         LiteralRepresentation, classify, extract_features,
+                         lda_estimate, literal_usage_score, pos_tag)
 from .harness import (ExperimentConfig, ExperimentReport, Metrics,
                       compute_metrics, evaluate_figurative, load_config,
                       run_experiment, stratified_kfold)
-from .phm import (FeatAugModel, ModelConfig, PhmdModel, Prediction,
-                  build_feataug, build_phmd, load_model, pipeline_predict,
-                  predict, save_model, train)
+from .phm import (FeatAugModel, ModelConfig, PhmdModel, build_feataug,
+                  build_phmd, load_model, pipeline_predict, predict,
+                  save_model, train)
 
 __version__ = "0.1.0"

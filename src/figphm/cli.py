@@ -154,9 +154,9 @@ def cmd_evaluate(args) -> int:
         if not args.config:
             raise ConfigError("--config is required to evaluate a feataug checkpoint")
         detector = harness.build_detector(harness.load_config(args.config))
-    metrics, predictions = harness.evaluate_model(model, documents, detector)
+    metrics, dump = harness.evaluate_model(model, documents, detector)
     if args.out:
-        args.out.write_text(harness.format_predictions(predictions), encoding="utf-8")
+        args.out.write_text(dump, encoding="utf-8")
     print(f"P={100 * metrics.precision:.2f} R={100 * metrics.recall:.2f} "
           f"F={100 * metrics.f_score:.2f} (tp={metrics.tp} fp={metrics.fp} "
           f"fn={metrics.fn} tn={metrics.tn})")
@@ -254,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare exception such as MemoryError() has an empty message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

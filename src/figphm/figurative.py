@@ -5,6 +5,9 @@ nearest-neighbor set in embedding space; a sentence scores high when its
 content words sit close to that set. Scores below the threshold are called
 figurative. An optional two-topic Gibbs sampler refines per-word and
 per-document literal/figurative distributions from the scores.
+
+A verdict carries the linguistic block of ``extract_features`` as one
+array, which ``feature_row`` frames with the figurative bit and the score.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .embeddings import EmbeddingTable, cosine, nearest_neighbors, row_norms  # 
 TAGSET = ("NOUN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP",
           "NUM", "CONJ", "PRT", "PUNCT", "X")
 _TAG_INDEX = {tag: i for i, tag in enumerate(TAGSET)}
+_FEATURES = 3 + 2 * len(TAGSET)     # the length of extract_features' block
 
 SUBORDINATORS = frozenset({
     "because", "although", "since", "while", "if", "that", "which", "who",
@@ -165,41 +169,25 @@ class LiteralRepresentation:
 
 
 @dataclass
-class LinguisticFeatures:
-    has_subordinate_clause: int
-    left_pos: np.ndarray   # one-hot over TAGSET for the token before the target
-    right_pos: np.ndarray  # one-hot for the token after
-    health_word_presence: int
-    health_word_count_norm: float
-
-
-@dataclass
 class FigurativeVerdict:
     """Outcome for one document: literal score in [0, 1] (1 = literal),
-    threshold label, and the feature block used by downstream models."""
+    threshold label, and its ``extract_features`` block."""
 
     literal_score: float
     label: str
-    features: LinguisticFeatures
+    features: np.ndarray
 
 
 def feature_row(verdict: FigurativeVerdict, include_score: bool = True) -> np.ndarray:
     """The FeatAug feature branch's input for one verdict: the figurative
-    bit, the linguistic block (subordinate bit, left and right POS one-hots,
-    health-word presence and share), then the literal score if included."""
-    features = verdict.features
-    return np.concatenate((
-        [float(verdict.label == FIGURATIVE), float(features.has_subordinate_clause)],
-        features.left_pos,
-        features.right_pos,
-        [float(features.health_word_presence), features.health_word_count_norm],
-        [verdict.literal_score] if include_score else [],
-    ))
+    bit, the linguistic block, then the literal score if included."""
+    return np.concatenate(([float(verdict.label == FIGURATIVE)], verdict.features,
+                           [verdict.literal_score] if include_score else []))
 
 
 def feature_row_length(include_score: bool = True) -> int:
     """The length of every ``feature_row``."""
-    return 4 + 2 * len(TAGSET) + int(include_score)
+    return 1 + _FEATURES + int(include_score)
 
 
 @dataclass
@@ -257,36 +245,32 @@ def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:
 
 
 def extract_features(tokens: Sequence[str], target_index: int | None,
-                     tags: Sequence[str], health_lexicon: set[str]) -> LinguisticFeatures:
-    """Subordinate-clause bit, neighbor POS one-hots, and health-word stats.
+                     tags: Sequence[str], health_lexicon: set[str]) -> np.ndarray:
+    """The linguistic block: the subordinate-clause bit, the one-hot tags
+    (over TAGSET) of the tokens before and after the target, then the
+    presence and share of health words other than the target.
 
-    ``target_index=None`` means no symptom occurrence: the neighbor blocks
-    stay zero but the sentence-level bits are still computed.
+    ``target_index=None`` means no symptom occurrence: the tag blocks stay
+    zero but the sentence-level entries are still computed.
     """
     if len(tags) != len(tokens):
         raise ValueError(f"got {len(tags)} tags for {len(tokens)} tokens")
     if target_index is not None and not 0 <= target_index < len(tokens):
         raise IndexError(f"target_index {target_index} out of range for {len(tokens)} tokens")
 
-    has_sub = int(any(t in SUBORDINATORS for t in tokens))
-    left = np.zeros(len(TAGSET))
-    right = np.zeros(len(TAGSET))
+    features = np.zeros(_FEATURES)
+    features[0] = any(t in SUBORDINATORS for t in tokens)
     if target_index is not None:
         if target_index > 0:
-            left[_TAG_INDEX[tags[target_index - 1]]] = 1.0
+            features[1 + _TAG_INDEX[tags[target_index - 1]]] = 1.0
         if target_index < len(tokens) - 1:
-            right[_TAG_INDEX[tags[target_index + 1]]] = 1.0
+            features[1 + len(TAGSET) + _TAG_INDEX[tags[target_index + 1]]] = 1.0
 
     health_count = sum(1 for i, t in enumerate(tokens)
                        if i != target_index and t in health_lexicon)
-    count_norm = health_count / len(tokens) if tokens else 0.0
-    return LinguisticFeatures(
-        has_subordinate_clause=has_sub,
-        left_pos=left,
-        right_pos=right,
-        health_word_presence=int(health_count > 0),
-        health_word_count_norm=count_norm,
-    )
+    features[-2] = health_count > 0
+    features[-1] = health_count / len(tokens) if tokens else 0.0
+    return features
 
 
 LDA_TOPIC_LITERAL = 0

@@ -31,8 +31,8 @@ from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontolog
                          load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
 from .figurative import FigurativeDetector, lda_estimate, load_word_list
-from .phm import (ModelConfig, Prediction, build_feataug, build_phmd, pipeline_predict,
-                  predict, train)
+from .phm import (ModelConfig, build_feataug, build_phmd, phm, pipeline_predict, predict,
+                  train)
 
 APPROACHES = ("phmd", "pipeline", "feataug")
 APPROACH_DISPLAY = {"phmd": "PHMD", "pipeline": "+Pipeline", "feataug": "+FeatAug"}
@@ -577,24 +577,24 @@ def _structured_row(approach, emb, scope, metrics: Metrics, delta_f) -> str:
 
 
 def _run_cell(model_config: ModelConfig, approaches, table: EmbeddingTable, seed: int,
-              fit, test) -> dict[str, list[Prediction]]:
-    """Train the models of one (embedding, fold) cell on ``fit`` and label
-    ``test``; each is the (ids, doc ids, labels, verdicts, gate labels) of
-    its documents. Returns each approach's predictions in test order."""
-    fit_ids, _, fit_labels, fit_verdicts, _ = fit
+              fit, test) -> dict[str, np.ndarray]:
+    """Train the models of one (embedding, fold) cell on ``fit`` and predict
+    ``test``; each is the (ids, labels, verdicts, gate labels) of its
+    documents. Returns each approach's probabilities in test order."""
+    fit_ids, fit_labels, fit_verdicts, _ = fit
     corpus = list(zip(fit_ids, fit_labels, fit_verdicts))
-    ids, doc_ids, _, verdicts, gate_labels = test
+    ids, _, verdicts, gate_labels = test
 
     # PHMD training reads (sequence, label) and ignores the verdict.
     phmd = build_phmd(table, model_config, seed=seed)
     train(phmd, corpus, seed=derive_seed(seed, "train-phmd"))
-    results = {"phmd": predict(phmd, ids, doc_ids=doc_ids)}
+    results = {"phmd": predict(phmd, ids)}
     if "pipeline" in approaches:
         results["pipeline"] = pipeline_predict(gate_labels, results["phmd"])
     if "feataug" in approaches:
         feataug = build_feataug(table, model_config, seed=derive_seed(seed, "init-feataug"))
         train(feataug, corpus, seed=derive_seed(seed, "train-feataug"))
-        results["feataug"] = predict(feataug, ids, verdicts, doc_ids)
+        results["feataug"] = predict(feataug, ids, verdicts)
     return results
 
 
@@ -625,20 +625,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     vocab = build_vocab(documents)
     ids = np.array([pad(d.tokens, vocab, config.model.max_sequence_length)
                     for d in documents], dtype=np.intp)
-    verdicts = gate_labels = [None] * len(documents)
+    verdicts = verdict_labels = gate_labels = [None] * len(documents)
     if config.needs_detector():
         verdicts = build_detector(config).verdicts(documents)
-        gate_labels = [v.label for v in verdicts]
+        verdict_labels = gate_labels = [v.label for v in verdicts]
         rate = config.figurative.pipeline_noise
         if rate > 0.0:      # a degraded gate channel, for robustness probes
             rng = np.random.default_rng(derive_seed(config.seed, "pipeline-noise"))
             gate_labels = [FIG_LABELS[1 - FIG_LABELS.index(label)] if draw < rate else label
                            for label, draw in zip(gate_labels, rng.random(len(documents)))]
-    columns = ([d.id for d in documents], [d.label for d in documents], verdicts,
-               gate_labels)
+    columns = ([d.label for d in documents], verdicts, gate_labels)
 
     def rows(positions):
-        """(ids, doc ids, labels, verdicts, gate labels) at ``positions``."""
+        """(ids, labels, verdicts, gate labels) at ``positions``."""
         return ids[positions], *([column[i] for i in positions] for column in columns)
 
     # the folds hold the loaded Document objects themselves
@@ -650,7 +649,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     cells = [(spec.name, table, fold) for spec, table in zip(config.embeddings, tables)
              for fold in range(config.folds)]
 
-    predictions: dict[tuple[str, str], list[Prediction]] = {}
+    probabilities: dict[tuple[str, str], np.ndarray] = {}
     with _cell_pool(config.jobs) if config.jobs > 1 else nullcontext() as pool:
         cell_args = [(config.model, approaches, table, derive_seed(config.seed, name, fold),
                       rows(np.concatenate(folds[:fold] + folds[fold + 1:])), rows(folds[fold]))
@@ -663,12 +662,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             except Exception as exc:
                 raise RuntimeError(f"experiment cell failed (embedding={name}, "
                                    f"fold={fold}): {exc}") from exc
-            for approach, preds in results.items():
-                stored = predictions.setdefault((approach, name), [None] * len(documents))
-                for i, pred in zip(folds[fold], preds):
-                    stored[i] = pred
+            for approach, probs in results.items():
+                probabilities.setdefault((approach, name), np.empty(len(documents)))[
+                    folds[fold]] = probs
 
-    return _assemble_report(config, documents, predictions, out_dir)
+    # each dump's figurative column: what gated +Pipeline and what fed +FeatAug
+    figurative = {"phmd": ["-"] * len(documents), "pipeline": gate_labels,
+                  "feataug": verdict_labels}
+    return _assemble_report(config, documents, probabilities, figurative, out_dir)
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -696,17 +697,20 @@ def _cell_pool(jobs: int):
                 os.environ[name] = value
 
 
-def _assemble_report(config, documents, predictions, out_dir) -> ExperimentReport:
-    """Score each (approach, embedding)'s predictions, which are in document
-    order, overall and per disease; write the report files to ``out_dir``."""
+def _assemble_report(config, documents, probabilities, figurative,
+                     out_dir) -> ExperimentReport:
+    """Score each (approach, embedding)'s probabilities, which are in
+    document order, overall and per disease; write the report files to
+    ``out_dir``, with ``figurative[approach]`` (document order) as the
+    last column of that approach's prediction dumps."""
     golds = [d.label for d in documents]
     disease_rows = {disease: [i for i, d in enumerate(documents) if d.disease == disease]
                     for disease in DISEASES}
     diseases = [disease for disease in DISEASES if disease_rows[disease]]
     overall = {}
     per_disease = {}
-    for (approach, emb), preds in predictions.items():
-        labels = [p.label for p in preds]
+    for (approach, emb), probs in probabilities.items():
+        labels = phm(probs)
         overall[(approach, emb)] = compute_metrics(labels, golds)
         for disease in diseases:
             per_disease[(approach, emb, disease)] = compute_metrics(
@@ -722,19 +726,22 @@ def _assemble_report(config, documents, predictions, out_dir) -> ExperimentRepor
         out_dir = Path(out_dir)
         (out_dir / "report.tsv").write_text(report.to_structured(), encoding="utf-8")
         (out_dir / "report.txt").write_text(report.to_tables(), encoding="utf-8")
-        for (approach, emb), preds in sorted(predictions.items()):
+        order = sorted(range(len(documents)), key=lambda i: documents[i].id)
+        for (approach, emb), probs in sorted(probabilities.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
             (out_dir / "predictions" / f"{safe}__{approach}.tsv").write_text(
-                format_predictions(sorted(preds, key=lambda p: p.doc_id)),
+                format_predictions([documents[i].id for i in order], probs[order],
+                                   [figurative[approach][i] for i in order]),
                 encoding="utf-8")
     return report
 
 
-def format_predictions(predictions: Iterable[Prediction]) -> str:
+def format_predictions(doc_ids, probabilities, figurative_labels) -> str:
     """Prediction dump text, one ``doc_id, probability, label, figurative
-    label or -`` row per prediction."""
-    return "".join(f"{p.doc_id}\t{p.probability:.6f}\t{p.label}\t"
-                   f"{p.figurative_label or '-'}\n" for p in predictions)
+    label`` row per document; the label is ``phm``'s."""
+    return "".join(f"{doc_id}\t{prob:.6f}\t{label}\t{fig}\n" for doc_id, prob, label, fig
+                   in zip(doc_ids, probabilities, phm(probabilities), figurative_labels,
+                          strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -765,18 +772,16 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
 def evaluate_model(model, documents: list[Document],
                    detector: FigurativeDetector | None = None):
     """Predict every document with a trained model in one batch; returns
-    (Metrics, predictions)."""
-    verdicts = None
-    if model.kind == "feataug":
-        if detector is None:
-            raise ConfigError("evaluating a feataug checkpoint requires the "
-                              "figurative detector configuration")
-        verdicts = detector.verdicts(documents)
+    (Metrics, prediction dump text). A FeatAug model needs ``detector``,
+    whose verdict labels fill the dump's figurative column."""
+    verdicts = detector.verdicts(documents) \
+        if model.kind == "feataug" and detector is not None else None
     ids = [pad(doc.tokens, model.vocab, model.config.max_sequence_length)
            for doc in documents]
-    predictions = predict(model, ids, verdicts, [d.id for d in documents])
-    metrics = compute_metrics([p.label for p in predictions], [d.label for d in documents])
-    return metrics, predictions
+    probs = predict(model, ids, verdicts)
+    metrics = compute_metrics(phm(probs), [d.label for d in documents])
+    figurative = ["-"] * len(documents) if verdicts is None else [v.label for v in verdicts]
+    return metrics, format_predictions([d.id for d in documents], probs, figurative)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ one call (``train``, ``loss``, ``predict_proba``, ``loss_and_grad``) writes
 its activations and gradients into one ``_Workspace`` that lives for that
 call only; ``loss`` and ``predict_proba`` share one loop of eval passes.
 
-``predict`` labels a whole split with one eval forward per model, and
-``pipeline_predict`` is the one copy of the pipeline rule: it combines the
-gate labels with PHMD's predictions and never calls the classifier.
+``predict`` gives a whole split's probabilities with one eval forward per
+model and ``phm`` labels them. ``pipeline_predict`` is the one copy of the
+pipeline rule: it combines the gate labels with PHMD's probabilities and
+never calls the classifier.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,14 +85,6 @@ class ModelConfig:
                 raise ValueError("need one dropout rate per kernel width")
             if not all(0.0 <= rate < 1.0 for rate in rates):
                 raise ValueError(f"dropout rates must lie in [0, 1), got {rates}")
-
-
-@dataclass
-class Prediction:
-    doc_id: str
-    probability: float
-    label: str
-    figurative_label: str | None = None
 
 
 class _Workspace:
@@ -566,38 +559,30 @@ def _check_finite(params: list[Parameter]) -> None:
                                      f"after an Adam step")
 
 
-def predict(model, ids, verdicts=None, doc_ids=None) -> list[Prediction]:
-    """Eval-mode predictions for the padded id rows ``ids`` (B, T), in one
-    ``predict_proba``; PHM iff the probability reaches 0.5.
+def predict(model, ids, verdicts=None) -> np.ndarray:
+    """Eval-mode probabilities (B,) for the padded id rows ``ids`` (B, T),
+    in one ``predict_proba``.
 
     ``verdicts`` (FigurativeVerdicts or feature rows, one per id row) feed
-    the FeatAug feature branch, which requires them; a FigurativeVerdict's
-    label becomes the prediction's figurative label.
+    the FeatAug feature branch, which requires them.
     """
-    ids = np.asarray(ids, dtype=np.intp)
-    if model.kind == "feataug":
-        if verdicts is None:
-            raise ValueError("feature-augmented prediction requires a figurative "
-                             "verdict per document")
-        probs = model.predict_proba((ids, _feature_rows(verdicts, model.config)))
-    else:
-        probs = model.predict_proba(ids)
-    verdicts = [None] * len(ids) if verdicts is None else verdicts
-    doc_ids = [""] * len(ids) if doc_ids is None else doc_ids
-    return [Prediction(doc_id=doc_id, probability=float(prob),
-                       label=PHM if prob >= 0.5 else NONPHM,
-                       figurative_label=v.label if isinstance(v, FigurativeVerdict) else None)
-            for doc_id, prob, v in zip(doc_ids, probs, verdicts, strict=True)]
+    if model.kind != "feataug":
+        return model.predict_proba(ids)
+    if verdicts is None:
+        raise ValueError("feature-augmented prediction requires a figurative "
+                         "verdict per document")
+    return model.predict_proba((ids, _feature_rows(verdicts, model.config)))
 
 
-def pipeline_predict(gate_labels, phmd_predictions: list[Prediction]) -> list[Prediction]:
-    """The +Pipeline combiner: a figurative gate label makes its document
-    NonPHM with probability 0, without the classifier; a literal one keeps
-    the PHMD prediction."""
-    return [Prediction(doc_id=pred.doc_id, probability=0.0, label=NONPHM,
-                       figurative_label=FIGURATIVE) if gate == FIGURATIVE
-            else replace(pred, figurative_label=gate)
-            for gate, pred in zip(gate_labels, phmd_predictions, strict=True)]
+def phm(probabilities) -> list[str]:
+    """Each probability's label: PHM iff it reaches 0.5."""
+    return [PHM if prob >= 0.5 else NONPHM for prob in probabilities]
+
+
+def pipeline_predict(gate_labels, phmd_probs) -> np.ndarray:
+    """The +Pipeline combiner: a figurative gate label gives its document
+    probability 0, without the classifier; a literal one keeps PHMD's."""
+    return np.where([gate == FIGURATIVE for gate in gate_labels], 0.0, phmd_probs)
 
 
 def save_model(model, path) -> None:

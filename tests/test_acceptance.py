@@ -22,7 +22,7 @@ from figphm.figurative import (FIGURATIVE, LITERAL, FigurativeVerdict, classify,
                                extract_features, lda_estimate)
 from figphm.harness import (ExperimentReport, Metrics, compute_metrics,
                             load_config, run_experiment, stratified_kfold)
-from figphm.phm import (ModelConfig, build_feataug, build_phmd, pipeline_predict,
+from figphm.phm import (ModelConfig, build_feataug, build_phmd, phm, pipeline_predict,
                         predict, train)
 from figphm.synthetic import separable_corpus, write_planted_fixture
 
@@ -195,13 +195,13 @@ def test_pipeline_bypass():
 
     phmd = predict(model, ids)
     before = model.forward_count
-    preds = pipeline_predict([v.label for v in verdicts], phmd)
+    pipeline = pipeline_predict([v.label for v in verdicts], phmd)
     assert model.forward_count == before, "classifier was invoked on bypass"
-    for verdict, expected, pred in zip(verdicts, phmd, preds):
+    for verdict, expected, label in zip(verdicts, phm(phmd), phm(pipeline), strict=True):
         if verdict.label == FIGURATIVE:
-            assert pred.label == NONPHM
+            assert label == NONPHM
         else:
-            assert pred.label == expected.label
+            assert label == expected
 
 
 # -------------------------------------------------------------------------
@@ -217,8 +217,8 @@ def test_overfit_smoke():
     model = build_phmd(table, ModelConfig(max_sequence_length=max_len), seed=52)
     corpus = [(pad(d.tokens, vocab, max_len), d.label) for d in docs]
     train(model, corpus, epochs=35, batch=128, seed=53)
-    preds = predict(model, [ids for ids, _ in corpus])
-    correct = sum(1 for pred, (_, label) in zip(preds, corpus) if pred.label == label)
+    labels = phm(predict(model, [ids for ids, _ in corpus]))
+    correct = sum(1 for label, (_, gold) in zip(labels, corpus) if label == gold)
     elapsed = time.monotonic() - start
     assert correct / len(corpus) >= 0.95, f"train accuracy {correct / len(corpus):.3f}"
     assert elapsed < 60.0, f"overfit run took {elapsed:.1f}s"

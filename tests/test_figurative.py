@@ -161,31 +161,36 @@ class TestClassify:
 
 
 class TestExtractFeatures:
+    """The block is the subordinate bit, the left and right tag one-hots,
+    then the health-word presence and share."""
+
     LEXICON = {"cough", "fever"}
+    LEFT = slice(1, 1 + len(TAGSET))
+    RIGHT = slice(1 + len(TAGSET), 1 + 2 * len(TAGSET))
 
     def test_subordinate_and_neighbors(self):
         tokens = ["because", "i", "cough"]
         feats = extract_features(tokens, 2, pos_tag(tokens), self.LEXICON)
-        assert feats.has_subordinate_clause == 1
-        assert feats.left_pos[TAGSET.index("PRON")] == 1.0
-        assert feats.left_pos.sum() == 1.0
-        assert feats.right_pos.sum() == 0.0  # target is last token
+        assert feats.shape == (3 + 2 * len(TAGSET),) and feats.dtype == np.float64
+        assert feats[0] == 1.0
+        assert feats[self.LEFT][TAGSET.index("PRON")] == 1.0
+        assert feats[self.LEFT].sum() == 1.0
+        assert feats[self.RIGHT].sum() == 0.0  # target is last token
 
     def test_target_at_start_has_zero_left_block(self):
         tokens = ["cough", "today"]
         feats = extract_features(tokens, 0, pos_tag(tokens), self.LEXICON)
-        assert feats.left_pos.sum() == 0.0
-        assert feats.right_pos.sum() == 1.0
+        assert feats[self.LEFT].sum() == 0.0
+        assert feats[self.RIGHT].sum() == 1.0
 
     def test_health_counts_exclude_target(self):
         tokens = ["cough", "is", "here"]
         feats = extract_features(tokens, 0, pos_tag(tokens), self.LEXICON)
-        assert feats.health_word_presence == 0
-        assert feats.health_word_count_norm == 0.0
+        assert feats[-2:].tolist() == [0.0, 0.0]
         tokens = ["cough", "and", "fever"]
         feats = extract_features(tokens, 0, pos_tag(tokens), self.LEXICON)
-        assert feats.health_word_presence == 1
-        assert feats.health_word_count_norm == pytest.approx(1 / 3)
+        assert feats[-2] == 1.0
+        assert feats[-1] == pytest.approx(1 / 3)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):

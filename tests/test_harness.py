@@ -14,9 +14,9 @@ from figphm.corpus import Document, FIGURATIVE, LITERAL, NONPHM, PHM
 from figphm.errors import ConfigError, DataError
 from figphm.figurative import FigurativeDetector
 from figphm.harness import (ExperimentReport, Metrics, compute_metrics,
-                            derive_seed, evaluate_figurative, load_config,
-                            load_figurative_gold, parse_config_sections,
-                            run_experiment, stratified_kfold)
+                            derive_seed, evaluate_figurative, evaluate_model,
+                            load_config, load_documents, load_figurative_gold,
+                            parse_config_sections, run_experiment, stratified_kfold)
 from figphm.phm import ModelConfig, PhmdModel, build_feataug, build_phmd, save_model
 from figphm.synthetic import write_planted_fixture
 
@@ -373,10 +373,10 @@ class TestRunExperiment:
         real_predict = harness_mod.predict
         real_proba = PhmdModel.predict_proba
 
-        def counting_predict(model, ids, verdicts=None, doc_ids=None):
+        def counting_predict(model, ids, verdicts=None):
             if model.kind == "phmd":
-                calls.extend(doc_ids)
-            return real_predict(model, ids, verdicts, doc_ids)
+                calls.append(len(ids))
+            return real_predict(model, ids, verdicts)
 
         def counting_proba(model, inputs):
             batch_sizes.append(len(inputs))
@@ -385,7 +385,7 @@ class TestRunExperiment:
         monkeypatch.setattr(PhmdModel, "predict_proba", counting_proba)
         run_experiment(config, out_dir=tmp_path / "out", jobs=1)
         # one embedding, so every doc is a test doc in exactly one cell
-        assert sorted(calls) == sorted(f"d{i}" for i in range(12))
+        assert len(calls) == config.folds and sum(calls) == 12
         # one PHMD forward per test doc, in one batch per cell
         assert len(batch_sizes) == config.folds and sum(batch_sizes) == 12
 
@@ -732,6 +732,31 @@ class TestCli:
                          "--out", str(tmp_path / "preds.tsv")])
         assert code == 0
         assert (tmp_path / "preds.tsv").read_text().count("\n") == 12
+
+    def test_evaluate_feataug_without_config_exit_1(self, tmp_path, capsys):
+        """The CLI names the missing ``--config`` before it predicts; the
+        library's ``predict`` refuses a FeatAug model without verdicts."""
+        _experiment_config(tmp_path)
+        model = build_feataug(make_table({"cough": [0.1, 0.2]}),
+                              ModelConfig(max_sequence_length=6, filters=2), seed=0)
+        save_model(model, tmp_path / "m.ckpt")
+        assert cli_main(["evaluate", "--model", str(tmp_path / "m.ckpt"),
+                         "--dataset", str(tmp_path / "data.tsv"),
+                         "--out", str(tmp_path / "preds.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--config" in err
+        assert not (tmp_path / "preds.tsv").exists()
+        with pytest.raises(ValueError, match="verdict per document"):
+            evaluate_model(model, load_documents(tmp_path / "data.tsv"))
+
+    def test_runtime_failure_without_a_message_names_its_type(self, capsys, monkeypatch):
+        import figphm.cli as cli_mod
+
+        def boom(args):
+            raise MemoryError()
+        monkeypatch.setitem(cli_mod._COMMANDS, "report", boom)
+        assert cli_main(["report", "report.tsv"]) == 3
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     @pytest.mark.parametrize("damage", [
         "no_shapes", "bad_shapes", "unknown_config_key", "config_not_a_dict",

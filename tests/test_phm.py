@@ -19,8 +19,8 @@ from figphm.corpus import NONPHM, PHM, build_vocab, pad
 from figphm.embeddings import random_table
 from figphm.errors import DataError
 from figphm.figurative import (FIGURATIVE, LITERAL, TAGSET, FigurativeVerdict,
-                               LinguisticFeatures, extract_features, feature_row,
-                               feature_row_length)
+                               extract_features, feature_row, feature_row_length)
+from figphm.harness import format_predictions
 from figphm.phm import (FeatAugModel, ModelConfig, build_feataug, build_phmd,
                         load_model, pipeline_predict, predict, save_model, train)
 from figphm.synthetic import separable_corpus
@@ -50,8 +50,8 @@ def make_verdict(label, score=0.9):
     return FigurativeVerdict(literal_score=score, label=label, features=no_features())
 
 
-def predict_one(model, seq, verdict=None, doc_id=""):
-    return predict(model, [seq], None if verdict is None else [verdict], [doc_id])[0]
+def predict_one(model, seq, verdict=None) -> float:
+    return float(predict(model, [seq], None if verdict is None else [verdict])[0])
 
 
 class TestBuildPhmd:
@@ -110,49 +110,43 @@ class TestBuildPhmd:
 class TestPredictPhmd:
     def test_probability_in_open_interval(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
-        pred = predict_one(model, seq_of([2, 3, 4], 8), doc_id="d1")
-        assert 0.0 < pred.probability < 1.0
-        assert pred.doc_id == "d1"
+        assert 0.0 < predict_one(model, seq_of([2, 3, 4], 8)) < 1.0
 
     def test_eval_deterministic(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
         seq = seq_of([2, 3, 4, 5], 8)
-        assert predict_one(model, seq).probability == \
-            predict_one(model, seq).probability
+        assert predict_one(model, seq) == predict_one(model, seq)
 
     def test_threshold_at_half(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
         model.dense_w.value[:] = 0.0
         model.dense_b.value[:] = math.log(0.49 / 0.51)
-        pred = predict_one(model, seq_of([2], 8))
-        assert pred.probability == pytest.approx(0.49, abs=1e-12)
-        assert pred.label == NONPHM
+        prob = predict_one(model, seq_of([2], 8))
+        assert prob == pytest.approx(0.49, abs=1e-12)
+        assert phm.phm([prob]) == [NONPHM]
         model.dense_b.value[:] = 0.0
-        assert predict_one(model, seq_of([2], 8)).label == PHM  # 0.5 is PHM
+        assert phm.phm([predict_one(model, seq_of([2], 8))]) == [PHM]  # 0.5 is PHM
 
 
 class TestPipelinePredict:
     def test_figurative_bypasses_model(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
-        phmd_pred = predict_one(model, seq_of([2], 8), doc_id="d9")
+        phmd_probs = predict(model, [seq_of([2], 8)])
         before = model.forward_count
-        [pred] = pipeline_predict([FIGURATIVE], [phmd_pred])
+        pipeline = pipeline_predict([FIGURATIVE], phmd_probs)
         assert model.forward_count == before
-        assert pred.doc_id == "d9"
-        assert pred.label == NONPHM
-        assert pred.probability == 0.0
-        assert pred.figurative_label == FIGURATIVE
+        assert pipeline.tolist() == [0.0]
+        assert phm.phm(pipeline) == [NONPHM]
 
     def test_literal_delegates(self):
         model = build_phmd(table_for(5, 4), small_config(), seed=1)
         model.dense_w.value[:] = 0.0
         for bias, expected in ((2.0, PHM), (-2.0, NONPHM)):
             model.dense_b.value[:] = bias
-            phmd_pred = predict_one(model, seq_of([2], 8))
-            [pred] = pipeline_predict([LITERAL], [phmd_pred])
-            assert pred.label == expected
-            assert pred.probability == phmd_pred.probability
-            assert pred.figurative_label == LITERAL
+            phmd_probs = predict(model, [seq_of([2], 8)])
+            pipeline = pipeline_predict([LITERAL], phmd_probs)
+            assert phm.phm(pipeline) == [expected]
+            assert pipeline.tolist() == phmd_probs.tolist()
 
 
 class TestFeatAug:
@@ -169,10 +163,7 @@ class TestFeatAug:
         model = build_feataug(table_for(4, 4), small_config(), seed=0)
         verdict = make_verdict(LITERAL, 0.7)
         seq = seq_of([2, 3], 8)
-        a = predict_one(model, seq, verdict)
-        b = predict_one(model, seq, verdict)
-        assert a.probability == b.probability
-        assert a.figurative_label == LITERAL
+        assert predict_one(model, seq, verdict) == predict_one(model, seq, verdict)
 
     def test_zeroed_right_branch_equals_left_only_model(self):
         table = table_for(6, 5, seed=2)
@@ -193,8 +184,8 @@ class TestFeatAug:
 
         seq = seq_of([2, 3, 4, 5, 2], 8)
         verdict = make_verdict(FIGURATIVE, 0.1)
-        p_aug = predict_one(feataug, seq, verdict).probability
-        p_base = predict_one(phmd, seq).probability
+        p_aug = predict_one(feataug, seq, verdict)
+        p_base = predict_one(phmd, seq)
         assert abs(p_aug - p_base) < 1e-12
 
     def test_verdict_feature_vector_layout(self):
@@ -318,25 +309,25 @@ class TestModelCheckpoint:
         table = table_for(5, 4)
         model = build_phmd(table, small_config(), seed=2)
         seq = seq_of([2, 3, 4], 8)
-        expected = predict_one(model, seq).probability
+        expected = predict_one(model, seq)
         save_model(model, tmp_path / "m.ckpt")
         loaded = load_model(tmp_path / "m.ckpt")
         assert loaded.kind == "phmd"
         assert loaded.config == model.config
         assert loaded.vocab == model.vocab
-        assert predict_one(loaded, seq).probability == expected
+        assert predict_one(loaded, seq) == expected
 
     def test_feataug_round_trip(self, tmp_path):
         table = table_for(5, 4)
         model = build_feataug(table, small_config(), seed=2)
         verdict = make_verdict(LITERAL, 0.6)
         seq = seq_of([2, 4], 8)
-        expected = predict_one(model, seq, verdict).probability
+        expected = predict_one(model, seq, verdict)
         save_model(model, tmp_path / "m.ckpt")
         loaded = load_model(tmp_path / "m.ckpt")
         assert isinstance(loaded, FeatAugModel)
         assert loaded.feature_length == model.feature_length
-        assert predict_one(loaded, seq, verdict).probability == expected
+        assert predict_one(loaded, seq, verdict) == expected
 
     def test_load_adopts_the_stored_arrays(self, tmp_path):
         """At V=20k, d=50 the load's tracemalloc peak is the stored arrays,
@@ -719,19 +710,22 @@ class TestPredictionGoldenValues:
         n_tags = len(TAGSET)
         return [FigurativeVerdict(literal_score=float(rng.uniform()),
                                   label=FIGURATIVE if i % 3 == 0 else LITERAL,
-                                  features=LinguisticFeatures(
-                                      i % 2, rng.uniform(size=n_tags),
-                                      rng.uniform(size=n_tags), i % 2,
-                                      float(rng.uniform())))
+                                  features=np.concatenate((
+                                      [i % 2], rng.uniform(size=n_tags),
+                                      rng.uniform(size=n_tags), [i % 2, rng.uniform()])))
                 for i in range(8)]
 
-    @staticmethod
-    def _check(predictions, expected):
-        assert [(p.doc_id, p.label, p.figurative_label) for p in predictions] == \
-            [(doc_id, label, fig) for doc_id, _, label, fig in expected]
-        assert all(type(p.probability) is float for p in predictions)
-        np.testing.assert_allclose([p.probability for p in predictions],
-                                   [prob for _, prob, _, _ in expected], rtol=0, atol=1e-12)
+    @classmethod
+    def _check(cls, probs, expected, figurative):
+        """The probabilities, then the doc id, label and figurative label of
+        each row of their dump."""
+        assert type(probs) is np.ndarray and probs.dtype == np.float64
+        np.testing.assert_allclose(probs, [prob for _, prob, _, _ in expected],
+                                   rtol=0, atol=1e-12)
+        rows = [line.split("\t") for line in
+                format_predictions(cls.DOC_IDS, probs, figurative).splitlines()]
+        assert [(doc_id, label, fig) for doc_id, _, label, fig in rows] == \
+            [(doc_id, label, fig or "-") for doc_id, _, label, fig in expected]
 
     @pytest.fixture
     def proba_calls(self, monkeypatch):
@@ -745,24 +739,26 @@ class TestPredictionGoldenValues:
 
     def test_phmd_and_pipeline(self, proba_calls):
         model, ids, _ = _batch_of("phmd", 8, seed=4)
-        predictions = predict(model, ids, doc_ids=self.DOC_IDS)
-        self._check(predictions, self.PHMD)
+        probs = predict(model, ids)
+        self._check(probs, self.PHMD, ["-"] * 8)
         before = model.forward_count
-        pipeline = pipeline_predict([v.label for v in self._verdicts()], predictions)
+        gate_labels = [v.label for v in self._verdicts()]
+        pipeline = pipeline_predict(gate_labels, probs)
         assert model.forward_count == before
-        self._check(pipeline, self.PIPELINE)
+        self._check(pipeline, self.PIPELINE, gate_labels)
         assert proba_calls == ["phmd"]
 
     def test_feataug(self, proba_calls):
         model, _, _ = _batch_of("feataug", 8, seed=4)
         _, ids, _ = _batch_of("phmd", 8, seed=4)
-        self._check(predict(model, ids, self._verdicts(), self.DOC_IDS), self.FEATAUG)
+        verdicts = self._verdicts()
+        self._check(predict(model, ids, verdicts), self.FEATAUG, [v.label for v in verdicts])
         assert proba_calls == ["feataug"]
 
     def test_passes_of_one_example(self):
         model, ids, _ = _batch_of("phmd", 8, seed=4)
         model._pass_size = 1
-        self._check(predict(model, ids, doc_ids=self.DOC_IDS), self.PHMD)
+        self._check(predict(model, ids), self.PHMD, ["-"] * 8)
 
     def test_feataug_requires_verdicts(self):
         model, (ids, _), _ = _batch_of("feataug", 8, seed=4)
