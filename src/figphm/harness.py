@@ -4,9 +4,10 @@ metrics, the embedding-sweep experiment, and report files.
 The experiment works on document positions: the padded ids are one (N, T)
 array, labels, verdicts and gate labels are lists in document order, and a
 fold is an array of positions. Each (embedding, fold) cell gets the rows of
-its training and test documents and returns only its predictions, which are
-stored back at the test positions. Counts are micro-averaged over folds for
-each embedding initialisation and then macro-averaged across
+its training and test documents and returns each approach's probabilities,
+which are stored back at the test positions; ``phm.phm`` labels them and
+``format_predictions`` writes every dump row. Counts are micro-averaged
+over folds for each embedding initialisation and then macro-averaged across
 initialisations; re-running with the same config and seed reproduces the
 structured report byte for byte.
 """
