@@ -427,9 +427,7 @@ class FigurativeDetector:
         score = max(scores) if scores else 0.5
         features = extract_features(tokens, positions[0] if positions else None,
                                     self.tagger(tokens), self.health_lexicon)
-        return FigurativeVerdict(literal_score=score,
-                                 label=classify(score, self.threshold),
-                                 features=features)
+        return FigurativeVerdict(score, classify(score, self.threshold), features)
 
     def verdicts(self, documents: Sequence[Document]) -> list[FigurativeVerdict]:
         """Each document's verdict, in order; the documents are not changed."""

@@ -582,7 +582,8 @@ def phm(probabilities) -> list[str]:
 def pipeline_predict(gate_labels, phmd_probs) -> np.ndarray:
     """The +Pipeline combiner: a figurative gate label gives its document
     probability 0, without the classifier; a literal one keeps PHMD's."""
-    return np.where([gate == FIGURATIVE for gate in gate_labels], 0.0, phmd_probs)
+    gated = [gate == FIGURATIVE for gate, _ in zip(gate_labels, phmd_probs, strict=True)]
+    return np.where(gated, 0.0, phmd_probs)
 
 
 def save_model(model, path) -> None:

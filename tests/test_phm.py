@@ -148,6 +148,10 @@ class TestPipelinePredict:
             assert phm.phm(pipeline) == [expected]
             assert pipeline.tolist() == phmd_probs.tolist()
 
+    def test_one_gate_label_per_probability(self):
+        with pytest.raises(ValueError):
+            pipeline_predict([LITERAL], np.array([0.2, 0.7]))
+
 
 class TestFeatAug:
     def test_feature_too_short_rejected(self):
