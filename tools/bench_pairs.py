@@ -162,7 +162,8 @@ def main(argv=None) -> int:
         trees = {"parent": Tree(repo, args.parent, Path(work)),
                  "change": Tree(repo, args.change, Path(work))}
         record = {
-            "change": git(repo, "log", "-1", "--format=%s", args.change).decode().strip(),
+            "change": "; ".join(git(repo, "log", "--reverse", "--format=%s",
+                                    f"{args.parent}..{args.change}").decode().splitlines()),
             "parent_commit": trees["parent"].rev,
             "command": "python3 perfbench/run.py --workload <w> --seed <s> --trace 0"
                        + (f" --seconds {args.seconds}" if args.seconds is not None
