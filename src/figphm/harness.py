@@ -664,7 +664,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 raise RuntimeError(f"experiment cell failed (embedding={name}, "
                                    f"fold={fold}): {exc}") from exc
             for approach, probs in results.items():
-                stored = probabilities.setdefault((approach, name), np.empty(len(documents)))
+                stored = probabilities.setdefault((approach, name),
+                                                   np.full(len(documents), np.nan))
                 stored[folds[fold]] = probs
 
     # each dump's figurative column: what gated +Pipeline and what fed +FeatAug

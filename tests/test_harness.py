@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from figphm.cli import main as cli_main
-from figphm.corpus import Document, FIGURATIVE, LITERAL, NONPHM, PHM
+from figphm.corpus import Document, FIGURATIVE, LITERAL, NONPHM, PHM, build_vocab, pad
 from figphm.errors import ConfigError, DataError
 from figphm.figurative import FigurativeDetector
 from figphm.harness import (ExperimentReport, Metrics, compute_metrics,
@@ -375,7 +375,7 @@ class TestRunExperiment:
 
         def counting_predict(model, ids, verdicts=None):
             if model.kind == "phmd":
-                calls.append(len(ids))
+                calls.extend(map(tuple, ids))
             return real_predict(model, ids, verdicts)
 
         def counting_proba(model, inputs):
@@ -385,7 +385,12 @@ class TestRunExperiment:
         monkeypatch.setattr(PhmdModel, "predict_proba", counting_proba)
         run_experiment(config, out_dir=tmp_path / "out", jobs=1)
         # one embedding, so every doc is a test doc in exactly one cell
-        assert len(calls) == config.folds and sum(calls) == 12
+        documents = load_documents(config.dataset)
+        vocab = build_vocab(documents)
+        rows_of_docs = [tuple(pad(d.tokens, vocab, config.model.max_sequence_length))
+                        for d in documents]
+        assert len(set(rows_of_docs)) == 12     # so each row names one document
+        assert sorted(calls) == sorted(rows_of_docs)
         # one PHMD forward per test doc, in one batch per cell
         assert len(batch_sizes) == config.folds and sum(batch_sizes) == 12
 
@@ -394,6 +399,9 @@ class TestRunExperiment:
             return {r[0]: r[1:] for r in
                     (line.split("\t") for line in dump.read_text().splitlines())}
         phmd, pipeline = rows("phmd"), rows("pipeline")
+        # a position no cell stored would dump as nan
+        assert len(phmd) == len(pipeline) == 12
+        assert not any(np.isnan(float(r[0])) for r in [*phmd.values(), *pipeline.values()])
         literal = [d for d, (_, _, fig) in pipeline.items() if fig == LITERAL]
         assert literal  # the fixture gates some docs through to the classifier
         for doc_id in literal:

@@ -8,12 +8,13 @@ pair to pair (parent first in even pairs). Every run gets a fresh copy of
 its tree in a new directory, and runs go one process at a time. After the
 pairs come the Tier-1 runs, interleaved the same way, each in a fresh copy.
 
-The JSON is rewritten after every pair, so an interrupted run keeps what it
-measured. Run from the repository root::
+There are 10 pairs with seeds ``100 * pr + 1`` on, each run measures for the
+parent's ``BENCHMARK.json`` ``run_seconds`` at full scale, and each side gets
+3 Tier-1 runs. The JSON is rewritten after every pair, so an interrupted run
+keeps what it measured; notes are added by editing it. Run from the
+repository root::
 
     python3 tools/bench_pairs.py --parent c3146c8 --change HEAD --pr 18
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 0 \\
-        --pairs 2 --tier1-runs 1 --seconds 1 --scale tiny --out /tmp/smoke.json
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ TREE = ("src", "tests", "perfbench", "BENCHMARK.json", "pyproject.toml", "README
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 RUN_TIMEOUT_S = 900
+PAIRS = 10
+TIER1_RUNS = 3
 SIDES = ("parent", "change")
 
 
@@ -69,12 +72,10 @@ def run_in_copy(tree: Tree, cmd: list[str], env: dict) -> subprocess.CompletedPr
         shutil.rmtree(path, ignore_errors=True)
 
 
-def bench_run(tree: Tree, workload: str, seed: int, args) -> dict:
+def bench_run(tree: Tree, workload: str, seed: int) -> dict:
     """The last stdout line of one ``perfbench/run.py`` run: its result JSON."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", "0", "--scale", args.scale]
-    if args.seconds is not None:
-        cmd += ["--seconds", str(args.seconds)]
+           "--trace", "0"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = run_in_copy(tree, cmd, env)
     lines = proc.stdout.strip().splitlines()
@@ -136,25 +137,16 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
-    parser.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, help="first pair's seed (default: 100 * pr + 1)")
-    parser.add_argument("--tier1-runs", type=int, default=3, help="Tier-1 runs per side")
-    parser.add_argument("--seconds", type=float,
-                        help="measuring time per run (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--scale", choices=("full", "tiny"), default="full")
-    parser.add_argument("--field", action="append", default=[], metavar="KEY=TEXT",
-                        help="a top-level text field, such as notes=... or equality=...")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json")
+    parser.add_argument("--pr", type=int, required=True,
+                        help="names BENCH_<pr>.json and sets the seeds")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
-    out = args.out or repo / f"BENCH_{args.pr}.json"
-    first_seed = 100 * args.pr + 1 if args.seed is None else args.seed
-    seeds = list(range(first_seed, first_seed + args.pairs))
+    out = repo / f"BENCH_{args.pr}.json"
+    seeds = list(range(100 * args.pr + 1, 100 * args.pr + 1 + PAIRS))
     spec = json.loads(git(repo, "show", f"{args.parent}:BENCHMARK.json"))
     workloads = [w["name"] for w in spec["workloads"]]
 
@@ -165,10 +157,9 @@ def main(argv=None) -> int:
             "change": "; ".join(git(repo, "log", "--reverse", "--format=%s",
                                     f"{args.parent}..{args.change}").decode().splitlines()),
             "parent_commit": trees["parent"].rev,
-            "command": "python3 perfbench/run.py --workload <w> --seed <s> --trace 0"
-                       + (f" --seconds {args.seconds}" if args.seconds is not None
-                          else f", run_seconds {spec['run_seconds']}")
-                       + (f" --scale {args.scale}" if args.scale != "full" else ""),
+            "change_commit": trees["change"].rev,
+            "command": "python3 perfbench/run.py --workload <w> --seed <s> --trace 0, "
+                       f"run_seconds {spec['run_seconds']}",
             "method": f"interleaved pairs made by tools/bench_pairs.py, one seed per pair "
                       f"({seeds[0]}-{seeds[-1]}), each run from a fresh copy of its tree "
                       f"({', '.join(TREE)}) in a new directory, one process at a time, the "
@@ -180,16 +171,13 @@ def main(argv=None) -> int:
             "claim": None,
             "final_tree": {},
         }
-        for field in args.field:
-            key, _, text = field.partition("=")
-            record[key] = text
         results = {w: {side: [] for side in SIDES} for w in workloads}
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 for side in order:
                     start = time.monotonic()
-                    result = bench_run(trees[side], workload, seed, args)
+                    result = bench_run(trees[side], workload, seed)
                     results[workload][side].append(result)
                     print(f"pair {i} seed {seed} {workload} {side}: "
                           f"pass_s {result['metrics']['pass_s']['value']:.4f} "
@@ -198,25 +186,24 @@ def main(argv=None) -> int:
                                     for w in workloads}
             out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
-        if args.tier1_runs:
-            tier1 = {side: [] for side in SIDES}
-            for i in range(args.tier1_runs):
-                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    tier1[side].append(tier1_run(trees[side]))
-                    print(f"tier-1 run {i} {side}: {tier1[side][-1]}", file=sys.stderr,
-                          flush=True)
-            record["tier1"] = {
-                "command": "PYTHONPATH=src " + " ".join(["python", *TIER1[1:]]),
-                "runs": f"{args.tier1_runs} per side, interleaved (parent first in even "
-                        f"runs), after the benchmark pairs, each in a fresh copy of its "
-                        f"tree; wall_s is the time pytest reports"}
-            for side in SIDES:
-                wall = [float(m.group(1)) for line in tier1[side]
-                        if (m := re.search(r" in ([\d.]+)s", line))]
-                record["tier1"][side] = {"passed_line": tier1[side], "wall_s": wall,
-                                         "median_wall_s": statistics.median(wall)
-                                         if wall else None}
-            out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        tier1 = {side: [] for side in SIDES}
+        for i in range(TIER1_RUNS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                tier1[side].append(tier1_run(trees[side]))
+                print(f"tier-1 run {i} {side}: {tier1[side][-1]}", file=sys.stderr,
+                      flush=True)
+        record["tier1"] = {
+            "command": "PYTHONPATH=src " + " ".join(["python", *TIER1[1:]]),
+            "runs": f"{TIER1_RUNS} per side, interleaved (parent first in even runs), "
+                    f"after the benchmark pairs, each in a fresh copy of its tree; "
+                    f"wall_s is the time pytest reports"}
+        for side in SIDES:
+            wall = [float(m.group(1)) for line in tier1[side]
+                    if (m := re.search(r" in ([\d.]+)s", line))]
+            record["tier1"][side] = {"passed_line": tier1[side], "wall_s": wall,
+                                     "median_wall_s": statistics.median(wall)
+                                     if wall else None}
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
