@@ -50,8 +50,12 @@ RECORDED_ON = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0, x86_64"
 SHA256 = {
     "evaluate feataug --out":
         "fe3deac935552f5683b7c9426abe5edc4e0073f244e973854cc6091b24faad11",
+    "evaluate feataug stdout":
+        "19ca09fca2dc2c987bc315141047acb121285a5bf73ee19847dcefdeee1f1d21",
     "evaluate phmd --out":
         "55b3c2f3ac479f42b67cbd22d33fd9a71aa10c8e55144c8bfb703a86a93f0e6f",
+    "evaluate phmd stdout":
+        "365860572f362954c289820016c6c4ff4dc0b480a64662d3215e5652072e981a",
     "fig-eval stdout":
         "38212e5ca1b5522d229cc0e078d6c563dd7d8df2d7407513bd14f510dec47117",
     "fig-score --out":
@@ -123,8 +127,9 @@ def _outputs(tmp_path, capsys) -> dict[str, bytes]:
         checkpoint, dump = tmp_path / f"{approach}.ckpt", tmp_path / f"{approach}.tsv"
         figphm("train", "--config", config, "--approach", approach,
                "--embedding", "rand20a", "--out", checkpoint)
-        figphm("evaluate", "--model", checkpoint, "--dataset", paths["dataset"],
-               "--config", config, "--out", dump)
+        outputs[f"evaluate {approach} stdout"] = figphm(
+            "evaluate", "--model", checkpoint, "--dataset", paths["dataset"],
+            "--config", config, "--out", dump)
         outputs[f"train {approach}"] = checkpoint.read_bytes()
         outputs[f"evaluate {approach} --out"] = dump.read_bytes()
     figphm("fig-score", "--config", config, "--out", tmp_path / "verdicts.tsv")

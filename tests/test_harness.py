@@ -53,6 +53,19 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics([], [])
 
+    @given(st.lists(st.tuples(st.sampled_from([PHM, NONPHM, FIGURATIVE, LITERAL]),
+                              st.sampled_from([PHM, NONPHM, FIGURATIVE, LITERAL])),
+                    min_size=1, max_size=30),
+           st.sampled_from([PHM, FIGURATIVE]))
+    def test_counts_equal_a_scalar_count(self, pairs, positive_class):
+        """Each count is the number of (prediction, gold) pairs in its cell,
+        counted one pair at a time."""
+        predictions, golds = map(list, zip(*pairs))
+        hit = [(p == positive_class, g == positive_class) for p, g in pairs]
+        expected = Metrics(hit.count((True, True)), hit.count((True, False)),
+                           hit.count((False, True)), hit.count((False, False)))
+        assert compute_metrics(predictions, golds, positive_class) == expected
+
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
     def test_f_invariant(self, tp, fp, fn, tn):
         metrics = Metrics(tp, fp, fn, tn)
