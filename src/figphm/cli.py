@@ -130,10 +130,7 @@ def cmd_fig_eval(args) -> int:
         lda_seed=harness.derive_seed(config.seed, "fig-eval-lda"))
     for mode, metrics in results.items():
         flags = " [" + ",".join(metrics.flags()) + "]" if metrics.flags() else ""
-        print(f"{mode}: P={100 * metrics.precision:.2f} "
-              f"R={100 * metrics.recall:.2f} F={100 * metrics.f_score:.2f} "
-              f"(tp={metrics.tp} fp={metrics.fp} fn={metrics.fn} "
-              f"tn={metrics.tn}){flags}")
+        print(f"{mode}: {metrics.summary()}{flags}")
     return 0
 
 
@@ -157,9 +154,7 @@ def cmd_evaluate(args) -> int:
     metrics, dump = harness.evaluate_model(model, documents, detector)
     if args.out:
         args.out.write_text(dump, encoding="utf-8")
-    print(f"P={100 * metrics.precision:.2f} R={100 * metrics.recall:.2f} "
-          f"F={100 * metrics.f_score:.2f} (tp={metrics.tp} fp={metrics.fp} "
-          f"fn={metrics.fn} tn={metrics.tn})")
+    print(metrics.summary())
     return 0
 
 

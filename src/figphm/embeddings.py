@@ -37,7 +37,7 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 NEIGHBOR_SLACK = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingTable:
     """Vocabulary -> dense vector lookup backed by a |V| x d float64 matrix."""
 

@@ -7,7 +7,8 @@ figurative. An optional two-topic Gibbs sampler refines per-word and
 per-document literal/figurative distributions from the scores.
 
 A verdict carries the linguistic block of ``extract_features`` as one
-array, which ``feature_row`` frames with the figurative bit and the score.
+array; ``feature_rows`` frames a run's blocks with the figurative bit and the
+score into the (N, n) rows the FeatAug branch reads.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class LiteralRepresentation:
         return block[2]
 
 
-@dataclass
+@dataclass(eq=False)
 class FigurativeVerdict:
     """Outcome for one document: literal score in [0, 1] (1 = literal),
     threshold label, and its ``extract_features`` block."""
@@ -178,15 +179,16 @@ class FigurativeVerdict:
     features: np.ndarray
 
 
-def feature_row(verdict: FigurativeVerdict, include_score: bool = True) -> np.ndarray:
-    """The FeatAug feature branch's input for one verdict: the figurative
-    bit, the linguistic block, then the literal score if included."""
-    return np.concatenate(([float(verdict.label == FIGURATIVE)], verdict.features,
-                           [verdict.literal_score] if include_score else []))
+def feature_rows(verdicts: Sequence[FigurativeVerdict], include_score: bool = True) -> np.ndarray:
+    """The FeatAug feature branch's input, one (N, n) row per verdict: the
+    figurative bit, the linguistic block, then the literal score if included."""
+    width = feature_row_length(include_score)     # the score is the last entry
+    return np.array([[v.label == FIGURATIVE, *v.features, v.literal_score][:width]
+                     for v in verdicts], dtype=np.float64).reshape(-1, width)
 
 
 def feature_row_length(include_score: bool = True) -> int:
-    """The length of every ``feature_row``."""
+    """The length of every ``feature_rows`` row."""
     return 1 + _FEATURES + int(include_score)
 
 

@@ -1,11 +1,12 @@
 """Experiment harness: declarative configs, stratified cross-validation,
 metrics, the embedding-sweep experiment, and report files.
 
-The experiment works on document positions: the padded ids are one (N, T)
-array, labels, verdicts and gate labels are lists in document order, and a
-fold is an array of positions. Each (embedding, fold) cell gets the rows of
-its training and test documents and returns each approach's probabilities,
-which are stored back at the test positions; ``phm.phm`` labels them and
+The experiment works on document positions: the padded ids, labels, FeatAug
+feature rows and gate labels are arrays in document order, built once per
+run, and a fold is an array of positions. Each (embedding, fold) cell gets
+the rows of its training and test documents and returns PHMD's and FeatAug's
+probabilities, stored back at the test positions; +Pipeline gates each
+embedding's PHMD probabilities after the cells. ``phm.phm`` labels them and
 ``format_predictions`` writes every dump row. Counts are micro-averaged
 over folds for each embedding initialisation and then macro-averaged across
 initialisations; re-running with the same config and seed reproduces the
@@ -31,7 +32,7 @@ from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
 from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
                          load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
-from .figurative import FigurativeDetector, lda_estimate, load_word_list
+from .figurative import FigurativeDetector, feature_rows, lda_estimate, load_word_list
 from .phm import (ModelConfig, build_feataug, build_phmd, phm, pipeline_predict, predict,
                   train)
 
@@ -73,6 +74,11 @@ class Metrics:
         p, r = self.precision, self.recall
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
+    def summary(self) -> str:
+        """The P/R/F percentages and counts line of ``evaluate`` and ``fig-eval``."""
+        return (f"P={100 * self.precision:.2f} R={100 * self.recall:.2f} F={100 * self.f_score:.2f}"
+                f" (tp={self.tp} fp={self.fp} fn={self.fn} tn={self.tn})")
+
     def flags(self) -> list[str]:
         out = []
         if self.tp + self.fp == 0:
@@ -83,27 +89,21 @@ class Metrics:
 
 
 def compute_metrics(predictions, golds, positive_class: str = PHM) -> Metrics:
-    """Confusion counts of predicted vs gold labels.
+    """Confusion counts of predicted vs gold labels (sequences or arrays).
 
     Undefined precision/recall fall back to 0 by convention; the degenerate
     case is flagged in reports.
     """
     if len(predictions) != len(golds):
         raise ValueError(f"{len(predictions)} predictions vs {len(golds)} golds")
-    if not golds:
+    if not len(golds):
         raise ValueError("compute_metrics requires at least one example")
-    tp = fp = fn = tn = 0
-    for label, gold in zip(predictions, golds):
-        if label == positive_class:
-            if gold == positive_class:
-                tp += 1
-            else:
-                fp += 1
-        elif gold == positive_class:
-            fn += 1
-        else:
-            tn += 1
-    return Metrics(tp, fp, fn, tn)
+    predicted = np.asarray(predictions) == positive_class
+    actual = np.asarray(golds) == positive_class
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
+    return Metrics(tp, fp, fn, len(golds) - tp - fp - fn)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +472,13 @@ class ExperimentReport:
 
     @classmethod
     def from_structured(cls, text: str) -> "ExperimentReport":
-        """Parse ``to_structured`` output. A malformed line, or rows that do
-        not cover every approach x embedding (x disease), raise DataError."""
-        approaches: list[str] = []
-        embeddings: list[str] = []
-        diseases: list[str] = []
+        """Parse ``to_structured`` output. A malformed line, a repeated
+        (approach, embedding, scope) row, or rows that do not cover every
+        approach x embedding (x disease) raise DataError."""
+        # the names in order of first appearance, as the keys of dicts
+        approaches: dict[str, None] = {}
+        embeddings: dict[str, None] = {}
+        diseases: dict[str, None] = {}
         overall: dict[tuple[str, str], Metrics] = {}
         per_disease: dict[tuple[str, str, str], Metrics] = {}
         seed = folds = 0
@@ -501,28 +503,26 @@ class ExperimentReport:
             counts = fields[7:11]
             if not all(v.isascii() and v.isdigit() for v in counts):
                 raise DataError(f"bad report counts: {line!r}")
-            metrics = Metrics(*map(int, counts))
-            if approach not in approaches:
-                approaches.append(approach)
             if scope == "overall":
-                if emb not in embeddings:
-                    embeddings.append(emb)
-                overall[(approach, emb)] = metrics
+                key, rows = (approach, emb), overall
+                embeddings.setdefault(emb)
             elif scope.startswith("disease:"):
-                disease = scope.split(":", 1)[1]
-                if disease not in diseases:
-                    diseases.append(disease)
-                per_disease[(approach, emb, disease)] = metrics
+                key, rows = (approach, emb, scope.split(":", 1)[1]), per_disease
+                diseases.setdefault(key[2])
             else:
                 raise DataError(f"unknown report scope {scope!r}")
+            if key in rows:
+                raise DataError(f"repeated report row: {line!r}")
+            rows[key] = Metrics(*map(int, counts))
+            approaches.setdefault(approach)
         if "phmd" not in approaches:
             raise DataError("report has no phmd rows")
         if (set(overall) != set(product(approaches, embeddings))
                 or set(per_disease) != set(product(approaches, embeddings, diseases))):
             raise DataError("report rows do not cover every approach, embedding "
                             "and disease")
-        return cls(approaches=approaches, embeddings=embeddings, overall=overall,
-                   per_disease=per_disease, diseases=diseases, seed=seed, folds=folds)
+        return cls(approaches=list(approaches), embeddings=list(embeddings), overall=overall,
+                   per_disease=per_disease, diseases=list(diseases), seed=seed, folds=folds)
 
     def to_tables(self) -> str:
         """Human-readable aligned tables; values shown as percentages."""
@@ -579,23 +579,18 @@ def _structured_row(approach, emb, scope, metrics: Metrics, delta_f) -> str:
 
 def _run_cell(model_config: ModelConfig, approaches, table: EmbeddingTable, seed: int,
               fit, test) -> dict[str, np.ndarray]:
-    """Train the models of one (embedding, fold) cell on ``fit`` and predict
-    ``test``; each is the (ids, labels, verdicts, gate labels) of its
-    documents. Returns each approach's probabilities in test order."""
-    fit_ids, fit_labels, fit_verdicts, _ = fit
-    corpus = list(zip(fit_ids, fit_labels, fit_verdicts))
-    ids, _, verdicts, gate_labels = test
-
-    # PHMD training reads (sequence, label) and ignores the verdict.
+    """Train one (embedding, fold) cell's models on ``fit``, its training
+    (ids, labels, feature rows), and predict ``test``, its test (ids, feature
+    rows). Returns PHMD's and FeatAug's probabilities in test order."""
+    corpus = list(zip(*fit))    # PHMD ignores the feature row
+    ids, rows = test
     phmd = build_phmd(table, model_config, seed=seed)
     train(phmd, corpus, seed=derive_seed(seed, "train-phmd"))
     results = {"phmd": predict(phmd, ids)}
-    if "pipeline" in approaches:
-        results["pipeline"] = pipeline_predict(gate_labels, results["phmd"])
     if "feataug" in approaches:
         feataug = build_feataug(table, model_config, seed=derive_seed(seed, "init-feataug"))
         train(feataug, corpus, seed=derive_seed(seed, "train-feataug"))
-        results["feataug"] = predict(feataug, ids, verdicts)
+        results["feataug"] = predict(feataug, ids, rows)
     return results
 
 
@@ -626,20 +621,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     vocab = build_vocab(documents)
     ids = np.array([pad(d.tokens, vocab, config.model.max_sequence_length)
                     for d in documents], dtype=np.intp)
-    verdicts = verdict_labels = gate_labels = [None] * len(documents)
+    labels = np.array([d.label for d in documents])
+    rows = np.empty((len(documents), 0))    # only FeatAug reads a feature row
+    verdict_labels = gate_labels = None
     if config.needs_detector():
         verdicts = build_detector(config).verdicts(documents)
-        verdict_labels = gate_labels = [v.label for v in verdicts]
+        rows = feature_rows(verdicts, config.model.include_score_feature)
+        verdict_labels = gate_labels = np.array([v.label for v in verdicts])
         rate = config.figurative.pipeline_noise
         if rate > 0.0:      # a degraded gate channel, for robustness probes
             rng = np.random.default_rng(derive_seed(config.seed, "pipeline-noise"))
-            gate_labels = [FIG_LABELS[1 - FIG_LABELS.index(label)] if draw < rate else label
-                           for label, draw in zip(gate_labels, rng.random(len(documents)))]
-    columns = ([d.label for d in documents], verdicts, gate_labels)
-
-    def rows(positions):
-        """(ids, labels, verdicts, gate labels) at ``positions``."""
-        return ids[positions], *([column[i] for i in positions] for column in columns)
+            flipped = np.where(gate_labels == FIGURATIVE, LITERAL, FIGURATIVE)
+            gate_labels = np.where(rng.random(len(documents)) < rate, flipped, gate_labels)
 
     # the folds hold the loaded Document objects themselves
     position = {id(doc): i for i, doc in enumerate(documents)}
@@ -652,8 +645,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
 
     probabilities: dict[tuple[str, str], np.ndarray] = {}
     with _cell_pool(config.jobs) if config.jobs > 1 else nullcontext() as pool:
+        fits = [np.concatenate(folds[:fold] + folds[fold + 1:]) for fold in range(config.folds)]
         cell_args = [(config.model, approaches, table, derive_seed(config.seed, name, fold),
-                      rows(np.concatenate(folds[:fold] + folds[fold + 1:])), rows(folds[fold]))
+                      (ids[fits[fold]], labels[fits[fold]], rows[fits[fold]]),
+                      (ids[folds[fold]], rows[folds[fold]]))
                      for name, table, fold in cells]
         futures = [None if pool is None else pool.submit(_run_cell, *args)
                    for args in cell_args]
@@ -667,9 +662,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                 stored = probabilities.setdefault((approach, name),
                                                    np.full(len(documents), np.nan))
                 stored[folds[fold]] = probs
+    if "pipeline" in approaches:    # gates PHMD's probabilities; no model of its own
+        probabilities |= {("pipeline", emb): pipeline_predict(gate_labels, probs)
+                          for (approach, emb), probs in probabilities.items() if approach == "phmd"}
 
     # each dump's figurative column: what gated +Pipeline and what fed +FeatAug
-    figurative = {"phmd": ["-"] * len(documents), "pipeline": gate_labels,
+    figurative = {"phmd": np.full(len(documents), "-"), "pipeline": gate_labels,
                   "feataug": verdict_labels}
     return _assemble_report(config, documents, probabilities, figurative, out_dir)
 
@@ -705,19 +703,17 @@ def _assemble_report(config, documents, probabilities, figurative,
     document order, overall and per disease; write the report files to
     ``out_dir``, with ``figurative[approach]`` (document order) as the
     last column of that approach's prediction dumps."""
-    golds = [d.label for d in documents]
-    disease_rows = {disease: [i for i, d in enumerate(documents) if d.disease == disease]
-                    for disease in DISEASES}
-    diseases = [disease for disease in DISEASES if disease_rows[disease]]
+    golds = np.array([d.label for d in documents])
+    disease_of = np.array([d.disease for d in documents])
+    diseases = [disease for disease in DISEASES if disease in disease_of]
     overall = {}
     per_disease = {}
     for (approach, emb), probs in probabilities.items():
         labels = phm(probs)
         overall[(approach, emb)] = compute_metrics(labels, golds)
         for disease in diseases:
-            per_disease[(approach, emb, disease)] = compute_metrics(
-                [labels[i] for i in disease_rows[disease]],
-                [golds[i] for i in disease_rows[disease]])
+            mask = disease_of == disease
+            per_disease[(approach, emb, disease)] = compute_metrics(labels[mask], golds[mask])
 
     report = ExperimentReport(
         approaches=list(config.approaches), embeddings=[spec.name for spec in config.embeddings],
@@ -729,11 +725,11 @@ def _assemble_report(config, documents, probabilities, figurative,
         (out_dir / "report.tsv").write_text(report.to_structured(), encoding="utf-8")
         (out_dir / "report.txt").write_text(report.to_tables(), encoding="utf-8")
         order = sorted(range(len(documents)), key=lambda i: documents[i].id)
+        doc_ids = [documents[i].id for i in order]
         for (approach, emb), probs in sorted(probabilities.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
             (out_dir / "predictions" / f"{safe}__{approach}.tsv").write_text(
-                format_predictions([documents[i].id for i in order], probs[order],
-                                   [figurative[approach][i] for i in order]),
+                format_predictions(doc_ids, probs[order], figurative[approach][order]),
                 encoding="utf-8")
     return report
 
@@ -761,11 +757,12 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
     documents = load_documents(config.dataset)
     vocab = build_vocab(documents)
     table = build_spec_table(spec, list(vocab), config.seed)
-    # only the feature branch reads a verdict
-    verdicts = build_detector(config).verdicts(documents) if approach == "feataug" \
-        else [None] * len(documents)
-    corpus = [(pad(d.tokens, vocab, config.model.max_sequence_length), d.label, verdict)
-              for d, verdict in zip(documents, verdicts)]
+    corpus = [(pad(d.tokens, vocab, config.model.max_sequence_length), d.label)
+              for d in documents]
+    if approach == "feataug":       # only the feature branch reads a row
+        rows = feature_rows(build_detector(config).verdicts(documents),
+                            config.model.include_score_feature)
+        corpus = [example + (row,) for example, row in zip(corpus, rows)]
     seed = derive_seed(config.seed, spec.name, "full")
     model = builders[approach](table, config.model, seed=seed)
     return model, train(model, corpus, seed=derive_seed(seed, "train"))
@@ -780,7 +777,8 @@ def evaluate_model(model, documents: list[Document],
         if model.kind == "feataug" and detector is not None else None
     ids = [pad(doc.tokens, model.vocab, model.config.max_sequence_length)
            for doc in documents]
-    probs = predict(model, ids, verdicts)
+    probs = predict(model, ids, None if verdicts is None
+                    else feature_rows(verdicts, model.config.include_score_feature))
     metrics = compute_metrics(phm(probs), [d.label for d in documents])
     figurative = ["-"] * len(documents) if verdicts is None else [v.label for v in verdicts]
     return metrics, format_predictions([d.id for d in documents], probs, figurative)

@@ -343,7 +343,7 @@ def gradient_check(model, inputs, target, epsilon: float = 1e-4) -> float:
     return max_err
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     manifest: dict
     arrays: list[np.ndarray] = field(default_factory=list)

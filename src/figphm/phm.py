@@ -15,10 +15,12 @@ one call (``train``, ``loss``, ``predict_proba``, ``loss_and_grad``) writes
 its activations and gradients into one ``_Workspace`` that lives for that
 call only; ``loss`` and ``predict_proba`` share one loop of eval passes.
 
-``predict`` gives a whole split's probabilities with one eval forward per
-model and ``phm`` labels them. ``pipeline_predict`` is the one copy of the
-pipeline rule: it combines the gate labels with PHMD's probabilities and
-never calls the classifier.
+``train`` and ``predict`` read FeatAug's input as feature rows, which
+``figurative.feature_rows`` builds once per run. ``predict`` gives a whole
+split's probabilities with one eval forward per model and ``phm`` labels
+them as an array. ``pipeline_predict`` is the one copy of the pipeline rule:
+it combines the gate labels with PHMD's probabilities and never calls the
+classifier.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .corpus import NONPHM, PHM
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .figurative import FIGURATIVE, FigurativeVerdict, feature_row, feature_row_length
+from .figurative import FIGURATIVE, feature_row_length
 from . import neuralnet as nn
 from .neuralnet import Parameter
 
@@ -458,17 +460,10 @@ def build_feataug(table: EmbeddingTable, config: ModelConfig = ModelConfig(),
         table, config, seed, feature_row_length(config.include_score_feature)))
 
 
-def _feature_rows(items, config: ModelConfig) -> np.ndarray:
-    """(B, n) FeatAug feature rows, one per item: a FigurativeVerdict's
-    ``feature_row``, or the item itself as a row."""
-    return np.array([feature_row(item, config.include_score_feature)
-                     if isinstance(item, FigurativeVerdict) else item for item in items],
-                    dtype=np.float64)
-
-
 def _training_arrays(model, corpus):
     """(ids (N, T), targets (N,), feature rows (N, n) or None) of the
-    (ids, label[, verdict]) examples, ordered by one stable lexsort on ids,
+    (ids, label[, feature row]) examples; only FeatAug reads the row. They
+    are ordered by one stable lexsort on ids,
     then target, then feature row, so the trace does not depend on the
     corpus's storage order. An id outside the embedding table raises, a
     negative one included: numpy would wrap it onto another row."""
@@ -482,9 +477,9 @@ def _training_arrays(model, corpus):
     features = None
     if model.kind == "feataug":
         if any(len(item) < 3 or item[2] is None for item in corpus):
-            raise ValueError("feature-augmented training requires a figurative "
-                             "verdict per example")
-        features = _feature_rows([item[2] for item in corpus], model.config)
+            raise ValueError("feature-augmented training requires a feature row "
+                             "per example")
+        features = np.array([item[2] for item in corpus], dtype=np.float64)
         keys[:0] = features.T[::-1]
     order = np.lexsort(keys)
     return ids[order], targets[order], None if features is None else features[order]
@@ -559,24 +554,24 @@ def _check_finite(params: list[Parameter]) -> None:
                                      f"after an Adam step")
 
 
-def predict(model, ids, verdicts=None) -> np.ndarray:
+def predict(model, ids, features=None) -> np.ndarray:
     """Eval-mode probabilities (B,) for the padded id rows ``ids`` (B, T),
     in one ``predict_proba``.
 
-    ``verdicts`` (FigurativeVerdicts or feature rows, one per id row) feed
-    the FeatAug feature branch, which requires them.
+    ``features`` (B, n), one ``feature_rows`` row per id row, feed the
+    FeatAug feature branch, which requires them; PHMD ignores them.
     """
     if model.kind != "feataug":
         return model.predict_proba(ids)
-    if verdicts is None:
-        raise ValueError("feature-augmented prediction requires a figurative "
-                         "verdict per document")
-    return model.predict_proba((ids, _feature_rows(verdicts, model.config)))
+    if features is None:
+        raise ValueError("feature-augmented prediction requires a feature row "
+                         "per document")
+    return model.predict_proba((ids, features))
 
 
-def phm(probabilities) -> list[str]:
-    """Each probability's label: PHM iff it reaches 0.5."""
-    return [PHM if prob >= 0.5 else NONPHM for prob in probabilities]
+def phm(probabilities) -> np.ndarray:
+    """Each probability's label, as an array: PHM iff it reaches 0.5."""
+    return np.where(np.asarray(probabilities) >= 0.5, PHM, NONPHM)
 
 
 def pipeline_predict(gate_labels, phmd_probs) -> np.ndarray:

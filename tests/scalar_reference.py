@@ -10,7 +10,8 @@ must give the same table, bitwise, and the same ``DataError`` message.
 ``pos_tag_loop`` applies the tagging rules to every token, repeats included;
 the cached tagger must give the same tags. ``project_table_loop`` copies or
 draws one row at a time; ``project_table`` and ``random_table`` must match it
-bitwise.
+bitwise. ``feature_row_loop`` frames one verdict at a time;
+``feature_rows`` must match it bitwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from figphm.corpus import PAD_TOKEN, SENTINEL_TOKENS, UNK_TOKEN, read_lines
 from figphm.embeddings import (RANDOM_INIT_BOUND, RESERVED_TOKENS, EmbeddingTable,
                                _in_vocab_neighborhoods, _new_table, cosine)
 from figphm.errors import DataError
-from figphm.figurative import (_TAG_LEXICON, LDA_ALPHA_DOC, LDA_BETA_WORD,
+from figphm.figurative import (_TAG_LEXICON, FIGURATIVE, LDA_ALPHA_DOC, LDA_BETA_WORD,
                                LDA_TOPIC_FIGURATIVE, LDA_TOPIC_LITERAL, _is_numeric,
                                _suffix_tag)
 
@@ -203,3 +204,10 @@ def lda_loop(documents, seed_scores, iterations, seed):
     doc_dist = [(float(doc_mean[d, LDA_TOPIC_LITERAL]),
                  float(doc_mean[d, LDA_TOPIC_FIGURATIVE])) for d in range(n_docs)]
     return word_dist, doc_dist
+
+
+def feature_row_loop(verdict, include_score=True):
+    """One verdict's FeatAug row: the figurative bit, the linguistic block,
+    then the literal score if included."""
+    return np.concatenate(([float(verdict.label == FIGURATIVE)], verdict.features,
+                           [verdict.literal_score] if include_score else []))

@@ -11,7 +11,7 @@ from figphm.figurative import (FigurativeDetector, FigurativeVerdict,
                                LiteralRepresentation, TAGSET,
                                build_literal_representation, classify,
                                default_health_lexicon, extract_features,
-                               feature_row, feature_row_length, lda_estimate,
+                               feature_row_length, feature_rows, lda_estimate,
                                literal_usage_score, load_word_list,
                                mark_symptoms, pos_tag)
 
@@ -19,7 +19,7 @@ from figphm.synthetic import planted_corpus
 
 from conftest import make_table
 from test_corpus import _calls_by_function
-from scalar_reference import (lda_loop, literal_usage_score_loop,
+from scalar_reference import (feature_row_loop, lda_loop, literal_usage_score_loop,
                               nearest_neighbors_loop, pos_tag_loop)
 
 
@@ -203,9 +203,25 @@ class TestExtractFeatures:
     def test_vector_layout(self):
         feats = extract_features(["because", "cough"], 1,
                                  pos_tag(["because", "cough"]), self.LEXICON)
-        vec = feature_row(FigurativeVerdict(0.5, LITERAL, feats))
+        vec = feature_rows([FigurativeVerdict(0.5, LITERAL, feats)])[0]
         assert vec.shape == (feature_row_length(),)
         assert vec[1] == 1.0  # subordinate bit follows the figurative bit
+
+
+class TestFeatureRows:
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([FIGURATIVE, LITERAL]),
+                              st.lists(st.floats(-1e3, 1e3), min_size=27, max_size=27)),
+                    max_size=6),
+           st.booleans())
+    def test_rows_are_the_per_verdict_rows(self, parts, include_score):
+        """Bitwise the rows framed one verdict at a time, -0.0 included."""
+        verdicts = [FigurativeVerdict(score, label, np.array(block))
+                    for score, label, block in parts]
+        rows = feature_rows(verdicts, include_score)
+        assert rows.shape == (len(verdicts), feature_row_length(include_score))
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == b"".join(feature_row_loop(v, include_score).tobytes()
+                                          for v in verdicts)
 
 
 class TestLdaEstimate:
@@ -315,7 +331,7 @@ class TestFigurativeDetector:
         verdict = det.verdict(Document("10", "other", "", tokens, "PHM"))
         assert calls == ["cough", "fever"]
         assert (verdict.literal_score, verdict.label) == (expected.literal_score, expected.label)
-        assert np.array_equal(feature_row(verdict), feature_row(expected))
+        assert np.array_equal(verdict.features, expected.features)
 
     def test_verdict_respects_threshold_invariant(self):
         det = self._detector()
@@ -334,7 +350,7 @@ class TestFigurativeDetector:
             expected = det.verdict(doc)
             assert (verdict.literal_score, verdict.label) == \
                 (expected.literal_score, expected.label)
-            assert np.array_equal(feature_row(verdict), feature_row(expected))
+            assert np.array_equal(verdict.features, expected.features)
 
     def test_verdict_depends_only_on_detector_and_document(self):
         """Another detector's ``verdicts`` on the same document, with other
@@ -346,7 +362,7 @@ class TestFigurativeDetector:
         other.verdicts([doc])
         after = det.verdict(doc)
         assert (after.literal_score, after.label) == (before.literal_score, before.label)
-        assert np.array_equal(feature_row(after), feature_row(before))
+        assert np.array_equal(after.features, before.features)
 
     def test_verdicts_leave_symptom_indices_alone(self):
         det = self._detector()

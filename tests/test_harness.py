@@ -52,6 +52,8 @@ class TestComputeMetrics:
     def test_empty(self):
         with pytest.raises(ValueError):
             compute_metrics([], [])
+        with pytest.raises(ValueError):
+            compute_metrics(np.array([], dtype=str), np.array([], dtype=str))
 
     @given(st.lists(st.tuples(st.sampled_from([PHM, NONPHM, FIGURATIVE, LITERAL]),
                               st.sampled_from([PHM, NONPHM, FIGURATIVE, LITERAL])),
@@ -65,6 +67,8 @@ class TestComputeMetrics:
         expected = Metrics(hit.count((True, True)), hit.count((True, False)),
                            hit.count((False, True)), hit.count((False, False)))
         assert compute_metrics(predictions, golds, positive_class) == expected
+        assert compute_metrics(np.array(predictions), np.array(golds),
+                               positive_class) == expected
 
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
     def test_f_invariant(self, tp, fp, fn, tn):
@@ -726,9 +730,11 @@ class TestCli:
         ("phmd\te1\toverall", "phmd\te1\tdisease:other"),
         ("phmd\te1\tdisease:cancer", "phmd\te1\tdisease:other"),
         ("phmd\t", "pipeline\t"),
+        ("phmd\te1\tdisease:cancer", "phmd\te1\toverall\t0.000000\t0.000000\t0.000000\t"
+                                      "0.000000\t0\t0\t9\t15\t-\nphmd\te1\tdisease:cancer"),
     ], ids=["seed_not_an_integer", "folds_missing", "folds_without_value",
             "unknown_scope", "unknown_approach", "overall_row_missing",
-            "disease_row_missing", "phmd_missing"])
+            "disease_row_missing", "phmd_missing", "row_repeated"])
     def test_report_malformed_exit_2(self, tmp_path, capsys, edit):
         text = TestReportRoundTrip()._report().to_structured()
         assert edit[0] in text
@@ -767,7 +773,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "--config" in err
         assert not (tmp_path / "preds.tsv").exists()
-        with pytest.raises(ValueError, match="verdict per document"):
+        with pytest.raises(ValueError, match="feature row per document"):
             evaluate_model(model, load_documents(tmp_path / "data.tsv"))
 
     def test_runtime_failure_without_a_message_names_its_type(self, capsys, monkeypatch):

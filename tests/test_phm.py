@@ -19,7 +19,7 @@ from figphm.corpus import NONPHM, PHM, build_vocab, pad
 from figphm.embeddings import random_table
 from figphm.errors import DataError
 from figphm.figurative import (FIGURATIVE, LITERAL, TAGSET, FigurativeVerdict,
-                               extract_features, feature_row, feature_row_length)
+                               extract_features, feature_row_length, feature_rows)
 from figphm.harness import format_predictions
 from figphm.phm import (FeatAugModel, ModelConfig, build_feataug, build_phmd,
                         load_model, pipeline_predict, predict, save_model, train)
@@ -50,8 +50,13 @@ def make_verdict(label, score=0.9):
     return FigurativeVerdict(literal_score=score, label=label, features=no_features())
 
 
-def predict_one(model, seq, verdict=None) -> float:
-    return float(predict(model, [seq], None if verdict is None else [verdict])[0])
+def make_row(label, score=0.9):
+    """The feature row of ``make_verdict``'s verdict."""
+    return feature_rows([make_verdict(label, score)])[0]
+
+
+def predict_one(model, seq, row=None) -> float:
+    return float(predict(model, [seq], None if row is None else [row])[0])
 
 
 class TestBuildPhmd:
@@ -165,9 +170,9 @@ class TestFeatAug:
 
     def test_eval_deterministic(self):
         model = build_feataug(table_for(4, 4), small_config(), seed=0)
-        verdict = make_verdict(LITERAL, 0.7)
+        row = make_row(LITERAL, 0.7)
         seq = seq_of([2, 3], 8)
-        assert predict_one(model, seq, verdict) == predict_one(model, seq, verdict)
+        assert predict_one(model, seq, row) == predict_one(model, seq, row)
 
     def test_zeroed_right_branch_equals_left_only_model(self):
         table = table_for(6, 5, seed=2)
@@ -187,18 +192,17 @@ class TestFeatAug:
         phmd.dense_b.value[:] = feataug.dense_b.value
 
         seq = seq_of([2, 3, 4, 5, 2], 8)
-        verdict = make_verdict(FIGURATIVE, 0.1)
-        p_aug = predict_one(feataug, seq, verdict)
+        row = make_row(FIGURATIVE, 0.1)
+        p_aug = predict_one(feataug, seq, row)
         p_base = predict_one(phmd, seq)
         assert abs(p_aug - p_base) < 1e-12
 
     def test_verdict_feature_vector_layout(self):
-        verdict = make_verdict(FIGURATIVE, 0.12)
-        vec = feature_row(verdict, include_score=True)
+        vec = feature_rows([make_verdict(FIGURATIVE, 0.12)], include_score=True)[0]
         assert vec.shape == (feature_row_length(True),)
         assert vec[0] == 1.0
         assert vec[-1] == pytest.approx(0.12)
-        vec2 = feature_row(make_verdict(LITERAL), include_score=False)
+        vec2 = feature_rows([make_verdict(LITERAL)], include_score=False)[0]
         assert vec2.shape == (feature_row_length(False),)
         assert vec2[0] == 0.0
 
@@ -252,16 +256,8 @@ class TestTrain:
     def test_feataug_requires_verdicts(self):
         table = table_for(4, 4)
         model = build_feataug(table, small_config(), seed=1)
-        with pytest.raises(ValueError, match="verdict"):
+        with pytest.raises(ValueError, match="feature row per example"):
             train(model, _toy_corpus(), seed=5)
-
-    def test_feataug_accepts_verdicts_and_vectors(self):
-        table = table_for(4, 4)
-        model = build_feataug(table, small_config(), seed=1)
-        corpus = [(seq, label, make_verdict(LITERAL, 0.8))
-                  for seq, label in _toy_corpus(n=8)]
-        trace = train(model, corpus, epochs=1, seed=5)
-        assert len(trace) == 1
 
     def test_frozen_model_over_read_only_table_trains(self):
         """A frozen embedding's rows cannot change, so ``train`` writes
@@ -324,14 +320,14 @@ class TestModelCheckpoint:
     def test_feataug_round_trip(self, tmp_path):
         table = table_for(5, 4)
         model = build_feataug(table, small_config(), seed=2)
-        verdict = make_verdict(LITERAL, 0.6)
+        row = make_row(LITERAL, 0.6)
         seq = seq_of([2, 4], 8)
-        expected = predict_one(model, seq, verdict)
+        expected = predict_one(model, seq, row)
         save_model(model, tmp_path / "m.ckpt")
         loaded = load_model(tmp_path / "m.ckpt")
         assert isinstance(loaded, FeatAugModel)
         assert loaded.feature_length == model.feature_length
-        assert predict_one(loaded, seq, verdict) == expected
+        assert predict_one(loaded, seq, row) == expected
 
     def test_load_adopts_the_stored_arrays(self, tmp_path):
         """At V=20k, d=50 the load's tracemalloc peak is the stored arrays,
@@ -539,15 +535,15 @@ class TestGoldenValues:
 
 def _golden_corpus():
     rng = np.random.default_rng(21)
-    corpus = []
+    examples, verdicts = [], []
     for i in range(20):
         n = int(rng.integers(3, 9))
         ids = rng.integers(2, 11, size=n).tolist() + [0] * (8 - n)
-        verdict = FigurativeVerdict(literal_score=float(rng.uniform()),
-                                    label=FIGURATIVE if i % 3 == 0 else LITERAL,
-                                    features=no_features())
-        corpus.append((ids, PHM if i % 2 else NONPHM, verdict))
-    return corpus
+        verdicts.append(FigurativeVerdict(literal_score=float(rng.uniform()),
+                                          label=FIGURATIVE if i % 3 == 0 else LITERAL,
+                                          features=no_features()))
+        examples.append((ids, PHM if i % 2 else NONPHM))
+    return [example + (row,) for example, row in zip(examples, feature_rows(verdicts))]
 
 
 class TestTrainingGoldenValues:
@@ -756,7 +752,8 @@ class TestPredictionGoldenValues:
         model, _, _ = _batch_of("feataug", 8, seed=4)
         _, ids, _ = _batch_of("phmd", 8, seed=4)
         verdicts = self._verdicts()
-        self._check(predict(model, ids, verdicts), self.FEATAUG, [v.label for v in verdicts])
+        self._check(predict(model, ids, feature_rows(verdicts)), self.FEATAUG,
+                    [v.label for v in verdicts])
         assert proba_calls == ["feataug"]
 
     def test_passes_of_one_example(self):
@@ -766,7 +763,7 @@ class TestPredictionGoldenValues:
 
     def test_feataug_requires_verdicts(self):
         model, (ids, _), _ = _batch_of("feataug", 8, seed=4)
-        with pytest.raises(ValueError, match="verdict per document"):
+        with pytest.raises(ValueError, match="feature row per document"):
             predict(model, ids)
 
 
@@ -781,6 +778,32 @@ def test_only_predict_calls_predict_proba():
                     and (source.stem, function) != ("phm", "predict"):
                 found.append(f"{source.name}:{call.lineno} in {function}")
     assert not found, "predict_proba called outside phm.predict: " + ", ".join(found)
+
+
+def test_phm_reads_only_the_feature_row_length_from_figurative():
+    """``phm`` knows the detector only through the gate label and the row
+    length: it reads no verdict, and ``figurative`` alone builds the rows."""
+    tree = ast.parse((Path(phm.__file__)).read_text("utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "figurative"
+                for alias in node.names}
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    assert imported == {"FIGURATIVE", "feature_row_length"}
+    assert not any("figurative" in name for name in modules)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_verdict(LITERAL),
+    lambda: table_for(3, 2),
+    lambda: nn.Checkpoint({"kind": "phmd"}, [np.zeros(3), np.ones(2)]),
+], ids=["FigurativeVerdict", "EmbeddingTable", "Checkpoint"])
+def test_array_records_compare_by_identity(make):
+    """Records holding arrays compare by identity: equal contents give
+    False, where the generated ``__eq__`` raised on the arrays."""
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert a == a
 
 
 class TestTrainChecks:
@@ -856,7 +879,7 @@ class TestTrainUnusedRows:
         before = model.embedding.value.copy()
         corpus = _toy_corpus()
         if build is build_feataug:
-            corpus = [item + (make_verdict(LITERAL),) for item in corpus]
+            corpus = [item + (make_row(LITERAL),) for item in corpus]
         train(model, corpus, epochs=3, batch=7, seed=5)
         after = model.embedding.value
         assert after[6:].tobytes() == before[6:].tobytes()
@@ -896,8 +919,8 @@ class TestTrainDigest:
             ids = seq_of(rng.integers(1, 12, size=n).tolist(), 8)
             item = (ids, PHM if i % 2 else NONPHM)
             if kind == "feataug":
-                item += (make_verdict(FIGURATIVE if i % 3 == 0 else LITERAL,
-                                      float(rng.uniform())),)
+                item += (make_row(FIGURATIVE if i % 3 == 0 else LITERAL,
+                                  float(rng.uniform())),)
             corpus.append(item)
         return corpus
 
