@@ -155,10 +155,53 @@ def _windows(x: np.ndarray, width: int) -> np.ndarray:
                       buffer=x, strides=tuple(strides[:-1]) + (x.itemsize,))
 
 
-def maxpool1d(x: np.ndarray, pool: int, out: np.ndarray | None = None) -> np.ndarray:
+def maxpool1d(x: np.ndarray, pool: int, out: np.ndarray | None = None,
+              route: np.ndarray | None = None) -> np.ndarray:
     """Non-overlapping max pooling along axis -2 with stride = pool; the
-    tail beyond floor(T/pool)*pool is dropped."""
-    return _pool_view(x, pool).max(axis=-2, out=out)
+    tail beyond floor(T/pool)*pool is dropped.
+
+    ``route``, a C-contiguous bool buffer of x's shape, receives where the
+    backward of ReLU then this pool sends each window's gradient: true at
+    the window's argmax (first index on ties) when that entry is > 0. ``x``
+    must then be a ReLU output, with no entry below 0 and no NaN: for pool 2
+    the second entry wins only if it is greater than the first, and so > 0.
+    """
+    view = _pool_view(x, pool)
+    pooled = view.max(axis=-2, out=out)
+    if route is None:
+        return pooled
+    covered = view.shape[-3] * pool
+    route[..., covered:, :] = False
+    windows = route[..., :covered, :].reshape(view.shape)   # a view of route
+    if pool == 2:
+        first, second = windows[..., 0, :], windows[..., 1, :]
+        np.greater(view[..., 1, :], view[..., 0, :], out=second)
+        np.greater(view[..., 0, :], 0.0, out=first)
+        first &= ~second
+        return pooled
+    unrouted = np.ones(pooled.shape, dtype=bool)
+    for i in range(pool - 1):
+        rest = view[..., i + 1, :] if i + 2 == pool else view[..., i + 1:, :].max(axis=-2)
+        wins = np.greater_equal(view[..., i, :], rest, out=windows[..., i, :])
+        wins &= unrouted
+        unrouted &= ~wins
+    windows[..., pool - 1, :] = unrouted
+    windows &= view > 0.0
+    return pooled
+
+
+def maxpool1d_route_backward(dout: np.ndarray, route: np.ndarray, pool: int,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """The gradient of ReLU then maxpool1d at the ReLU's input: each
+    window's ``dout`` where ``route`` (``maxpool1d``'s record) is true, 0
+    elsewhere and in the tail no window reaches."""
+    covered = dout.shape[-2] * pool
+    dx = np.empty(route.shape) if out is None else out
+    dx[..., covered:, :] = 0.0
+    shape = dout.shape[:-1] + (pool, dout.shape[-1])
+    np.multiply(dout[..., None, :], route[..., :covered, :].reshape(shape),
+                out=dx[..., :covered, :].reshape(shape))
+    return dx
 
 
 def maxpool1d_backward(dout: np.ndarray, x: np.ndarray, pool: int,

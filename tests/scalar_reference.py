@@ -12,6 +12,12 @@ the cached tagger must give the same tags. ``project_table_loop`` copies or
 draws one row at a time; ``project_table`` and ``random_table`` must match it
 bitwise. ``feature_row_loop`` frames one verdict at a time;
 ``feature_rows`` must match it bitwise.
+
+``maxpool1d_backward`` then ``relu_backward`` is the training pass's old
+pool/ReLU backward, which compared the activations again on every pass; the
+forward-recorded route must give the same bytes. ``dense_backward_matmul``
+is the head's backward with the input gradient as a K=1 GEMM; the one-unit
+product must give equal values.
 """
 
 from __future__ import annotations
@@ -211,3 +217,38 @@ def feature_row_loop(verdict, include_score=True):
     then the literal score if included."""
     return np.concatenate(([float(verdict.label == FIGURATIVE)], verdict.features,
                            [verdict.literal_score] if include_score else []))
+
+
+def maxpool1d_backward(dout, x, pool, out=None):
+    """Routes each window's gradient to its argmax (first index on ties),
+    found by comparison: entry i wins if no earlier entry won and it is at
+    least the maximum of the entries after it."""
+    n_windows = x.shape[-2] // pool
+    covered = n_windows * pool
+    view = x[..., :covered, :].reshape(x.shape[:-2] + (n_windows, pool, x.shape[-1]))
+    if out is None:
+        dx = np.zeros_like(x)
+    else:
+        dx = out
+        dx[..., covered:, :] = 0.0                  # the tail no window reaches
+    dwindows = dx[..., :covered, :].reshape(view.shape)   # a view of dx
+    unrouted = np.ones(dout.shape, dtype=bool)
+    for i in range(pool - 1):
+        rest = view[..., i + 1, :] if i + 2 == pool else view[..., i + 1:, :].max(axis=-2)
+        wins = (view[..., i, :] >= rest) & unrouted
+        np.multiply(dout, wins, out=dwindows[..., i, :])
+        unrouted &= ~wins
+    np.multiply(dout, unrouted, out=dwindows[..., pool - 1, :])
+    return dx
+
+
+def relu_backward(dout, x, out=None):
+    return np.multiply(dout, x > 0.0, out=out)
+
+
+def dense_backward_matmul(dout, x, weights, out):
+    """dense_backward with the input gradient as the GEMM dout @ W."""
+    dout = dout * out * (1.0 - out)
+    flat_dout = dout.reshape(-1, weights.shape[0])
+    dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
+    return np.matmul(dout, weights), dweights, flat_dout.sum(axis=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import scalar_reference
 from figphm import neuralnet as nn
 from figphm.errors import DataError
 
@@ -342,9 +343,9 @@ class TestBatchedKernels:
 
     def test_dense_batch_equals_examples(self):
         rng = np.random.default_rng(8)
-        x, weights, bias = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (2, 4)), np.ones(2)
+        x, weights, bias = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (1, 4)), np.ones(1)
         out = nn.dense(x, weights, bias)
-        dout = rng.normal(0, 1, (3, 2))
+        dout = rng.normal(0, 1, (3, 1))
         dx, dw, db = nn.dense_backward(dout, x, weights, out)
         singles = [nn.dense_backward(dout[b], x[b], weights, out[b])
                    for b in range(3)]
@@ -366,6 +367,88 @@ class TestBatchedKernels:
         for row in mask:
             assert np.array_equal(row[:3], nn.make_dropout_mask(3, 0.2, rng))
             assert np.array_equal(row[3:], nn.make_dropout_mask(2, 0.5, rng))
+
+
+def _relu_outputs(rng, shape):
+    """ReLU outputs with many ties and zeros, plus -0.0 entries."""
+    pre = rng.integers(-2, 3, size=shape) * 0.5
+    mixed = rng.random(shape) < 0.3
+    pre[mixed] = rng.normal(0.0, 1.0, int(mixed.sum()))
+    act = nn.relu(pre)
+    act[rng.random(shape) < 0.1] = -0.0
+    return act
+
+
+def _signed_zeros(rng, shape):
+    """Normal draws with about a tenth 0.0 and a tenth -0.0."""
+    values = rng.normal(0.0, 1.0, shape)
+    draw = rng.random(shape)
+    values[draw < 0.1] = 0.0
+    values[draw > 0.9] = -0.0
+    return values
+
+
+class TestPoolRoute:
+    """The route ``maxpool1d`` records in a training forward, and the
+    backward that multiplies by it, give the bytes of the old chain
+    (``scalar_reference``'s ``maxpool1d_backward`` then ``relu_backward``
+    on the activations), whatever the buffers held before."""
+
+    # desk branches (T=16 at widths 3/4/5, a feature row of 28 or 29
+    # entries at width 2), the paper shape's width 3 (T=50), a small one
+    SHAPES = [(16, 14, 100), (16, 13, 100), (16, 12, 100), (16, 27, 100), (16, 28, 100),
+              (16, 48, 100), (3, 7, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_route_backward_equals_pool_then_relu_backward(self, shape, pool):
+        rng = np.random.default_rng([pool, *shape])
+        act = _relu_outputs(rng, shape)
+        route = np.ones(shape, dtype=bool)
+        pooled = nn.maxpool1d(act, pool, route=route)
+        assert pooled.tobytes() == nn.maxpool1d(act, pool).tobytes()
+        dout = _signed_zeros(rng, pooled.shape)
+        want = scalar_reference.relu_backward(
+            scalar_reference.maxpool1d_backward(dout, act, pool), act)
+        got = nn.maxpool1d_route_backward(dout, route, pool, out=np.full(shape, np.nan))
+        assert got.tobytes() == want.tobytes()
+        assert nn.maxpool1d_route_backward(dout, route, pool).tobytes() == want.tobytes()
+        # dout as the training pass reads it: a column slice of the hidden layer
+        wide = np.full((shape[0], dout[0].size + 9), np.nan)
+        columns = wide[:, 4:4 + dout[0].size]
+        columns[...] = dout.reshape(shape[0], -1)
+        got = nn.maxpool1d_route_backward(columns.reshape(dout.shape), route, pool)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_one_example_without_a_batch_axis(self, pool):
+        rng = np.random.default_rng(pool)
+        act = _relu_outputs(rng, (11, 4))
+        route = np.empty(act.shape, dtype=bool)
+        dout = _signed_zeros(rng, nn.maxpool1d(act, pool, route=route).shape)
+        want = scalar_reference.relu_backward(
+            scalar_reference.maxpool1d_backward(dout, act, pool), act)
+        assert nn.maxpool1d_route_backward(dout, route, pool).tobytes() == want.tobytes()
+
+
+class TestOneUnitHead:
+    """The head is one sigmoid unit, so its input gradient is the product
+    dout * W, equal in value to the GEMM dout @ W (a saturated sigmoid may
+    give -0.0 where the GEMM gave 0.0); the weight and bias gradients keep
+    their bytes."""
+
+    # desk PHMD and FeatAug and paper PHMD hidden widths, and a small one
+    @pytest.mark.parametrize("batch, width", [(16, 1900), (16, 3300), (16, 7000), (3, 4)])
+    def test_input_gradient_equals_the_matmul_form(self, batch, width):
+        rng = np.random.default_rng(width)
+        x, weights = _signed_zeros(rng, (batch, width)), rng.normal(0, 0.05, (1, width))
+        x[:2] *= 1e4                                       # saturate two rows
+        out = nn.dense(x, weights, np.zeros(1))
+        dout = _signed_zeros(rng, (batch, 1))
+        got = nn.dense_backward(dout, x, weights, out, dx=np.full(x.shape, np.nan))
+        want = scalar_reference.dense_backward_matmul(dout, x, weights, out)
+        assert np.array_equal(got[0], want[0])
+        assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
 
 
 class TestOutputBuffers:
