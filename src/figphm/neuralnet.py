@@ -1,14 +1,17 @@
 """Minimal reverse-mode kernels for the sentence CNN: embedding lookup,
 valid 1-D convolution, ReLU, non-overlapping max pooling, inverted-dropout
-masks, a sigmoid dense head, binary cross-entropy, and Adam.
+masks, a one-unit sigmoid dense head, binary cross-entropy, and Adam.
 
 Everything runs in float64. Each forward function has a matching backward
-that consumes the upstream gradient and the forward inputs. The kernels take
-an optional leading batch axis; backward passes sum parameter gradients over
+that consumes the upstream gradient and the forward inputs, or what the
+forward recorded: ``maxpool1d`` records the route of ReLU then pooling as a
+bool array, and ``maxpool1d_backward`` multiplies the pooled gradient by it,
+so a training pass compares the activations once. The kernels take an
+optional leading batch axis; backward passes sum parameter gradients over
 it. Each kernel can write its large outputs into caller-owned buffers
 (``out=`` and the like), so a training loop can reuse one set of buffers
-for every pass. ``gradient_check``
-verifies any parameterized scalar-loss model against central differences.
+for every pass. ``gradient_check`` verifies any parameterized scalar-loss
+model against central differences.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ReLU's backward alone; a training pass takes it inside the pool route."""
     return np.multiply(dout, x > 0.0, out=out)
 
 
@@ -132,11 +136,11 @@ def conv1d_backward(dout: np.ndarray, x: np.ndarray, kernels: np.ndarray,
     contrib = np.matmul(flat_dout, kernels.reshape(n_filters, -1), out=flat_contrib).reshape(
         dout.shape[:-1] + (width, dim))
     if dx is None:
-        dx = np.zeros_like(x)
-    else:
-        dx.fill(0.0)
+        dx = np.empty_like(x)
     out_len = dout.shape[-2]
-    for i in range(width):
+    dx[..., :out_len, :] = contrib[..., 0, :]
+    dx[..., out_len:, :] = 0.0
+    for i in range(1, width):
         dx[..., i:i + out_len, :] += contrib[..., i, :]
     return dx, dkernels, dbias
 
@@ -190,8 +194,8 @@ def maxpool1d(x: np.ndarray, pool: int, out: np.ndarray | None = None,
     return pooled
 
 
-def maxpool1d_route_backward(dout: np.ndarray, route: np.ndarray, pool: int,
-                             out: np.ndarray | None = None) -> np.ndarray:
+def maxpool1d_backward(dout: np.ndarray, route: np.ndarray, pool: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """The gradient of ReLU then maxpool1d at the ReLU's input: each
     window's ``dout`` where ``route`` (``maxpool1d``'s record) is true, 0
     elsewhere and in the tail no window reaches."""
@@ -201,29 +205,6 @@ def maxpool1d_route_backward(dout: np.ndarray, route: np.ndarray, pool: int,
     shape = dout.shape[:-1] + (pool, dout.shape[-1])
     np.multiply(dout[..., None, :], route[..., :covered, :].reshape(shape),
                 out=dx[..., :covered, :].reshape(shape))
-    return dx
-
-
-def maxpool1d_backward(dout: np.ndarray, x: np.ndarray, pool: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Routes each window's gradient to its argmax (first index on ties),
-    found by comparison: entry i wins if no earlier entry won and it is at
-    least the maximum of the entries after it."""
-    view = _pool_view(x, pool)
-    covered = view.shape[-3] * pool
-    if out is None:
-        dx = np.zeros_like(x)
-    else:
-        dx = out
-        dx[..., covered:, :] = 0.0                  # the tail no window reaches
-    dwindows = dx[..., :covered, :].reshape(view.shape)   # a view of dx
-    unrouted = np.ones(dout.shape, dtype=bool)
-    for i in range(pool - 1):
-        rest = view[..., i + 1, :] if i + 2 == pool else view[..., i + 1:, :].max(axis=-2)
-        wins = (view[..., i, :] >= rest) & unrouted
-        np.multiply(dout, wins, out=dwindows[..., i, :])
-        unrouted &= ~wins
-    np.multiply(dout, unrouted, out=dwindows[..., pool - 1, :])
     return dx
 
 
@@ -240,26 +221,35 @@ def _pool_view(x: np.ndarray, pool: int) -> np.ndarray:
 
 
 def make_dropout_mask(shape, rate, rng: np.random.Generator,
-                      out: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None, keep: np.ndarray | None = None,
+                      scale: np.ndarray | None = None) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability rate, survivors scaled
     by 1/(1-rate) so the expectation matches the input. ``rate`` may be an
     array of per-column rates along the last axis. The mask is drawn into
     ``out`` (C-contiguous, of ``shape``) when given, from the same stream,
-    and ``keep`` is a bool buffer of ``shape`` for the survivor test."""
-    rate = np.asarray(rate, dtype=np.float64)
-    if not np.all((0.0 <= rate) & (rate < 1.0)):
-        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not rate.any():
-        mask = np.empty(shape) if out is None else out
-        mask.fill(1.0)
-        return mask
+    and ``keep`` is a bool buffer of ``shape`` for the survivor test.
+
+    ``scale`` is 1/(1-rate), computed once by a caller that has checked its
+    rates to lie in (0, 1); without it the rates are checked here.
+    """
+    if scale is None:
+        rate = np.asarray(rate, dtype=np.float64)
+        if not np.all((0.0 <= rate) & (rate < 1.0)):
+            raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
+        if not rate.any():
+            mask = np.empty(shape) if out is None else out
+            mask.fill(1.0)
+            return mask
+        scale = 1.0 / (1.0 - rate)
     mask = rng.random(shape) if out is None else rng.random(out=out)
-    return np.divide(np.greater_equal(mask, rate, out=keep), 1.0 - rate, out=mask)
+    # keep * scale is bitwise keep / (1 - rate): 1.0 * s is s, 0.0 * s is 0.0
+    return np.multiply(np.greater_equal(mask, rate, out=keep), scale, out=mask)
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """sigmoid(W @ x + b) over the last axis of x."""
-    if weights.shape[1] != x.shape[-1]:
+    """One sigmoid unit, sigmoid(W @ x + b), over the last axis of x; W is
+    (1, n) and the output keeps a last axis of 1."""
+    if weights.shape != (1, x.shape[-1]):
         raise ValueError(f"shape mismatch: W is {weights.shape}, x is {x.shape}")
     return sigmoid(x @ weights.T + bias)
 
@@ -268,11 +258,13 @@ def dense_backward(dout: np.ndarray, x: np.ndarray, weights: np.ndarray, out: np
                    dx: np.ndarray | None = None):
     """Gradients of dense(), summed over the batch; ``out`` is the forward
     output (used for the sigmoid derivative) and ``dx`` a buffer of x's
-    shape for the input gradient."""
+    shape for the input gradient. With one unit that gradient is the
+    product dout * W, which equals the GEMM dout @ W in value; where the
+    sigmoid saturates it may be -0.0 where the GEMM gave 0.0."""
     dout = dout * out * (1.0 - out)
-    flat_dout = dout.reshape(-1, weights.shape[0])
+    flat_dout = dout.reshape(-1, 1)
     dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
-    return np.matmul(dout, weights, out=dx), dweights, flat_dout.sum(axis=0)
+    return np.multiply(dout, weights[0], out=dx), dweights, flat_dout.sum(axis=0)
 
 
 def bce_loss(p, y):

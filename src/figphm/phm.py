@@ -40,8 +40,14 @@ from .figurative import FIGURATIVE, feature_row_length
 from . import neuralnet as nn
 from .neuralnet import Parameter
 
-PASS_BYTES = 1 << 21        # ReLU activations cached per training pass
+PASS_BYTES = 1 << 21        # float64 activations per training pass
 _PASS_EXAMPLES = 16         # and at most this many examples per pass
+# numpy's ufunc iterator allocates a buffer of this many elements per operand
+# when it cannot walk its operands as one block, as with a pass's column
+# slices and pool windows. At numpy's default of 8192 such a call allocated
+# and freed up to 174 KB at desk shape, and one into a 1900-column row
+# buffered at all; a desk train at 2048 took 0.94x the time, same bytes.
+PASS_BUFSIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -129,37 +135,34 @@ class _ConvBranch:
         self.pool = pool
 
     def forward(self, x: np.ndarray, pooled: np.ndarray, ws: _Workspace,
-                key: int | None) -> tuple[np.ndarray | None, np.ndarray]:
-        """x (B, T, depth) -> (im2col windows, ReLU activations), both in
-        ``ws`` under ``key`` for the backward; the pooled (B, windows, F)
-        maxima go to ``pooled``. With no key (an eval pass) the windows are
-        not kept and the activations go to a buffer every branch shares."""
+                key: int | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """x (B, T, depth) -> (im2col windows, pool route), both in ``ws``
+        under ``key`` for the backward; the pooled (B, windows, F) maxima go
+        to ``pooled``. The route is true where the pool's gradient passes
+        the ReLU (see ``nn.maxpool1d``), so the activations go to a buffer
+        every branch shares. With no key (an eval pass) neither the windows
+        nor a route is kept."""
         batch, seq_len, depth = x.shape
         out_len = seq_len - self.width + 1
-        windows = None if key is None else ws((key, "windows"),
-                                              (batch, out_len, self.width * depth))
+        act_shape = (batch, out_len, self.kernels.value.shape[0])
+        windows, route = (None, None) if key is None else (
+            ws((key, "windows"), (batch, out_len, self.width * depth)),
+            ws((key, "route"), act_shape, dtype=bool))
         act = nn.conv1d(x, self.kernels.value, self.bias.value, windows=windows,
-                        out=ws((key, "act"), (batch, out_len, self.kernels.value.shape[0])))
+                        out=ws("act", act_shape))
         nn.relu(act, out=act)
-        nn.maxpool1d(act, self.pool, out=pooled)
-        return windows, act
+        nn.maxpool1d(act, self.pool, out=pooled, route=route)
+        return windows, route
 
     def backward(self, dpooled: np.ndarray, x: np.ndarray, windows: np.ndarray,
-                 act: np.ndarray, grad_scale: float, ws: _Workspace,
+                 route: np.ndarray, grad_scale: float, ws: _Workspace,
                  dx_key: str | None) -> np.ndarray | None:
         """Adds the parameter gradients; returns the input gradient, in
         ``ws`` under ``dx_key``, or None without a key. The pool and kernel
         gradients' buffers are shared by every branch, and the input
         gradient's GEMM overwrites this branch's windows, which are dead
         once the kernel gradient is formed."""
-        # a contiguous copy: numpy's iterator gives each operand it cannot
-        # walk as one block a 64 KiB buffer, and dpooled is a column slice
-        contiguous = ws("dpooled", dpooled.shape)
-        contiguous[...] = dpooled
-        dpre = nn.maxpool1d_backward(contiguous, act, self.pool,
-                                     out=ws("dpre", act.shape))
-        # act > 0 exactly where the pre-activation is, so act stands in for it
-        nn.relu_backward(dpre, act, out=dpre)
+        dpre = nn.maxpool1d_backward(dpooled, route, self.pool, out=ws("dpre", route.shape))
         dx, dkernels, dbias = nn.conv1d_backward(
             dpre, x, self.kernels.value, input_grad=dx_key is not None, windows=windows,
             dkernels=ws("dkernels", self.kernels.value.shape), contrib=windows,
@@ -257,12 +260,20 @@ class _SentenceCnn:
         self._columns = [slice(end - size, end) for size, end in zip(sizes, ends)]
         # Dropout masks are drawn as one block, example-major, over the
         # pooled-feature columns of the branches with rate > 0, in branch order.
+        # The config has checked the rates, so each column's 1/(1-rate) is
+        # formed here once. The rate-0 feature branch comes last, so the
+        # columns are a prefix that a slice reads in place; an index array
+        # takes the same path when a text branch has rate 0.
         column_rates = np.repeat([b.dropout_rate for b in self._all_branches], sizes)
-        self._dropout_columns = np.flatnonzero(column_rates)
-        self._dropout_rates = column_rates[self._dropout_columns]
-        # The backward needs every branch's ReLU activations, so training
-        # runs a minibatch in passes of at most _PASS_EXAMPLES examples and
-        # PASS_BYTES of activations, which bounds memory whatever the batch.
+        columns = np.flatnonzero(column_rates)
+        self._dropout_rates = column_rates[columns]
+        self._dropout_scale = 1.0 / (1.0 - self._dropout_rates)
+        contiguous = columns.size and columns[-1] - columns[0] + 1 == columns.size
+        self._dropout_columns = slice(columns[0], columns[-1] + 1) if contiguous else columns
+        # The backward needs every branch's windows and pool route, so
+        # training runs a minibatch in passes of at most _PASS_EXAMPLES
+        # examples and PASS_BYTES of float64 activations (the measure the pass
+        # size was tuned on), which bounds memory whatever the batch.
         # At paper shape a PHMD pass is 16 examples (1.7 MiB). There, passes
         # of 18 took 0.85x the time of passes of 4 and passes of 128 took
         # 1.13x; whole 64-example desk passes were no faster and raised peak
@@ -304,12 +315,15 @@ class _SentenceCnn:
         targets = self._targets(target, ids.shape[0])
         ws = _Workspace() if workspace is None else workspace
         loss = 0.0
-        for start in range(0, ids.shape[0], self._pass_size):
-            rows = slice(start, start + self._pass_size)
-            probs, cache = self._forward(ids[rows], None if features is None else features[rows],
-                                         train, rng, ws, backward=True)
-            self._backward(nn.bce_grad(probs, targets[rows]), cache, grad_scale, ws)
-            loss += float(nn.bce_loss(probs, targets[rows]).sum())
+        with np.errstate():             # restores numpy's buffer size on exit
+            np.setbufsize(PASS_BUFSIZE)
+            for start in range(0, ids.shape[0], self._pass_size):
+                rows = slice(start, start + self._pass_size)
+                probs, cache = self._forward(ids[rows],
+                                             None if features is None else features[rows],
+                                             train, rng, ws, backward=True)
+                self._backward(nn.bce_grad(probs, targets[rows]), cache, grad_scale, ws)
+                loss += float(nn.bce_loss(probs, targets[rows]).sum())
         return loss
 
     def predict_proba(self, inputs):
@@ -369,25 +383,22 @@ class _SentenceCnn:
         self.forward_count += batch
         width = self.dense_w.value.shape[1]
         hidden = ws("hidden", (batch, width))
-        windows, acts = [], []
+        windows, routes = [], []
         for key, (branch, x, columns) in enumerate(zip(self._all_branches, branch_inputs,
                                                        self._columns)):
             pooled = hidden[:, columns].reshape(batch, -1, branch.kernels.value.shape[0])
-            branch_windows, act = branch.forward(x, pooled, ws, key if backward else None)
+            branch_windows, route = branch.forward(x, pooled, ws, key if backward else None)
             windows.append(branch_windows)
-            acts.append(act)
+            routes.append(route)
         mask = None
-        if train and self._dropout_columns.size:
-            # columns without dropout keep the 1.0 written at allocation
-            mask = ws("mask", (batch, width), fill=1.0)
-            shape = (batch, self._dropout_columns.size)
-            # the draw borrows dhidden's buffer, which only the backward writes
-            mask[:, self._dropout_columns] = nn.make_dropout_mask(
-                shape, self._dropout_rates, rng, out=ws("dhidden", shape),
-                keep=ws("keep", shape, dtype=bool))
-            hidden *= mask
+        if train and self._dropout_rates.size:
+            shape = (batch, self._dropout_rates.size)
+            mask = nn.make_dropout_mask(shape, self._dropout_rates, rng, out=ws("mask", shape),
+                                        keep=ws("keep", shape, dtype=bool),
+                                        scale=self._dropout_scale)
+            hidden[:, self._dropout_columns] *= mask
         out = nn.dense(hidden, self.dense_w.value, self.dense_b.value)
-        return out[:, 0], dict(ids=ids, inputs=branch_inputs, windows=windows, acts=acts,
+        return out[:, 0], dict(ids=ids, inputs=branch_inputs, windows=windows, routes=routes,
                                hidden=hidden, mask=mask, out=out)
 
     def _backward(self, dprobs, cache, grad_scale, ws):
@@ -398,17 +409,17 @@ class _SentenceCnn:
         self.dense_w.grad += dw
         self.dense_b.grad += grad_scale * db
         if cache["mask"] is not None:
-            dhidden *= cache["mask"]
+            dhidden[:, self._dropout_columns] *= cache["mask"]
         trainable = self.config.trainable_embeddings
         dembedded = None
-        for branch, x, windows, act, columns in zip(self._all_branches, cache["inputs"],
-                                                    cache["windows"], cache["acts"],
-                                                    self._columns):
-            dpooled = dhidden[:, columns].reshape(act.shape[0], -1, act.shape[-1])
+        for branch, x, windows, route, columns in zip(self._all_branches, cache["inputs"],
+                                                      cache["windows"], cache["routes"],
+                                                      self._columns):
+            dpooled = dhidden[:, columns].reshape(route.shape[0], -1, route.shape[-1])
             input_grad = trainable and branch is not self.right
             # the first input gradient is the sum the others are added to
             dx_key = ("dembedded" if dembedded is None else "dx") if input_grad else None
-            dx = branch.backward(dpooled, x, windows, act, grad_scale, ws, dx_key)
+            dx = branch.backward(dpooled, x, windows, route, grad_scale, ws, dx_key)
             if dx is None:
                 continue
             if dembedded is None:

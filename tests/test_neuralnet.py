@@ -99,16 +99,27 @@ class TestMaxpool1d:
         with pytest.raises(ValueError, match="shorter than pool"):
             nn.maxpool1d(np.ones((1, 2)), 2)
 
+    @staticmethod
+    def _routed(dout, x, pool):
+        route = np.empty(x.shape, dtype=bool)
+        nn.maxpool1d(x, pool, route=route)
+        return nn.maxpool1d_backward(dout, route, pool)
+
     def test_tie_routes_gradient_to_first(self):
         x = np.ones((4, 1))
         dout = np.array([[1.0], [2.0]])
-        dx = nn.maxpool1d_backward(dout, x, 2)
+        dx = self._routed(dout, x, 2)
         assert dx.ravel().tolist() == [1.0, 0.0, 2.0, 0.0]
 
     def test_gradient_hits_argmax(self):
         x = np.array([[3.0], [5.0], [2.0], [4.0]])
-        dx = nn.maxpool1d_backward(np.array([[1.0], [1.0]]), x, 2)
+        dx = self._routed(np.array([[1.0], [1.0]]), x, 2)
         assert dx.ravel().tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_route_stops_at_a_zero_activation(self):
+        x = np.array([[0.0], [0.0], [2.0], [0.0], [1.0]])
+        dx = self._routed(np.array([[1.0], [1.0]]), x, 2)
+        assert dx.ravel().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=16),
            st.integers(min_value=1, max_value=4))
@@ -332,14 +343,19 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("pool", [1, 2, 3])
     def test_maxpool_backward_matches_reference_with_ties(self, pool):
         rng = np.random.default_rng(pool)
-        x = rng.integers(0, 3, size=(3, 8, 4)).astype(float)   # many ties
-        out = nn.maxpool1d(x, pool)
+        x = rng.integers(0, 3, size=(3, 8, 4)).astype(float)   # many ties and zeros
+        route = np.empty(x.shape, dtype=bool)
+        out = nn.maxpool1d(x, pool, route=route)
         dout = rng.normal(0, 1, out.shape)
-        dx = nn.maxpool1d_backward(dout, x, pool)
+        dx = nn.maxpool1d_backward(dout, route, pool)
         assert dx.shape == x.shape
         for b in range(3):
-            assert np.array_equal(out[b], nn.maxpool1d(x[b], pool))
-            assert np.array_equal(dx[b], _maxpool_backward_reference(dout[b], x[b], pool))
+            single = np.empty(x[b].shape, dtype=bool)
+            assert np.array_equal(out[b], nn.maxpool1d(x[b], pool, route=single))
+            assert np.array_equal(single, route[b])
+            # the route takes the ReLU's gate: no gradient where x is 0
+            want = _maxpool_backward_reference(dout[b], x[b], pool) * (x[b] > 0.0)
+            assert np.array_equal(dx[b], want)
 
     def test_dense_batch_equals_examples(self):
         rng = np.random.default_rng(8)
@@ -410,14 +426,14 @@ class TestPoolRoute:
         dout = _signed_zeros(rng, pooled.shape)
         want = scalar_reference.relu_backward(
             scalar_reference.maxpool1d_backward(dout, act, pool), act)
-        got = nn.maxpool1d_route_backward(dout, route, pool, out=np.full(shape, np.nan))
+        got = nn.maxpool1d_backward(dout, route, pool, out=np.full(shape, np.nan))
         assert got.tobytes() == want.tobytes()
-        assert nn.maxpool1d_route_backward(dout, route, pool).tobytes() == want.tobytes()
+        assert nn.maxpool1d_backward(dout, route, pool).tobytes() == want.tobytes()
         # dout as the training pass reads it: a column slice of the hidden layer
         wide = np.full((shape[0], dout[0].size + 9), np.nan)
         columns = wide[:, 4:4 + dout[0].size]
         columns[...] = dout.reshape(shape[0], -1)
-        got = nn.maxpool1d_route_backward(columns.reshape(dout.shape), route, pool)
+        got = nn.maxpool1d_backward(columns.reshape(dout.shape), route, pool)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("pool", [1, 2, 3])
@@ -428,7 +444,7 @@ class TestPoolRoute:
         dout = _signed_zeros(rng, nn.maxpool1d(act, pool, route=route).shape)
         want = scalar_reference.relu_backward(
             scalar_reference.maxpool1d_backward(dout, act, pool), act)
-        assert nn.maxpool1d_route_backward(dout, route, pool).tobytes() == want.tobytes()
+        assert nn.maxpool1d_backward(dout, route, pool).tobytes() == want.tobytes()
 
 
 class TestOneUnitHead:
@@ -483,10 +499,14 @@ class TestOutputBuffers:
         rng = np.random.default_rng(pool)
         x = np.maximum(rng.integers(-2, 3, size=(3, 8, 4)).astype(float), 0.0)  # ties
         pooled = self._garbage((3, 8 // pool, 4))
-        assert nn.maxpool1d(x, pool, out=pooled).tobytes() == nn.maxpool1d(x, pool).tobytes()
+        route, fresh = self._garbage(x.shape, bool), np.zeros(x.shape, dtype=bool)
+        assert nn.maxpool1d(x, pool, out=pooled, route=route).tobytes() \
+            == nn.maxpool1d(x, pool).tobytes()
+        nn.maxpool1d(x, pool, route=fresh)
+        assert route.tobytes() == fresh.tobytes()
         dout = rng.normal(0, 1, pooled.shape)
-        routed = nn.maxpool1d_backward(dout, x, pool, out=self._garbage(x.shape))
-        assert routed.tobytes() == nn.maxpool1d_backward(dout, x, pool).tobytes()
+        routed = nn.maxpool1d_backward(dout, route, pool, out=self._garbage(x.shape))
+        assert routed.tobytes() == nn.maxpool1d_backward(dout, route, pool).tobytes()
         want = nn.relu_backward(routed, x)
         assert nn.relu_backward(routed, x, out=routed).tobytes() == want.tobytes()
         pre = rng.normal(0, 1, x.shape)

@@ -961,6 +961,45 @@ def _desk_pass(build, n=16):
     return model, ids, targets
 
 
+class TestDropoutColumns:
+    """Dropout multiplies only the columns of branches with rate > 0, in
+    place: through a slice when they are a prefix of the hidden layer, as
+    they are whenever only the feature branch has rate 0, and through an
+    index array otherwise, on one code path."""
+
+    def test_feature_branch_last_gives_a_prefix_slice(self):
+        model, _, _ = _desk_pass(build_feataug)
+        text_width = model._columns[len(model.branches) - 1].stop
+        assert model._dropout_columns == slice(0, text_width)
+        assert model._dropout_scale.tobytes() == (1.0 / (1.0 - model._dropout_rates)).tobytes()
+
+    def test_slice_and_index_array_give_the_same_pass(self):
+        model, inputs, targets = _desk_pass(build_feataug)
+        columns = model._dropout_columns
+
+        def pass_bytes(dropout_columns):
+            model._dropout_columns = dropout_columns
+            loss = model.loss_and_grad(inputs, targets, train=True,
+                                       rng=np.random.default_rng(5))
+            return [np.float64(loss).tobytes()] + [p.grad.tobytes()
+                                                   for p in model.all_parameters()]
+        assert pass_bytes(columns) == pass_bytes(np.arange(columns.start, columns.stop))
+
+    def test_a_rate_zero_text_branch_is_left_out(self):
+        config = ModelConfig(max_sequence_length=16, dropout_rates=(0.2, 0.0, 0.5))
+        model = build_phmd(table_for(50, 4, seed=1), config, seed=0)
+        middle = model._columns[1]
+        kept = np.setdiff1d(np.arange(model._columns[-1].stop),
+                            np.arange(middle.start, middle.stop))
+        assert np.array_equal(model._dropout_columns, kept)
+        ids = np.random.default_rng(0).integers(0, len(model.vocab), size=(4, 16))
+        _, cache = model._forward(ids, None, True, np.random.default_rng(1), phm._Workspace())
+        hidden = cache["hidden"]
+        _, clean = model._forward(ids, None, False, None, phm._Workspace())
+        assert hidden[:, middle].tobytes() == clean["hidden"][:, middle].tobytes()
+        assert (hidden[:, kept] == 0.0).any()
+
+
 class TestEvalPasses:
     @pytest.mark.parametrize("build", [build_phmd, build_feataug])
     def test_loss_peak_is_predict_probas(self, build):
