@@ -93,7 +93,8 @@ def load_table(path: str | Path, format: str = "glove_text",
     has none (Numberbatch ships in this layout, pass ``strip_prefix="/c/en/"``
     to drop its language prefix). Duplicate words keep the first occurrence.
     A non-finite value (``inf``, ``nan``, or a number that overflows) is a
-    data error.
+    data error, and so is a row whose squared norm overflows (values past
+    about 1.3e154), since every cosine divides by that norm.
 
     Fields are separated by runs of spaces. Words are read line by line;
     values are parsed ``_BLOCK_ROWS`` rows at a time (see ``_parse_block``).
@@ -151,6 +152,12 @@ def load_table(path: str | Path, format: str = "glove_text",
         bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
         raise DataError(f"{path}: line {kept_lines[bad - len(RESERVED_TOKENS)]}: "
                         f"non-finite value")
+    with np.errstate(over="ignore"):
+        norms = row_norms(matrix)
+    if not np.isfinite(norms).all():
+        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise DataError(f"{path}: line {kept_lines[bad - len(RESERVED_TOKENS)]}: "
+                        f"row norm overflows")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
 
 

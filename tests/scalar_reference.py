@@ -5,8 +5,9 @@ Each function walks rows, word pairs or tokens one at a time with the
 arithmetic the array code must reproduce: ``retrofit_loop`` and
 ``lda_loop`` must match bitwise, ``nearest_neighbors_loop`` must give the
 same list and scores, and ``literal_usage_score_loop`` must agree to 1e-12.
-``load_table_rows`` parses every value with ``float()``; the block parser
-must give the same table, bitwise, and the same ``DataError`` message.
+``load_table_rows`` parses every value with ``float()`` and sums each row's
+squares one at a time; the block parser must give the same table, bitwise,
+and the same ``DataError`` message.
 ``pos_tag_loop`` applies the tagging rules to every token, repeats included;
 the cached tagger must give the same tags. ``project_table_loop`` copies or
 draws one row at a time; ``project_table`` and ``random_table`` must match it
@@ -75,6 +76,9 @@ def load_table_rows(path, format="glove_text", strip_prefix=None):
         bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
         raise DataError(f"{path}: line {rows[bad - len(RESERVED_TOKENS)][0]}: "
                         f"non-finite value")
+    for lineno, _, vector in rows:
+        if not np.isfinite(sum(value * value for value in vector.tolist())):
+            raise DataError(f"{path}: line {lineno}: row norm overflows")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from figphm.cli import main as cli_main
 from figphm.corpus import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
 from figphm.embeddings import (_BLOCK_ROWS, EmbeddingTable, OntologyGraph, _fields,
                                _loadtxt_block, cosine, load_ontology, load_table,
@@ -205,6 +206,9 @@ LOAD_CASES = {
     "non-finite value before a dimension change": ("cat inf 2\ndog 1\n", "glove_text", None,
                                                    "line 2: expected 2 dims, got 1"),
     "overflow": ("cat 1 2\ndog 1e999 1\n", "glove_text", None, "line 2: non-finite value"),
+    "squared norm overflows": ("cat 1 2\ndog 1e200 1\nbird 1e155 0\n", "glove_text", None,
+                               "line 2: row norm overflows"),
+    "squared norm just finite": ("cat 1e153 -1e153\n", "glove_text", None, None),
     "one full block": (_with(_rows(BLOCK), {}), "glove_text", None, None),
     "two full blocks and one row": (_with(_rows(2 * BLOCK + 1), {}), "glove_text", None, None),
     "duplicates across blocks": (
@@ -281,6 +285,39 @@ class TestLoadTableMatchesRowParser:
 
 
 _SPACING = st.sampled_from([" ", " ", " ", "  "])  # mostly one space
+
+
+class TestOverflowingRows:
+    """A table whose values are finite but whose squared row norms overflow
+    gave every cosine against those rows as NaN or 0.0. ``fig-score`` on it
+    exited 3 ("literal representation is empty") when every positive entry
+    was 1e300, and 0 with wrong verdicts when only the ``cough`` row's were
+    1e154. Both now exit 2 and name the file's line."""
+
+    @staticmethod
+    def _fixture(tmp_path):
+        assert cli_main(["synth", "--out", str(tmp_path), "--docs", "24", "--seed", "3"]) == 0
+        return tmp_path / "fig_embeddings.txt"
+
+    @staticmethod
+    def _rewrite(path, big, only=None):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            word, *values = line.split(" ")
+            if only in (None, word):
+                lines[i] = " ".join([word] + [big if float(v) > 0 else v for v in values])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return next(i + 1 for i, line in enumerate(lines) if big in line)
+
+    @pytest.mark.parametrize("big, only", [("1e300", None), ("1e154", "cough")],
+                             ids=["every_positive_entry", "cough_row"])
+    def test_fig_score_exits_2_naming_the_line(self, tmp_path, capsys, big, only):
+        path = self._fixture(tmp_path)
+        capsys.readouterr()
+        lineno = self._rewrite(path, big, only)
+        assert cli_main(["fig-score", "--config", str(tmp_path / "experiment.ini")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {lineno}: row norm overflows" in err
 
 
 class TestBlockParse:
