@@ -45,8 +45,9 @@ _PASS_EXAMPLES = 16         # and at most this many examples per pass
 # numpy's ufunc iterator allocates a buffer of this many elements per operand
 # when it cannot walk its operands as one block, as with a pass's column
 # slices and pool windows. At numpy's default of 8192 such a call allocated
-# and freed up to 174 KB at desk shape, and one into a 1900-column row
-# buffered at all; a desk train at 2048 took 0.94x the time, same bytes.
+# and freed up to 174 KB at desk shape, and the head's (16, 1900) product
+# took 38 us instead of 10; a desk train at 2048 took 0.94x the time, with
+# the same bytes.
 PASS_BUFSIZE = 2048
 
 
