@@ -94,7 +94,8 @@ def load_table(path: str | Path, format: str = "glove_text",
     to drop its language prefix). Duplicate words keep the first occurrence.
     A non-finite value (``inf``, ``nan``, or a number that overflows) is a
     data error, and so is a row whose squared norm overflows (values past
-    about 1.3e154), since every cosine divides by that norm.
+    about 1.3e154), since every cosine divides by that norm; the first such
+    row is reported.
 
     Fields are separated by runs of spaces. Words are read line by line;
     values are parsed ``_BLOCK_ROWS`` rows at a time (see ``_parse_block``).
@@ -148,16 +149,13 @@ def load_table(path: str | Path, format: str = "glove_text",
 
     matrix = np.concatenate([np.zeros((len(RESERVED_TOKENS), dim)), *blocks])
     del blocks
-    if not np.isfinite(matrix).all():
-        bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
-        raise DataError(f"{path}: line {kept_lines[bad - len(RESERVED_TOKENS)]}: "
-                        f"non-finite value")
+    # a row's norm is finite iff its values are and their squares' sum is
     with np.errstate(over="ignore"):
-        norms = row_norms(matrix)
-    if not np.isfinite(norms).all():
-        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
-        raise DataError(f"{path}: line {kept_lines[bad - len(RESERVED_TOKENS)]}: "
-                        f"row norm overflows")
+        bad = np.flatnonzero(~np.isfinite(row_norms(matrix)))
+    if bad.size:
+        row = int(bad[0])
+        problem = "row norm overflows" if np.isfinite(matrix[row]).all() else "non-finite value"
+        raise DataError(f"{path}: line {kept_lines[row - len(RESERVED_TOKENS)]}: {problem}")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
 
 

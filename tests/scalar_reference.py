@@ -72,11 +72,9 @@ def load_table_rows(path, format="glove_text", strip_prefix=None):
     vocab, matrix = _new_table([w for _, w, _ in rows], dim)
     for _, word, vector in rows:
         matrix[vocab[word]] = vector
-    if not np.isfinite(matrix).all():
-        bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
-        raise DataError(f"{path}: line {rows[bad - len(RESERVED_TOKENS)][0]}: "
-                        f"non-finite value")
     for lineno, _, vector in rows:
+        if not np.isfinite(vector).all():
+            raise DataError(f"{path}: line {lineno}: non-finite value")
         if not np.isfinite(sum(value * value for value in vector.tolist())):
             raise DataError(f"{path}: line {lineno}: row norm overflows")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)

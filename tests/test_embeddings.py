@@ -209,6 +209,11 @@ LOAD_CASES = {
     "squared norm overflows": ("cat 1 2\ndog 1e200 1\nbird 1e155 0\n", "glove_text", None,
                                "line 2: row norm overflows"),
     "squared norm just finite": ("cat 1e153 -1e153\n", "glove_text", None, None),
+    "squared norm overflows before a non-finite value": ("cat 1 2\ndog 1e200 1\nbird inf 0\n",
+                                                         "glove_text", None,
+                                                         "line 2: row norm overflows"),
+    "non-finite value before an overflowing norm": ("cat nan 2\ndog 1e200 1\n", "glove_text",
+                                                    None, "line 1: non-finite value"),
     "one full block": (_with(_rows(BLOCK), {}), "glove_text", None, None),
     "two full blocks and one row": (_with(_rows(2 * BLOCK + 1), {}), "glove_text", None, None),
     "duplicates across blocks": (
