@@ -1030,7 +1030,8 @@ class TestEvalPasses:
 class TestWorkspace:
     # tracemalloc peak of that pass before the workspace existed (numpy 2.4):
     # PHMD 1,893,392 B and FeatAug 3,106,288 B; in a warm workspace
-    # 172,568 B and 207,112 B
+    # 172,568 B and 207,112 B, and 68,872 B and 80,728 B once the pool route
+    # and a 2048-element ufunc buffer (phm.PASS_BUFSIZE) came in
     PASS_PEAK_WITHOUT_WORKSPACE = {"phmd": 1_893_392, "feataug": 3_106_288}
 
     @pytest.mark.parametrize("build", [build_phmd, build_feataug])

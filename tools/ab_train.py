@@ -67,8 +67,8 @@ class Side:
         self.config = package.ModelConfig(max_sequence_length=SEQ_LEN)
         ids = rng.integers(0, VOCAB, size=(DOCS, SEQ_LEN))
         labels = ["PHM" if bit else "NonPHM" for bit in rng.integers(2, size=DOCS)]
-        probe = package.build_feataug(self.table, self.config, seed=3)
-        features = rng.random((DOCS, probe.feature_length))
+        width = package.figurative.feature_row_length(self.config.include_score_feature)
+        features = rng.random((DOCS, width))
         self.corpora = (list(zip(ids, labels)), list(zip(ids, labels, features)))
 
     def run(self) -> tuple[float, str]:
