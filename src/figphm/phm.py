@@ -110,16 +110,12 @@ class _Workspace:
     def __init__(self):
         self._buffers: dict = {}
 
-    def __call__(self, key, shape: tuple[int, ...], dtype=np.float64,
-                 fill: float | None = None) -> np.ndarray:
-        """An array of ``shape``; ``fill`` is written only when the buffer
-        is allocated, so entries a pass leaves alone keep it."""
+    def __call__(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialised array of ``shape``."""
         size = math.prod(shape)
         flat = self._buffers.get(key)
         if flat is None or flat.size < size:
             flat = self._buffers[key] = np.empty(size, dtype)
-            if fill is not None:
-                flat.fill(fill)
         return flat[:size].reshape(shape)
 
 

@@ -221,18 +221,14 @@ def feature_row_loop(verdict, include_score=True):
                            [verdict.literal_score] if include_score else []))
 
 
-def maxpool1d_backward(dout, x, pool, out=None):
+def maxpool1d_backward(dout, x, pool):
     """Routes each window's gradient to its argmax (first index on ties),
     found by comparison: entry i wins if no earlier entry won and it is at
     least the maximum of the entries after it."""
     n_windows = x.shape[-2] // pool
     covered = n_windows * pool
     view = x[..., :covered, :].reshape(x.shape[:-2] + (n_windows, pool, x.shape[-1]))
-    if out is None:
-        dx = np.zeros_like(x)
-    else:
-        dx = out
-        dx[..., covered:, :] = 0.0                  # the tail no window reaches
+    dx = np.zeros_like(x)
     dwindows = dx[..., :covered, :].reshape(view.shape)   # a view of dx
     unrouted = np.ones(dout.shape, dtype=bool)
     for i in range(pool - 1):
@@ -244,8 +240,8 @@ def maxpool1d_backward(dout, x, pool, out=None):
     return dx
 
 
-def relu_backward(dout, x, out=None):
-    return np.multiply(dout, x > 0.0, out=out)
+def relu_backward(dout, x):
+    return np.multiply(dout, x > 0.0)
 
 
 def dense_backward_matmul(dout, x, weights, out):
