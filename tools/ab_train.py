@@ -4,9 +4,10 @@ Unpacks ``src`` of each revision into a temporary directory and imports it
 as its own package (``figphm_parent``, ``figphm_change``), so both sides run
 in one process, on one heap and one set of BLAS threads. A run builds a PHMD
 and a FeatAug model at desk shape (T=16, d=20, F=100, widths 3/4/5, pool 2,
-80 examples, batch 64) and times ``train`` on both. Runs alternate between
-the sides, the side that runs first alternating from pair to pair, and the
-tool prints each pair's change/parent ratio, then their minimum and median.
+80 examples, batch 64, 25 epochs) and times ``train`` on both. After one
+warm-up run per side come 20 pairs of runs, the side that runs first
+alternating from pair to pair, and the tool prints each pair's
+change/parent ratio, then their minimum and median.
 
 Both sides train from the same seeds, so they must end with the same
 parameters: the tool exits 1 if the SHA-256 digests of the trained
@@ -32,6 +33,8 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+PAIRS = 20
+EPOCHS = 25                 # the desk config's
 DOCS = 80                   # the training share of a 120-document, 3-fold cell
 SEQ_LEN = 16
 DIM = 20
@@ -58,9 +61,8 @@ def load_package(repo: Path, rev: str, side: str, work: Path):
 class Side:
     """One revision's models and corpora, built from fixed seeds."""
 
-    def __init__(self, package, epochs: int):
+    def __init__(self, package):
         self.package = package
-        self.epochs = epochs
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(VOCAB - 2)]
         self.table = package.random_table(words, DIM, seed=1)
@@ -78,7 +80,7 @@ class Side:
                   self.package.build_feataug(self.table, self.config, seed=3))
         start = time.perf_counter()
         for model, corpus in zip(models, self.corpora):
-            self.package.train(model, corpus, epochs=self.epochs, batch=64, seed=4)
+            self.package.train(model, corpus, epochs=EPOCHS, batch=64, seed=4)
         elapsed = time.perf_counter() - start
         digest = hashlib.sha256()
         for model in models:
@@ -91,26 +93,20 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
-    parser.add_argument("--pairs", type=int, default=20, help="pairs of runs (default 20)")
-    parser.add_argument("--epochs", type=int, default=25,
-                        help="epochs per train call (default 25, the desk config's)")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.pairs < 1 or args.epochs < 1:
-        print("error: --pairs and --epochs must be >= 1", file=sys.stderr)
-        return 1
     repo = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
                                capture_output=True, text=True).stdout.strip())
     with tempfile.TemporaryDirectory(prefix="ab-train-") as work:
-        sides = {side: Side(load_package(repo, rev, side, Path(work)), args.epochs)
+        sides = {side: Side(load_package(repo, rev, side, Path(work)))
                  for side, rev in zip(SIDES, (args.parent, args.change))}
         for side in sides.values():
             side.run()                                  # warm-up, not counted
         ratios, digests = [], set()
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seconds = {}
             for name in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 seconds[name], digest = sides[name].run()
@@ -119,8 +115,8 @@ def main(argv=None) -> int:
             print(f"pair {i}: parent {seconds['parent']:.4f} s, change "
                   f"{seconds['change']:.4f} s, ratio {ratios[-1]:.4f}", flush=True)
     lower = sum(ratio < 1.0 for ratio in ratios)
-    print(f"change/parent over {args.pairs} pairs: min {min(ratios):.4f}, "
-          f"median {statistics.median(ratios):.4f}, change lower in {lower}/{args.pairs}")
+    print(f"change/parent over {PAIRS} pairs: min {min(ratios):.4f}, "
+          f"median {statistics.median(ratios):.4f}, change lower in {lower}/{PAIRS}")
     if len(digests) != 1:
         print("error: the sides' trained parameters differ", file=sys.stderr)
         return 1

@@ -20,10 +20,7 @@ For every end-to-end metric the summary gives each side's median and
 quartiles, the ratio of the medians, how many pairs the change won, and the
 median and quartiles of the per-pair change/parent ratios (``pair_ratio``).
 A pair shares its seed and its moment on the host, so its ratio cancels much
-of the drift that widens each side's own spread. ``--resummarise`` adds
-``pair_ratio`` to an existing file from the runs it stores::
-
-    python3 tools/bench_pairs.py --resummarise BENCH_19.json
+of the drift that widens each side's own spread.
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ RUN_TIMEOUT_S = 900
 PAIRS = 10
 TIER1_RUNS = 3
 SIDES = ("parent", "change")
-METHOD_PAIR_RATIO = ("; pair_ratio = median and quartiles of the per-pair change/parent "
-                     "ratios, iqr = q3 - q1")
 
 
 def git(repo: Path, *args: str) -> bytes:
@@ -124,21 +119,17 @@ def summarise(spec: dict, seeds: list[int], results: dict) -> dict:
     for metric in spec["end_to_end"]:
         name = metric["name"]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
-        entry["metrics"][name] = metric_summary(metric, runs)
-    return entry
-
-
-def metric_summary(metric: dict, runs: dict) -> dict:
-    """One metric's summary from each side's runs, listed in pair order."""
-    lower = metric["better"] == "lower"
-    better = sum(1 for p, c in zip(runs["parent"], runs["change"])
-                 if (c < p if lower else c > p))
-    return {"bound": metric["bound"], "unit": metric["unit"],
+        lower = metric["better"] == "lower"
+        better = sum(1 for p, c in zip(runs["parent"], runs["change"])
+                     if (c < p if lower else c > p))
+        entry["metrics"][name] = {
+            "bound": metric["bound"], "unit": metric["unit"],
             **{side: quartiles(runs[side]) for side in SIDES},
             "ratio": round(statistics.median(runs["change"])
                            / statistics.median(runs["parent"]), 4),
-            f"change_{'lower' if lower else 'higher'}": f"{better}/{len(runs['parent'])}",
+            f"change_{'lower' if lower else 'higher'}": f"{better}/{len(seeds)}",
             "pair_ratio": pair_ratio(runs)}
+    return entry
 
 
 def pair_ratio(runs: dict) -> dict:
@@ -146,18 +137,6 @@ def pair_ratio(runs: dict) -> dict:
     summary = quartiles([c / p for p, c in zip(runs["parent"], runs["change"], strict=True)])
     summary["iqr"] = round(summary["q3"] - summary["q1"], 4)
     return summary
-
-
-def resummarise(path: Path) -> None:
-    """Add each metric's ``pair_ratio`` to a BENCH file, from the runs it
-    stores (rounded to 4 decimals); every other field stays as written."""
-    record = json.loads(path.read_text(encoding="utf-8"))
-    for entry in record["final_tree"].values():
-        for summary in entry["metrics"].values():
-            summary["pair_ratio"] = pair_ratio({side: summary[side]["runs"] for side in SIDES})
-    if METHOD_PAIR_RATIO not in record["method"]:
-        record["method"] += METHOD_PAIR_RATIO
-    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 
 def environment() -> str:
@@ -170,24 +149,15 @@ def environment() -> str:
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", help="git revision of the parent")
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
-    parser.add_argument("--pr", type=int, help="names BENCH_<pr>.json and sets the seeds")
-    parser.add_argument("--resummarise", type=Path, metavar="BENCH_JSON",
-                        help="add pair_ratio to this file's summaries from its stored "
-                             "runs, and run nothing")
-    args = parser.parse_args(argv)
-    if args.resummarise is None and (args.parent is None or args.pr is None):
-        parser.error("--parent and --pr are required unless --resummarise is given")
-    return args
+    parser.add_argument("--pr", type=int, required=True,
+                        help="names BENCH_<pr>.json and sets the seeds")
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.resummarise is not None:
-        resummarise(args.resummarise)
-        print(f"rewrote {args.resummarise}", file=sys.stderr)
-        return 0
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     out = repo / f"BENCH_{args.pr}.json"
     seeds = list(range(100 * args.pr + 1, 100 * args.pr + 1 + PAIRS))
@@ -210,7 +180,8 @@ def main(argv=None) -> int:
                       f"side that runs first alternating from pair to pair (parent first in "
                       f"even pairs), the workloads in turn within a pair; quartiles are "
                       f"statistics.quantiles(method='inclusive'); ratio = change median / "
-                      f"parent median" + METHOD_PAIR_RATIO,
+                      f"parent median; pair_ratio = median and quartiles of the per-pair "
+                      f"change/parent ratios, iqr = q3 - q1",
             "hardware": environment(),
             "claim": None,
             "final_tree": {},
