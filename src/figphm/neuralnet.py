@@ -120,7 +120,9 @@ def conv1d_backward(dout: np.ndarray, x: np.ndarray, kernels: np.ndarray,
     absent). ``dkernels`` (the kernels' shape), ``contrib`` ((..., T-w+1, w,
     d)) and ``dx`` (x's shape) are buffers for the kernel gradient, the input
     gradient's GEMM and its sum. The kernel gradient is formed first, so
-    ``contrib`` may be the ``windows`` buffer.
+    ``contrib`` may be the ``windows`` buffer. ``dx`` starts as a copy of
+    the first shift's contribution rather than 0.0 plus it: the values are
+    the same, but an entry that only a -0.0 reaches holds -0.0, not +0.0.
     """
     n_filters, width, dim = kernels.shape
     flat_dout = dout.reshape(-1, n_filters)
@@ -220,27 +222,24 @@ def _pool_view(x: np.ndarray, pool: int) -> np.ndarray:
         x.shape[:-2] + (n_windows, pool, x.shape[-1]))
 
 
-def make_dropout_mask(shape, rate, rng: np.random.Generator,
-                      out: np.ndarray | None = None, keep: np.ndarray | None = None,
-                      scale: np.ndarray | None = None) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability rate, survivors scaled
-    by 1/(1-rate) so the expectation matches the input. ``rate`` may be an
-    array of per-column rates along the last axis. The mask is drawn into
-    ``out`` (C-contiguous, of ``shape``) when given, from the same stream,
-    and ``keep`` is a bool buffer of ``shape`` for the survivor test.
+def dropout_scale(rate) -> np.ndarray:
+    """1/(1-rate), the survivors' scale that ``make_dropout_mask`` takes,
+    after checking that every rate lies in [0, 1). ``rate`` may be an array
+    of per-column rates."""
+    rate = np.asarray(rate, dtype=np.float64)
+    if not np.all((0.0 <= rate) & (rate < 1.0)):
+        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
+    return 1.0 / (1.0 - rate)
 
-    ``scale`` is 1/(1-rate), computed once by a caller that has checked its
-    rates to lie in (0, 1); without it the rates are checked here.
-    """
-    if scale is None:
-        rate = np.asarray(rate, dtype=np.float64)
-        if not np.all((0.0 <= rate) & (rate < 1.0)):
-            raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-        if not rate.any():
-            mask = np.empty(shape) if out is None else out
-            mask.fill(1.0)
-            return mask
-        scale = 1.0 / (1.0 - rate)
+
+def make_dropout_mask(shape, rate, scale, rng: np.random.Generator,
+                      out: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
+    """Inverted-dropout mask: zeros with probability rate, survivors scaled
+    by ``scale``, which is ``dropout_scale(rate)``, so the expectation
+    matches the input. ``rate`` and ``scale`` may be arrays of per-column
+    values along the last axis. The mask is drawn into ``out`` (C-contiguous,
+    of ``shape``) when given, from the same stream, and ``keep`` is a bool
+    buffer of ``shape`` for the survivor test."""
     mask = rng.random(shape) if out is None else rng.random(out=out)
     # keep * scale is bitwise keep / (1 - rate): 1.0 * s is s, 0.0 * s is 0.0
     return np.multiply(np.greater_equal(mask, rate, out=keep), scale, out=mask)

@@ -257,14 +257,13 @@ class _SentenceCnn:
         self._columns = [slice(end - size, end) for size, end in zip(sizes, ends)]
         # Dropout masks are drawn as one block, example-major, over the
         # pooled-feature columns of the branches with rate > 0, in branch order.
-        # The config has checked the rates, so each column's 1/(1-rate) is
-        # formed here once. The rate-0 feature branch comes last, so the
+        # Each column's 1/(1-rate) is formed here once. The rate-0 feature branch comes last, so the
         # columns are a prefix that a slice reads in place; an index array
         # takes the same path when a text branch has rate 0.
         column_rates = np.repeat([b.dropout_rate for b in self._all_branches], sizes)
         columns = np.flatnonzero(column_rates)
         self._dropout_rates = column_rates[columns]
-        self._dropout_scale = 1.0 / (1.0 - self._dropout_rates)
+        self._dropout_scale = nn.dropout_scale(self._dropout_rates)
         contiguous = columns.size and columns[-1] - columns[0] + 1 == columns.size
         self._dropout_columns = slice(columns[0], columns[-1] + 1) if contiguous else columns
         # The backward needs every branch's windows and pool route, so
@@ -312,8 +311,8 @@ class _SentenceCnn:
         targets = self._targets(target, ids.shape[0])
         ws = _Workspace() if workspace is None else workspace
         loss = 0.0
-        with np.errstate():             # restores numpy's buffer size on exit
-            np.setbufsize(PASS_BUFSIZE)
+        bufsize = np.setbufsize(PASS_BUFSIZE)
+        try:
             for start in range(0, ids.shape[0], self._pass_size):
                 rows = slice(start, start + self._pass_size)
                 probs, cache = self._forward(ids[rows],
@@ -321,6 +320,8 @@ class _SentenceCnn:
                                              train, rng, ws, backward=True)
                 self._backward(nn.bce_grad(probs, targets[rows]), cache, grad_scale, ws)
                 loss += float(nn.bce_loss(probs, targets[rows]).sum())
+        finally:
+            np.setbufsize(bufsize)
         return loss
 
     def predict_proba(self, inputs):
@@ -390,9 +391,8 @@ class _SentenceCnn:
         mask = None
         if train and self._dropout_rates.size:
             shape = (batch, self._dropout_rates.size)
-            mask = nn.make_dropout_mask(shape, self._dropout_rates, rng, out=ws("mask", shape),
-                                        keep=ws("keep", shape, dtype=bool),
-                                        scale=self._dropout_scale)
+            mask = nn.make_dropout_mask(shape, self._dropout_rates, self._dropout_scale, rng,
+                                        out=ws("mask", shape), keep=ws("keep", shape, dtype=bool))
             hidden[:, self._dropout_columns] *= mask
         out = nn.dense(hidden, self.dense_w.value, self.dense_b.value)
         return out[:, 0], dict(ids=ids, inputs=branch_inputs, windows=windows, routes=routes,

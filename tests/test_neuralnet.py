@@ -85,6 +85,23 @@ class TestConv1d:
                 flat[i] = orig
                 assert gflat[i] == pytest.approx((up - down) / (2 * eps), abs=1e-6)
 
+    def test_input_gradient_equals_a_zero_filled_sum(self):
+        """``dx`` starts from the first shift's contribution, not from 0.0
+        plus it, and holds the same values; rows of +-0.0 in ``dout`` give
+        the zero contributions."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (3, 9, 4))
+        kernels = rng.normal(0, 1, (5, 3, 4))
+        dout = rng.normal(0, 1, (3, 7, 5))
+        dout[0, :2] = 0.0
+        dout[1, 3:] = -0.0
+        dx, _, _ = nn.conv1d_backward(dout, x, kernels)
+        contrib = np.matmul(dout.reshape(-1, 5), kernels.reshape(5, -1)).reshape(3, 7, 3, 4)
+        want = np.zeros_like(x)
+        for i in range(3):
+            want[:, i:i + 7] += contrib[:, :, i]
+        assert np.array_equal(dx, want)
+
 
 class TestMaxpool1d:
     def test_hand_computed(self):
@@ -132,7 +149,8 @@ class TestMaxpool1d:
 
 
 def _dropout(x, rate, seed):
-    return x * nn.make_dropout_mask(x.shape, rate, np.random.default_rng(seed))
+    return x * nn.make_dropout_mask(x.shape, rate, nn.dropout_scale(rate),
+                                    np.random.default_rng(seed))
 
 
 class TestDropout:
@@ -378,11 +396,11 @@ class TestBatchedKernels:
 
     def test_column_rates_draw_like_per_block_masks(self):
         rates = np.repeat([0.2, 0.5], [3, 2])
-        mask = nn.make_dropout_mask((4, 5), rates, np.random.default_rng(9))
+        mask = nn.make_dropout_mask((4, 5), rates, 1.0 / (1.0 - rates), np.random.default_rng(9))
         rng = np.random.default_rng(9)
         for row in mask:
-            assert np.array_equal(row[:3], nn.make_dropout_mask(3, 0.2, rng))
-            assert np.array_equal(row[3:], nn.make_dropout_mask(2, 0.5, rng))
+            assert np.array_equal(row[:3], nn.make_dropout_mask(3, 0.2, 1.0 / 0.8, rng))
+            assert np.array_equal(row[3:], nn.make_dropout_mask(2, 0.5, 2.0, rng))
 
 
 def _relu_outputs(rng, shape):
@@ -517,11 +535,12 @@ class TestOutputBuffers:
         rates = np.repeat([0.2, 0.5], [3, 2])
         plain, buffered = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(2):
-            want = nn.make_dropout_mask((4, 5), rates, plain)
-            got = nn.make_dropout_mask((4, 5), rates, buffered, out=self._garbage((4, 5)),
+            want = nn.make_dropout_mask((4, 5), rates, 1.0 / (1.0 - rates), plain)
+            got = nn.make_dropout_mask((4, 5), rates, 1.0 / (1.0 - rates), buffered,
+                                       out=self._garbage((4, 5)),
                                        keep=self._garbage((4, 5), bool))
             assert got.tobytes() == want.tobytes()
-        assert np.array_equal(nn.make_dropout_mask((2, 5), 0.0, plain, out=np.zeros((2, 5))),
+        assert np.array_equal(nn.make_dropout_mask((2, 5), 0.0, 1.0, plain, out=np.zeros((2, 5))),
                               np.ones((2, 5)))
 
     def test_dense_backward_input_gradient_in_a_buffer(self):

@@ -1081,6 +1081,44 @@ class TestWorkspace:
         assert gradients - 16_384 <= held <= gradients + 16_384
 
 
+class TestPassBufsize:
+    """``loss_and_grad`` runs its passes with numpy's ufunc buffer at
+    ``PASS_BUFSIZE`` elements and gives the caller's size back on exit,
+    whether the passes return or raise."""
+
+    @pytest.fixture
+    def caller_bufsize(self):
+        outer = np.setbufsize(4096)                 # neither numpy's default nor ours
+        try:
+            yield 4096
+        finally:
+            np.setbufsize(outer)
+
+    @pytest.mark.parametrize("build", [build_phmd, build_feataug])
+    def test_size_is_restored_after_the_passes(self, build, caller_bufsize):
+        model, inputs, targets = _desk_pass(build)
+        seen = []
+        backward = model._backward
+
+        def recording_backward(*args):
+            seen.append(np.getbufsize())
+            return backward(*args)
+        model._backward = recording_backward
+        model.loss_and_grad(inputs, targets, train=True, rng=np.random.default_rng(0))
+        assert seen == [phm.PASS_BUFSIZE]
+        assert np.getbufsize() == caller_bufsize
+
+    def test_size_is_restored_when_a_pass_raises(self, caller_bufsize):
+        model, inputs, targets = _desk_pass(build_phmd)
+
+        def failing_backward(*args):
+            raise RuntimeError("backward failed")
+        model._backward = failing_backward
+        with pytest.raises(RuntimeError, match="backward failed"):
+            model.loss_and_grad(inputs, targets, train=True, rng=np.random.default_rng(0))
+        assert np.getbufsize() == caller_bufsize
+
+
 class TestTrainMemory:
     """tracemalloc peak of one PHMD ``train`` call at V=20k, d=50, T=50 (one
     epoch), as a multiple of the table's bytes. When Adam stepped the whole
