@@ -18,7 +18,9 @@ bitwise. ``feature_row_loop`` frames one verdict at a time;
 pool/ReLU backward, which compared the activations again on every pass; the
 forward-recorded route must give the same bytes. ``dense_backward_matmul``
 is the head's backward with the input gradient as a K=1 GEMM; the one-unit
-product must give equal values.
+product must give equal values. ``sigmoid_boolean_mask`` is the logistic
+function as two masked halves; the branch-free ``sigmoid`` must give the same
+bytes.
 """
 
 from __future__ import annotations
@@ -250,3 +252,15 @@ def dense_backward_matmul(dout, x, weights, out):
     flat_dout = dout.reshape(-1, weights.shape[0])
     dweights = flat_dout.T @ x.reshape(-1, weights.shape[1])
     return np.matmul(dout, weights), dweights, flat_dout.sum(axis=0)
+
+
+def sigmoid_boolean_mask(x):
+    """1/(1+exp(-x)) where x >= 0 and exp(x)/(1+exp(x)) elsewhere, each half
+    written through a boolean mask."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

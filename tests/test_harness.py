@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -586,6 +587,37 @@ class TestCli:
                          "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert "line 41: document id 'p0004' already used on line 5" in err
+
+    @pytest.mark.parametrize("command", ["experiment", "train"])
+    @pytest.mark.parametrize("edit, key", [
+        (("dim = 20", "dim = 1000000000000000"), "[embedding rand20a] dim"),
+        (("epochs = 1", "epochs = 1\nfilters = 100000000000"), "[model] filters"),
+        (("max_sequence_length = 16", "max_sequence_length = 1000000000000000"),
+         "[model] max_sequence_length"),
+    ], ids=["dim", "filters", "max_sequence_length"])
+    def test_config_beyond_memory_exit_1_before_allocating(self, tmp_path, capsys, edit,
+                                                           key, command):
+        """A config whose tables, padded ids or parameters would need more
+        than the machine's physical memory is a config error naming its
+        section and key, raised before anything of that size exists."""
+        assert cli_main(["synth", "--out", str(tmp_path), "--docs", "24", "--seed", "3"]) == 0
+        config = tmp_path / "experiment.ini"
+        text = config.read_text(encoding="utf-8").replace("epochs = 25", "epochs = 1")
+        config.write_text(text.replace(*edit, 1), encoding="utf-8")
+        capsys.readouterr()
+        argv = {"experiment": ["--out", str(tmp_path / "run")],
+                "train": ["--embedding", "rand20a", "--out", str(tmp_path / "m.ckpt")]}
+        tracemalloc.start()
+        try:
+            code = cli_main([command, "--config", str(config), *argv[command]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("config error: ") and key in err and "physical memory" in err
+        assert peak < 16 << 20
+        assert not (tmp_path / "run").exists() and not (tmp_path / "m.ckpt").exists()
 
     def test_experiment_bad_config_exit_1(self, tmp_path, capsys):
         (tmp_path / "cfg.ini").write_text("[experiment]\nfolds = 2\n", encoding="utf-8")

@@ -198,6 +198,43 @@ class TestSigmoid:
         x = np.linspace(-30, 30, 101)
         assert np.abs(nn.sigmoid(x) + nn.sigmoid(-x) - 1.0).max() < 1e-12
 
+    def test_bitwise_the_boolean_mask_form(self):
+        """The branch-free sigmoid gives the bytes of the boolean-mask form
+        it replaced, at the signed zeros, where exp under- and overflows,
+        at the infinities and on normal draws of three spreads."""
+        edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, np.inf, -np.inf]
+        rng = np.random.default_rng(12)
+        x = np.concatenate([edges, rng.normal(0.0, 1.0, 40_000),
+                            rng.normal(0.0, 30.0, 40_000), rng.normal(0.0, 400.0, 20_000)])
+        assert nn.sigmoid(x).tobytes() == scalar_reference.sigmoid_boolean_mask(x).tobytes()
+        for value in edges:
+            got = nn.sigmoid(value)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == \
+                scalar_reference.sigmoid_boolean_mask(np.array([value])).tobytes()
+
+
+class TestEmbeddingBackward:
+    """The lookup's gradient is one ``np.add.at`` over the flattened table;
+    it makes the scalar adds of the row form ``np.add.at(grad, ids, dout)``
+    in the same order, so the bytes are the row form's."""
+
+    @pytest.mark.parametrize("shape, dim", [((5, 12), 4), ((12,), 3), ((16, 50), 50)],
+                             ids=["batch", "single", "paper"])
+    def test_flat_scatter_is_the_row_form(self, shape, dim):
+        rng = np.random.default_rng(21)
+        ids = rng.integers(0, 9, size=shape)          # nine rows: many repeats
+        ids.reshape(-1)[:4] = 3
+        dout = rng.normal(0.0, 1.0, shape + (dim,))
+        dout.reshape(-1)[::7] = -0.0
+        start = rng.normal(0.0, 1.0, (9, dim))
+        start[5] = -0.0
+        want = start.copy()
+        np.add.at(want, ids, dout)
+        got = start.copy()
+        nn.embedding_backward(dout, ids, got)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBceLoss:
     def test_half_probability(self):

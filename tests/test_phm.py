@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from figphm import neuralnet as nn
 from figphm import phm
 from figphm.cli import main as cli_main
-from figphm.corpus import NONPHM, PHM, build_vocab, pad
+from figphm.corpus import NONPHM, PAD_INDEX, PHM, build_vocab, pad
 from figphm.embeddings import random_table
 from figphm.errors import DataError
 from figphm.figurative import (FIGURATIVE, LITERAL, TAGSET, FigurativeVerdict,
@@ -993,9 +993,10 @@ class TestDropoutColumns:
                             np.arange(middle.start, middle.stop))
         assert np.array_equal(model._dropout_columns, kept)
         ids = np.random.default_rng(0).integers(0, len(model.vocab), size=(4, 16))
-        _, cache = model._forward(ids, None, True, np.random.default_rng(1), phm._Workspace())
+        _, cache = model._forward(ids, None, True, np.random.default_rng(1), phm._Workspace(),
+                                  backward=True)
         hidden = cache["hidden"]
-        _, clean = model._forward(ids, None, False, None, phm._Workspace())
+        _, clean = model._forward(ids, None, False, None, phm._Workspace(), backward=True)
         assert hidden[:, middle].tobytes() == clean["hidden"][:, middle].tobytes()
         assert (hidden[:, kept] == 0.0).any()
 
@@ -1025,6 +1026,103 @@ class TestEvalPasses:
         model, inputs, targets = _desk_pass(build, n)
         probs = model.predict_proba(inputs)
         assert model.loss(inputs, targets) == float(nn.bce_loss(probs, targets).sum())
+
+
+def _trim_model(kind, pool, seq_len, widths, seed):
+    """A model with every parameter, the PAD row included, drawn in +-1."""
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(max_sequence_length=seq_len, filters=5, kernel_widths=widths,
+                         pool=pool, right_kernel_width=2, dropout_rates=(0.3,) * len(widths),
+                         feataug_dropout_rates=(0.2,) * len(widths))
+    build = build_feataug if kind == "feataug" else build_phmd
+    model = build(table_for(9, 3, seed=seed), config, seed=seed)
+    for param in model.all_parameters():
+        param.value[:] = rng.uniform(-1.0, 1.0, size=param.value.shape)
+    return model
+
+
+def _rows_with_every_tail(rng, vocab_size, seq_len):
+    """One row per PAD-tail length 0..T (the last all PAD), no real token a
+    PAD, then one row with a PAD id before its real tokens."""
+    ids = rng.integers(PAD_INDEX + 1, vocab_size, size=(seq_len + 2, seq_len))
+    for tail in range(seq_len + 1):
+        ids[tail, seq_len - tail:] = PAD_INDEX
+    ids[-1, 1] = ids[-1, seq_len - 2:] = PAD_INDEX
+    return ids
+
+
+class TestTrimmedEval:
+    """An eval pass convolves each text branch only up to the batch's last
+    real token; the one all-PAD window stands in for the padded tail. Its
+    probabilities are the full-window forward's (the training passes'
+    forward, with no dropout) to 1e-12, with the same labels."""
+
+    @staticmethod
+    def _full_window(model, ids, features):
+        probs, _ = model._forward(ids, features, False, None, phm._Workspace(), backward=True)
+        return probs.copy()
+
+    @staticmethod
+    def _inputs(kind, ids, features):
+        return (ids, features) if kind == "feataug" else ids
+
+    @pytest.mark.parametrize("widths", [(2, 3), (3, 4, 5)], ids=["w23", "w345"])
+    @pytest.mark.parametrize("seq_len", [7, 12, 16])
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["phmd", "feataug"])
+    def test_probabilities_are_the_full_window_forwards(self, kind, pool, seq_len, widths):
+        model = _trim_model(kind, pool, seq_len, widths, seed=seq_len + pool)
+        rng = np.random.default_rng(pool * 100 + seq_len)
+        ids = _rows_with_every_tail(rng, len(model.vocab), seq_len)
+        features = rng.uniform(-1.0, 1.0, (len(ids), feature_row_length(True))) \
+            if kind == "feataug" else None
+        want = self._full_window(model, ids, features)
+
+        got = model.predict_proba(self._inputs(kind, ids, features))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(phm.phm(got), phm.phm(want))
+        for i in range(len(ids)):                       # single examples
+            single = self._inputs(kind, ids[i], None if features is None else features[i])
+            row = slice(i, i + 1)
+            alone = self._full_window(model, ids[row], None if features is None
+                                      else features[row])[0]
+            assert model.predict_proba(single) == pytest.approx(alone, rel=0, abs=1e-12)
+            assert model.predict_proba(single) == pytest.approx(want[i], rel=0, abs=1e-12)
+        for _ in range(6):                              # mixed batches
+            rows = rng.choice(len(ids), size=rng.integers(2, 6), replace=False)
+            mixed = self._inputs(kind, ids[rows], None if features is None else features[rows])
+            np.testing.assert_allclose(model.predict_proba(mixed), want[rows], rtol=0,
+                                       atol=1e-12)
+        targets = rng.integers(0, 2, len(ids)).astype(float)
+        assert model.loss(self._inputs(kind, ids, features), targets) == pytest.approx(
+            float(nn.bce_loss(want, targets).sum()), rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("pool, live, windows", [(1, 3, 4), (2, 3, 4), (2, 4, 6),
+                                                     (3, 3, 6), (2, 0, 2), (2, 12, 14)])
+    def test_eval_convolves_to_the_first_all_pad_window(self, monkeypatch, pool, live,
+                                                        windows):
+        """The text branches convolve the windows through the first all-PAD
+        one, rounded up to whole pool windows and never past the last pooled
+        one; the feature branch and training passes convolve every window."""
+        model = _trim_model("feataug", pool, 16, (3, 5), seed=1)
+        ids = np.full((3, 16), PAD_INDEX)
+        ids[1, :live] = 2
+        features = np.ones((3, model.feature_length))
+        seen = []
+        conv1d = nn.conv1d
+
+        def recording_conv1d(x, kernels, *args, **kwargs):
+            seen.append((kernels.shape[1], x.shape[-2] - kernels.shape[1] + 1))
+            return conv1d(x, kernels, *args, **kwargs)
+        monkeypatch.setattr(nn, "conv1d", recording_conv1d)
+        model.predict_proba((ids, features))
+        covered = {width: (16 - width + 1) // pool * pool for width in (3, 5)}
+        right = (model.feature_length - 1) // pool * pool
+        assert seen == [(3, min(windows, covered[3])), (5, min(windows, covered[5])),
+                        (2, right)]
+        seen.clear()
+        model.loss_and_grad((ids, features), [0, 1, 1])
+        assert seen == [(3, 14), (5, 12), (2, model.feature_length - 1)]
 
 
 class TestWorkspace:
