@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import NONPHM, PHM
+from .corpus import NONPHM, PAD_INDEX, PHM
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .figurative import FIGURATIVE, feature_row_length
@@ -132,24 +132,43 @@ class _ConvBranch:
         self.pool = pool
 
     def forward(self, x: np.ndarray, pooled: np.ndarray, ws: _Workspace,
-                key: int | None) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """x (B, T, depth) -> (im2col windows, pool route), both in ``ws``
-        under ``key`` for the backward; the pooled (B, windows, F) maxima go
-        to ``pooled``. The route is true where the pool's gradient passes
-        the ReLU (see ``nn.maxpool1d``), so the activations go to a buffer
-        every branch shares. With no key (an eval pass) neither the windows
-        nor a route is kept."""
+                key: int) -> tuple[np.ndarray, np.ndarray]:
+        """A training pass: x (B, T, depth) -> (im2col windows, pool
+        route), both in ``ws`` under ``key`` for the backward; the pooled
+        (B, windows, F) maxima go to ``pooled``. The route is true where the
+        pool's gradient passes the ReLU (see ``nn.maxpool1d``), so the
+        activations go to a buffer every branch shares. Every window is
+        convolved, since the backward reads them all."""
         batch, seq_len, depth = x.shape
         out_len = seq_len - self.width + 1
         act_shape = (batch, out_len, self.kernels.value.shape[0])
-        windows, route = (None, None) if key is None else (
-            ws((key, "windows"), (batch, out_len, self.width * depth)),
-            ws((key, "route"), act_shape, dtype=bool))
+        windows = ws((key, "windows"), (batch, out_len, self.width * depth))
+        route = ws((key, "route"), act_shape, dtype=bool)
         act = nn.conv1d(x, self.kernels.value, self.bias.value, windows=windows,
                         out=ws("act", act_shape))
         nn.relu(act, out=act)
         nn.maxpool1d(act, self.pool, out=pooled, route=route)
         return windows, route
+
+    def predict(self, x: np.ndarray, pooled: np.ndarray, ws: _Workspace,
+                live: int | None) -> None:
+        """An eval pass: the pooled maxima of x (B, T, depth) go to
+        ``pooled``, and nothing is kept. Only windows that some pool window
+        reads are convolved. With ``live`` (every position from ``live`` on
+        is PAD in every row) they stop at the first all-PAD window, rounded
+        up to whole pool windows: that window's activation is the same in
+        every row, and it fills every pool window past ``live``."""
+        n_pooled = pooled.shape[1]
+        covered = n_pooled * self.pool
+        if live is not None:
+            covered = min(covered, -(-(live + 1) // self.pool) * self.pool)
+        act = nn.conv1d(x[:, :covered + self.width - 1], self.kernels.value, self.bias.value,
+                        out=ws("act", (x.shape[0], covered, self.kernels.value.shape[0])))
+        nn.relu(act, out=act)
+        whole = covered // self.pool
+        nn.maxpool1d(act, self.pool, out=pooled[:, :whole])
+        if whole < n_pooled:
+            pooled[:, whole:] = act[0, live]
 
     def backward(self, dpooled: np.ndarray, x: np.ndarray, windows: np.ndarray,
                  route: np.ndarray, grad_scale: float, ws: _Workspace,
@@ -168,6 +187,15 @@ class _ConvBranch:
         self.kernels.grad += dkernels
         self.bias.grad += grad_scale * dbias
         return dx
+
+
+def _live_length(ids: np.ndarray) -> int:
+    """The end of the longest non-PAD prefix among the rows of ``ids`` (B,
+    T): the position after the last token, in any row, that is not PAD, or
+    0 when every token is. ``corpus.pad`` pads at the tail, so from there on
+    every row holds only PAD."""
+    real = np.flatnonzero((ids != PAD_INDEX).any(axis=0))
+    return int(real[-1]) + 1 if real.size else 0
 
 
 def _branch_specs(config: ModelConfig, dim: int,
@@ -374,18 +402,24 @@ class _SentenceCnn:
         return [x] * len(self.branches) + ([] if features is None else [features[:, :, None]])
 
     def _forward(self, ids, features, train, rng, ws, backward=False):
-        """Probabilities and the cache ``_backward`` reads, which holds each
-        branch's windows and activations only when ``backward`` is set."""
+        """Probabilities, and with ``backward`` the cache ``_backward``
+        reads, which holds each branch's windows and pool route; without it
+        (an eval pass) the cache is None and each text branch stops at the
+        batch's last real token (``_ConvBranch.predict``)."""
         branch_inputs = self._branch_inputs(ids, features, ws)
         batch = ids.shape[0]
         self.forward_count += batch
         width = self.dense_w.value.shape[1]
         hidden = ws("hidden", (batch, width))
+        live = None if backward else _live_length(ids)
         windows, routes = [], []
         for key, (branch, x, columns) in enumerate(zip(self._all_branches, branch_inputs,
                                                        self._columns)):
             pooled = hidden[:, columns].reshape(batch, -1, branch.kernels.value.shape[0])
-            branch_windows, route = branch.forward(x, pooled, ws, key if backward else None)
+            if not backward:     # the feature branch holds no PAD
+                branch.predict(x, pooled, ws, None if branch is self.right else live)
+                continue
+            branch_windows, route = branch.forward(x, pooled, ws, key)
             windows.append(branch_windows)
             routes.append(route)
         mask = None
@@ -395,6 +429,8 @@ class _SentenceCnn:
                                         out=ws("mask", shape), keep=ws("keep", shape, dtype=bool))
             hidden[:, self._dropout_columns] *= mask
         out = nn.dense(hidden, self.dense_w.value, self.dense_b.value)
+        if not backward:
+            return out[:, 0], None
         return out[:, 0], dict(ids=ids, inputs=branch_inputs, windows=windows, routes=routes,
                                hidden=hidden, mask=mask, out=out)
 
@@ -425,7 +461,7 @@ class _SentenceCnn:
                 dembedded += dx
         if dembedded is not None:
             dembedded *= grad_scale
-            np.add.at(self.embedding.grad, cache["ids"], dembedded)
+            nn.embedding_backward(dembedded, cache["ids"], self.embedding.grad)
 
 
 # PhmdModel and FeatAugModel are siblings, never parent and child, so that
