@@ -16,6 +16,7 @@ structured report byte for byte.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import os
 from collections.abc import Iterable
@@ -32,9 +33,10 @@ from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
 from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
                          load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
-from .figurative import FigurativeDetector, feature_rows, lda_estimate, load_word_list
-from .phm import (ModelConfig, build_feataug, build_phmd, phm, pipeline_predict, predict,
-                  train)
+from .figurative import (FigurativeDetector, feature_row_length, feature_rows, lda_estimate,
+                         load_word_list)
+from .phm import (ModelConfig, _parameter_shapes, build_feataug, build_phmd, phm,
+                  pipeline_predict, predict, train)
 
 APPROACHES = ("phmd", "pipeline", "feataug")
 APPROACH_DISPLAY = {"phmd": "PHMD", "pipeline": "+Pipeline", "feataug": "+FeatAug"}
@@ -369,6 +371,54 @@ def load_documents(path: str | Path) -> list[Document]:
     return documents
 
 
+def _run_bytes(model: ModelConfig, dims: list[int], vocab_size: int, n_docs: int) -> int:
+    """float64/intp bytes of a run's largest arrays: the padded ids (N x T),
+    and per embedding dim its table (V x dim) and one FeatAug model's
+    parameters (``_parameter_shapes``). A file source's dim is unknown
+    before its file is read and counts as 0."""
+    feature_length = feature_row_length(model.include_score_feature)
+    count = n_docs * model.max_sequence_length
+    for dim in dims:
+        count += vocab_size * dim + sum(
+            math.prod(shape)
+            for _, shape in _parameter_shapes(model, vocab_size, dim, feature_length))
+    return 8 * count
+
+
+def _physical_memory() -> int | None:
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):     # no sysconf, or no such name
+        return None
+    return size if size > 0 else None
+
+
+def check_memory(model: ModelConfig, specs: list[EmbeddingSpec], vocab_size: int,
+                 n_docs: int) -> None:
+    """A ConfigError, raised before anything is allocated, when a run's
+    largest arrays (``_run_bytes``) would need more than the machine's
+    physical memory. It names the key whose smallest value shrinks the
+    estimate most: filters, max_sequence_length or an embedding's dim."""
+    budget = _physical_memory()
+    dims = [spec.dim for spec in specs]
+    need = _run_bytes(model, dims, vocab_size, n_docs)
+    if budget is None or need <= budget:
+        return
+    shortest = max(model.kernel_widths) + model.pool - 1
+    shrunk = [("[model] filters", model.filters,
+               _run_bytes(replace(model, filters=1), dims, vocab_size, n_docs)),
+              ("[model] max_sequence_length", model.max_sequence_length,
+               _run_bytes(replace(model, max_sequence_length=shortest), dims, vocab_size,
+                          n_docs))]
+    shrunk += [(f"[embedding {spec.name}] dim", spec.dim,
+                _run_bytes(model, dims[:i] + [1] + dims[i + 1:], vocab_size, n_docs))
+               for i, spec in enumerate(specs)]
+    key, value, _ = min(shrunk, key=lambda entry: entry[2])
+    raise ConfigError(f"{key} = {value}: the run's tables, padded ids and parameters "
+                      f"need about {need / 2**30:.3g} GiB, more than the "
+                      f"{budget / 2**30:.3g} GiB of physical memory")
+
+
 def stratified_kfold(corpus: list[Document], k: int, seed: int) -> list[list[Document]]:
     """Partition into k folds balanced within every (disease, label) stratum.
 
@@ -616,9 +666,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     if config.folds > len(documents):
         raise ConfigError(f"folds = {config.folds} exceeds the {len(documents)} "
                           f"documents in {config.dataset}")
+    vocab = build_vocab(documents)
+    check_memory(config.model, config.embeddings, len(vocab), len(documents))
     if out_dir is not None:     # an unwritable out_dir fails before any training
         (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
-    vocab = build_vocab(documents)
     ids = np.array([pad(d.tokens, vocab, config.model.max_sequence_length)
                     for d in documents], dtype=np.intp)
     labels = np.array([d.label for d in documents])
@@ -756,6 +807,7 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
         raise ConfigError(f"no [embedding {embedding_name}] section in config")
     documents = load_documents(config.dataset)
     vocab = build_vocab(documents)
+    check_memory(config.model, [spec], len(vocab), len(documents))
     table = build_spec_table(spec, list(vocab), config.seed)
     corpus = [(pad(d.tokens, vocab, config.model.max_sequence_length), d.label)
               for d in documents]
