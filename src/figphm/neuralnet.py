@@ -81,7 +81,7 @@ def sigmoid(x):
     bitwise those of evaluating each half through a boolean mask."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -159,16 +159,13 @@ def conv1d_backward(dout: np.ndarray, x: np.ndarray, kernels: np.ndarray,
 
 def _windows(x: np.ndarray, width: int) -> np.ndarray:
     """(..., T, d) -> (..., T-w+1, w*d) view whose row t is x[..., t:t+w, :]
-    flattened. The strides come from the shape, not from ``x.strides``: a
-    size-1 axis may carry any stride."""
+    flattened. The last two strides come from the shape, not from
+    ``x.strides``: a size-1 axis may carry any stride. A leading axis keeps
+    its own, which is exact unless its size is 1, and then never read."""
     x = np.ascontiguousarray(x)
-    strides, step = [], x.itemsize
-    for size in reversed(x.shape):
-        strides.insert(0, step)
-        step *= size
     seq_len, dim = x.shape[-2:]
     return np.ndarray(x.shape[:-2] + (seq_len - width + 1, width * dim), dtype=x.dtype,
-                      buffer=x, strides=tuple(strides[:-1]) + (x.itemsize,))
+                      buffer=x, strides=x.strides[:-2] + (dim * x.itemsize, x.itemsize))
 
 
 def maxpool1d(x: np.ndarray, pool: int, out: np.ndarray | None = None,

@@ -14,6 +14,10 @@ embedding trains as a table of only the rows the examples hold. Every pass of
 one call (``train``, ``loss``, ``predict_proba``, ``loss_and_grad``) writes
 its activations and gradients into one ``_Workspace`` that lives for that
 call only; ``loss`` and ``predict_proba`` share one loop of eval passes.
+An eval pass stops at the batch's last real token: each text branch
+convolves the windows up to the first one that is all PAD in every row, and
+that window's activation stands in for the padded tail. Training passes
+convolve every window, since their backward reads them all.
 
 ``train`` and ``predict`` read FeatAug's input as feature rows, which
 ``figurative.feature_rows`` builds once per run. ``predict`` gives a whole
@@ -150,8 +154,8 @@ class _ConvBranch:
         nn.maxpool1d(act, self.pool, out=pooled, route=route)
         return windows, route
 
-    def predict(self, x: np.ndarray, pooled: np.ndarray, ws: _Workspace,
-                live: int | None) -> None:
+    def forward_eval(self, x: np.ndarray, pooled: np.ndarray, ws: _Workspace,
+                     live: int | None) -> None:
         """An eval pass: the pooled maxima of x (B, T, depth) go to
         ``pooled``, and nothing is kept. Only windows that some pool window
         reads are convolved. With ``live`` (every position from ``live`` on
@@ -405,7 +409,7 @@ class _SentenceCnn:
         """Probabilities, and with ``backward`` the cache ``_backward``
         reads, which holds each branch's windows and pool route; without it
         (an eval pass) the cache is None and each text branch stops at the
-        batch's last real token (``_ConvBranch.predict``)."""
+        batch's last real token (``_ConvBranch.forward_eval``)."""
         branch_inputs = self._branch_inputs(ids, features, ws)
         batch = ids.shape[0]
         self.forward_count += batch
@@ -417,7 +421,7 @@ class _SentenceCnn:
                                                        self._columns)):
             pooled = hidden[:, columns].reshape(batch, -1, branch.kernels.value.shape[0])
             if not backward:     # the feature branch holds no PAD
-                branch.predict(x, pooled, ws, None if branch is self.right else live)
+                branch.forward_eval(x, pooled, ws, None if branch is self.right else live)
                 continue
             branch_windows, route = branch.forward(x, pooled, ws, key)
             windows.append(branch_windows)
