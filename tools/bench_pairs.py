@@ -21,6 +21,18 @@ quartiles, the ratio of the medians, how many pairs the change won, and the
 median and quartiles of the per-pair change/parent ratios (``pair_ratio``).
 A pair shares its seed and its moment on the host, so its ratio cancels much
 of the drift that widens each side's own spread.
+
+Each metric also gets the benchmark's ``verdict``, which the tool prints at
+the end:
+
+- ``claim_met``: the change is better in at least 9 of 10 pairs, and its
+  median is past the parent's by more than the parent's IQR. A claimed gain
+  must read so. On a metric whose parent runs split into two modes, a 0.80x
+  cut does not.
+- ``worse_than_bound``: the change's median is worse than the parent's by
+  more than the metric's ``BENCHMARK.json`` bound, as a share of the
+  parent's median.
+- ``unresolved``: neither.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 RUN_TIMEOUT_S = 900
 PAIRS = 10
 TIER1_RUNS = 3
+CLAIM_SHARE = 0.9           # of the pairs that a claimed gain must win
 SIDES = ("parent", "change")
 
 
@@ -128,8 +141,22 @@ def summarise(spec: dict, seeds: list[int], results: dict) -> dict:
             "ratio": round(statistics.median(runs["change"])
                            / statistics.median(runs["parent"]), 4),
             f"change_{'lower' if lower else 'higher'}": f"{better}/{len(seeds)}",
-            "pair_ratio": pair_ratio(runs)}
+            "pair_ratio": pair_ratio(runs),
+            "verdict": verdict(runs, lower, metric["bound"], better)}
     return entry
+
+
+def verdict(runs: dict, lower: bool, bound: float, better: int) -> str:
+    """The benchmark's reading of one metric (see the module docstring);
+    ``better`` counts the pairs the change won."""
+    q1, parent, q3 = statistics.quantiles(runs["parent"], n=4, method="inclusive")
+    change = statistics.median(runs["change"])
+    gain = parent - change if lower else change - parent
+    if better >= CLAIM_SHARE * len(runs["parent"]) and gain > q3 - q1:
+        return "claim_met"
+    if -gain > bound * parent:
+        return "worse_than_bound"
+    return "unresolved"
 
 
 def pair_ratio(runs: dict) -> dict:
@@ -219,6 +246,10 @@ def main(argv=None) -> int:
                                      "median_wall_s": statistics.median(wall)
                                      if wall else None}
         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for workload, entry in record["final_tree"].items():
+        for name, summary in entry["metrics"].items():
+            print(f"{workload} {name}: {summary['verdict']} (ratio {summary['ratio']}, "
+                  f"pair ratio {summary['pair_ratio']['median']})", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
