@@ -393,7 +393,7 @@ def _physical_memory() -> int | None:
     return size if size > 0 else None
 
 
-def check_memory(model: ModelConfig, specs: list[EmbeddingSpec], vocab_size: int,
+def _check_memory(model: ModelConfig, specs: list[EmbeddingSpec], vocab_size: int,
                  n_docs: int) -> None:
     """A ConfigError, raised before anything is allocated, when a run's
     largest arrays (``_run_bytes``) would need more than the machine's
@@ -667,7 +667,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         raise ConfigError(f"folds = {config.folds} exceeds the {len(documents)} "
                           f"documents in {config.dataset}")
     vocab = build_vocab(documents)
-    check_memory(config.model, config.embeddings, len(vocab), len(documents))
+    _check_memory(config.model, config.embeddings, len(vocab), len(documents))
     if out_dir is not None:     # an unwritable out_dir fails before any training
         (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
     ids = np.array([pad(d.tokens, vocab, config.model.max_sequence_length)
@@ -807,7 +807,7 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
         raise ConfigError(f"no [embedding {embedding_name}] section in config")
     documents = load_documents(config.dataset)
     vocab = build_vocab(documents)
-    check_memory(config.model, [spec], len(vocab), len(documents))
+    _check_memory(config.model, [spec], len(vocab), len(documents))
     table = build_spec_table(spec, list(vocab), config.seed)
     corpus = [(pad(d.tokens, vocab, config.model.max_sequence_length), d.label)
               for d in documents]

@@ -10,14 +10,15 @@ pass a copy of the embedding table and seeded kernels, ``load_model`` the
 checkpoint's arrays. Training runs one forward/backward per minibatch over the
 stacked examples, with the shuffle and every dropout mask drawn from one
 seeded generator in a fixed order, so traces are reproducible, and the
-embedding trains as a table of only the rows the examples hold. Every pass of
-one call (``train``, ``loss``, ``predict_proba``, ``loss_and_grad``) writes
-its activations and gradients into one ``_Workspace`` that lives for that
-call only; ``loss`` and ``predict_proba`` share one loop of eval passes.
-An eval pass stops at the batch's last real token: each text branch
-convolves the windows up to the first one that is all PAD in every row, and
-that window's activation stands in for the padded tail. Training passes
-convolve every window, since their backward reads them all.
+embedding trains as a table of only the rows the examples hold. Every
+training pass of one call (``train``, ``loss_and_grad``) writes its
+activations and gradients into one ``_Workspace`` that lives for that call
+only. ``loss`` and ``predict_proba`` share one loop of eval passes, which
+keep nothing for a backward and allocate their few buffers. An eval pass
+stops at the batch's last real token: each text branch convolves the
+windows up to the first one that is all PAD in every row, and that window's
+activation stands in for the padded tail. Training passes convolve every
+window, since their backward reads them all.
 
 ``train`` and ``predict`` read FeatAug's input as feature rows, which
 ``figurative.feature_rows`` builds once per run. ``predict`` gives a whole
@@ -154,8 +155,7 @@ class _ConvBranch:
         nn.maxpool1d(act, self.pool, out=pooled, route=route)
         return windows, route
 
-    def forward_eval(self, x: np.ndarray, pooled: np.ndarray, ws: _Workspace,
-                     live: int | None) -> None:
+    def forward_eval(self, x: np.ndarray, pooled: np.ndarray, live: int | None) -> None:
         """An eval pass: the pooled maxima of x (B, T, depth) go to
         ``pooled``, and nothing is kept. Only windows that some pool window
         reads are convolved. With ``live`` (every position from ``live`` on
@@ -166,8 +166,7 @@ class _ConvBranch:
         covered = n_pooled * self.pool
         if live is not None:
             covered = min(covered, -(-(live + 1) // self.pool) * self.pool)
-        act = nn.conv1d(x[:, :covered + self.width - 1], self.kernels.value, self.bias.value,
-                        out=ws("act", (x.shape[0], covered, self.kernels.value.shape[0])))
+        act = nn.conv1d(x[:, :covered + self.width - 1], self.kernels.value, self.bias.value)
         nn.relu(act, out=act)
         whole = covered // self.pool
         nn.maxpool1d(act, self.pool, out=pooled[:, :whole])
@@ -367,11 +366,10 @@ class _SentenceCnn:
         2000 documents at paper shape in one pass peaked at 571 MiB; a pass
         of 16 there caches 1.7 MiB of activations."""
         probs = np.empty(ids.shape[0])
-        ws = _Workspace()
         for start in range(0, ids.shape[0], self._pass_size):
             rows = slice(start, start + self._pass_size)
             probs[rows], _ = self._forward(ids[rows], None if features is None else features[rows],
-                                           False, None, ws)
+                                           False, None, None)
         return probs
 
     @staticmethod
@@ -409,19 +407,22 @@ class _SentenceCnn:
         """Probabilities, and with ``backward`` the cache ``_backward``
         reads, which holds each branch's windows and pool route; without it
         (an eval pass) the cache is None and each text branch stops at the
-        batch's last real token (``_ConvBranch.forward_eval``)."""
+        batch's last real token (``_ConvBranch.forward_eval``). The pass
+        writes into ``ws``, or allocates its buffers when it is None, as
+        eval passes do: a single-example call runs one pass, where the
+        workspace's bookkeeping took more time than it saved."""
         branch_inputs = self._branch_inputs(ids, features, ws)
         batch = ids.shape[0]
         self.forward_count += batch
         width = self.dense_w.value.shape[1]
-        hidden = ws("hidden", (batch, width))
+        hidden = np.empty((batch, width)) if ws is None else ws("hidden", (batch, width))
         live = None if backward else _live_length(ids)
         windows, routes = [], []
         for key, (branch, x, columns) in enumerate(zip(self._all_branches, branch_inputs,
                                                        self._columns)):
             pooled = hidden[:, columns].reshape(batch, -1, branch.kernels.value.shape[0])
             if not backward:     # the feature branch holds no PAD
-                branch.forward_eval(x, pooled, ws, None if branch is self.right else live)
+                branch.forward_eval(x, pooled, None if branch is self.right else live)
                 continue
             branch_windows, route = branch.forward(x, pooled, ws, key)
             windows.append(branch_windows)
