@@ -394,7 +394,7 @@ def _physical_memory() -> int | None:
 
 
 def _check_memory(model: ModelConfig, specs: list[EmbeddingSpec], vocab_size: int,
-                 n_docs: int) -> None:
+                  n_docs: int) -> None:
     """A ConfigError, raised before anything is allocated, when a run's
     largest arrays (``_run_bytes``) would need more than the machine's
     physical memory. It names the key whose smallest value shrinks the

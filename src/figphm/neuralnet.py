@@ -88,11 +88,14 @@ def sigmoid(x):
 def embedding_backward(dout: np.ndarray, ids: np.ndarray, grad: np.ndarray) -> None:
     """The lookup's gradient: adds each row of ``dout`` (..., d) into the
     row of ``grad`` (V, d), which must be C-contiguous, that its id names.
-    One ``np.add.at`` over the flattened table makes the scalar adds of the
-    row form ``np.add.at(grad, ids, dout)`` in the same order, so the bytes
-    are the same; a paper-shape pass took 97 us instead of 341."""
+    One ``np.add.at`` with a 1-D index into the flattened table makes the
+    scalar adds of the row form ``np.add.at(grad, ids, dout)`` in the same
+    order, so the bytes are the same. numpy has a fast path for that call
+    alone: a paper-shape pass (16 x 50 ids, d=50) took 113 us instead of
+    421, and a desk-shape one (16 x 16, d=20) 18 us instead of 55."""
     dim = grad.shape[1]
-    np.add.at(grad.reshape(-1), ids[..., None] * dim + np.arange(dim), dout)
+    flat = (ids[..., None] * dim + np.arange(dim)).reshape(-1)
+    np.add.at(grad.reshape(-1), flat, dout.reshape(-1))
 
 
 def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
