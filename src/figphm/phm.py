@@ -364,7 +364,7 @@ class _SentenceCnn:
     def _eval_probs(self, ids, features) -> np.ndarray:
         """Dropout-free probabilities of a batch in training-sized passes:
         2000 documents at paper shape in one pass peaked at 571 MiB; a pass
-        of 16 there caches 1.7 MiB of activations."""
+        of 16 there holds at most 1.7 MiB of activations."""
         probs = np.empty(ids.shape[0])
         for start in range(0, ids.shape[0], self._pass_size):
             rows = slice(start, start + self._pass_size)
