@@ -5,6 +5,8 @@ Each function walks rows, word pairs or tokens one at a time with the
 arithmetic the array code must reproduce: ``retrofit_loop`` and
 ``lda_loop`` must match bitwise, ``nearest_neighbors_loop`` must give the
 same list and scores, and ``literal_usage_score_loop`` must agree to 1e-12.
+``literal_usage_score_per_call`` normalises a document's content rows and
+the related rows afresh on every call; the score must match it bitwise.
 ``load_table_rows`` parses every value with ``float()`` and sums each row's
 squares one at a time; the block parser must give the same table, bitwise,
 and the same ``DataError`` message.
@@ -29,7 +31,7 @@ import numpy as np
 
 from figphm.corpus import PAD_TOKEN, SENTINEL_TOKENS, UNK_TOKEN, read_lines
 from figphm.embeddings import (RANDOM_INIT_BOUND, RESERVED_TOKENS, EmbeddingTable,
-                               _in_vocab_neighborhoods, _new_table, cosine)
+                               _in_vocab_neighborhoods, _new_table, cosine, row_norms)
 from figphm.errors import DataError
 from figphm.figurative import (_TAG_LEXICON, FIGURATIVE, LDA_ALPHA_DOC, LDA_BETA_WORD,
                                LDA_TOPIC_FIGURATIVE, LDA_TOPIC_LITERAL, _is_numeric,
@@ -154,6 +156,24 @@ def literal_usage_score_loop(tokens, rep, table, include_target=False):
         for rep_vec in rep_vectors:
             total += max(0.0, cosine(vec, rep_vec))
     return total / (len(content) * len(rep_vectors))
+
+
+def literal_usage_score_per_call(tokens, rep, table, include_target=False):
+    vocab = table.vocab
+    content = [vocab[t] for t in tokens
+               if t not in SENTINEL_TOKENS
+               and (include_target or t != rep.keyword)
+               and t in vocab]
+    related = [vocab[w] for w in rep.related_words if w in vocab]
+    if not content or not related:
+        return 0.5
+    cosines = _normalised(table.matrix[content]) @ _normalised(table.matrix[related]).T
+    return float(np.maximum(cosines, 0.0).mean())
+
+
+def _normalised(matrix):
+    norms = row_norms(matrix)[:, None]
+    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms != 0.0)
 
 
 def lda_loop(documents, seed_scores, iterations, seed):

@@ -20,7 +20,8 @@ from figphm.synthetic import planted_corpus
 from conftest import make_table
 from test_corpus import _calls_by_function
 from scalar_reference import (feature_row_loop, lda_loop, literal_usage_score_loop,
-                              nearest_neighbors_loop, pos_tag_loop)
+                              literal_usage_score_per_call, nearest_neighbors_loop,
+                              pos_tag_loop)
 
 
 class TestPosTag:
@@ -415,6 +416,33 @@ class TestArrayPathsMatchLoops:
             assert abs(got - literal_usage_score_loop(tokens, rep, table)) <= 1e-12
         gone = LiteralRepresentation("kw", ["gone"])
         assert literal_usage_score(["u"], gone, table) == 0.5
+
+    @pytest.mark.parametrize("include_target", [False, True])
+    def test_scores_bitwise_per_call_form_on_planted_corpus(self, include_target):
+        docs, table, keywords = planted_corpus(n_docs=120, seed=5)
+        for keyword in sorted(keywords):
+            rep = build_literal_representation(table, keyword, 10)
+            for doc in docs:
+                got = literal_usage_score(doc.tokens, rep, table, include_target)
+                want = literal_usage_score_per_call(doc.tokens, rep, table, include_target)
+                assert got.hex() == want.hex()
+
+    def test_score_edge_rows_bitwise_per_call_form(self):
+        """Zero rows, repeated tokens, OOV words and related words outside
+        the table give the per-call form's bits."""
+        table = make_table({"kw": [1.0, 0.0, 0.0], "u": [0.3, -0.2, 0.9],
+                            "zero": [0.0, 0.0, 0.0], "r1": [1.0, 2.0, -3.0],
+                            "r2": [0.0, 0.0, 0.0], "r3": [-0.1, 0.4, 0.2]})
+        reps = [LiteralRepresentation("kw", ["r1", "r2", "gone", "r3"]),
+                LiteralRepresentation("kw", ["r3", "r3", "zero", "u"]),
+                LiteralRepresentation("kw", ["gone"])]
+        for rep in reps:
+            for tokens in (["u", "zero", "u", "kw", "<url>"], ["zero"], ["u"], ["kw", "r3"],
+                           ["oov", "u", "oov", "r1", "r1"], ["kw", "oov"], []):
+                for include_target in (False, True):
+                    got = literal_usage_score(tokens, rep, table, include_target)
+                    want = literal_usage_score_per_call(tokens, rep, table, include_target)
+                    assert got.hex() == want.hex(), (rep.related_words, tokens)
 
     def test_detector_matches_loop_detector(self, monkeypatch):
         docs, table, keywords = planted_corpus(n_docs=200, seed=9)
