@@ -308,6 +308,38 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
 
 
+class UnitRows:
+    """A table's rows scaled to unit length, each normalised on its first
+    use and kept; a zero row stays zero.
+
+    ``rows(ids)`` is bitwise ``_unit_rows(table.matrix[ids])`` whatever was
+    asked for before, since a row's norm and quotients do not depend on the
+    rows normalised with it. Rows never asked for are never written, so
+    their pages of the backing array are never touched. The table must not
+    change while its unit rows are in use.
+    """
+
+    def __init__(self, table: EmbeddingTable):
+        self.table = table
+        self.vocab = table.vocab
+        self._backing = np.empty_like(table.matrix)
+        self._filled: set[int] = set()
+
+    def rows(self, ids: list[int]) -> np.ndarray:
+        """The unit rows at ``ids``, in order, repeats included."""
+        filled = self._filled
+        if not filled.issuperset(ids):
+            missing = [i for i in dict.fromkeys(ids) if i not in filled]
+            self._backing[missing] = _unit_rows(self.table.matrix[missing])
+            filled.update(missing)
+        return self._backing[ids]
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    norms = row_norms(matrix)[:, None]
+    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms != 0.0)
+
+
 def load_ontology(path: str | Path) -> OntologyGraph:
     """Read a lexicon file: one line per head word, ``head n1 n2 ...``.
 

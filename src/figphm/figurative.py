@@ -6,6 +6,10 @@ content words sit close to that set. Scores below the threshold are called
 figurative. An optional two-topic Gibbs sampler refines per-word and
 per-document literal/figurative distributions from the scores.
 
+A detector normalises each table row once, on its first use, and every
+score reads the kept unit rows (``embeddings.UnitRows``); rows no document
+uses are never normalised.
+
 A verdict carries the linguistic block of ``extract_features`` as one
 array; ``feature_rows`` frames a run's blocks with the figurative bit and the
 score into the (N, n) rows the FeatAug branch reads.
@@ -14,6 +18,7 @@ score into the (N, n) rows the FeatAug branch reads.
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +27,9 @@ import numpy as np
 
 from .corpus import FIGURATIVE, LITERAL, SENTINEL_TOKENS, Document, read_lines
 # ``cosine`` is looked up here by name by perfbench/spans.py.
-from .embeddings import EmbeddingTable, cosine, nearest_neighbors, row_norms  # noqa: F401
+from .embeddings import EmbeddingTable, UnitRows, cosine, nearest_neighbors  # noqa: F401
+
+log = logging.getLogger(__name__)
 
 # 12-tag universal part-of-speech set; order fixes the one-hot layout.
 TAGSET = ("NOUN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP",
@@ -155,17 +162,17 @@ class LiteralRepresentation:
 
     keyword: str
     related_words: list[str]
-    # (table, related words, their unit rows in it) from the last unit_rows call
+    # (unit rows, related words, their rows in it) from the last unit_rows call
     _block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def unit_rows(self, table: EmbeddingTable) -> np.ndarray:
-        """The unit-normalised rows of the related words in ``table``'s
-        vocabulary, gathered once per table and kept."""
+    def unit_rows(self, unit: UnitRows) -> np.ndarray:
+        """The unit rows of the related words in ``unit``'s vocabulary,
+        gathered once per ``UnitRows`` and kept."""
         words = tuple(self.related_words)
         block = self._block
-        if block is None or block[0] is not table or block[1] != words:
-            related = [table.vocab[w] for w in words if w in table.vocab]
-            block = self._block = (table, words, _unit_rows(table.matrix[related]))
+        if block is None or block[0] is not unit or block[1] != words:
+            related = [unit.vocab[w] for w in words if w in unit.vocab]
+            block = self._block = (unit, words, unit.rows(related))
         return block[2]
 
 
@@ -208,9 +215,10 @@ def build_literal_representation(table: EmbeddingTable, keyword: str,
 
 
 def literal_usage_score(tokens: Sequence[str], rep: LiteralRepresentation,
-                        table: EmbeddingTable, include_target: bool = False) -> float:
+                        unit: UnitRows, include_target: bool = False) -> float:
     """Mean clamped cosine between sentence content words and the literal
-    usage representation.
+    usage representation, read from ``unit``, the similarity table's unit
+    rows.
 
     Content words exclude the target keyword (unless ``include_target``),
     sentinels, and anything outside the table's vocabulary. Negative cosines
@@ -220,21 +228,18 @@ def literal_usage_score(tokens: Sequence[str], rep: LiteralRepresentation,
     """
     if not rep.related_words:
         raise ValueError("literal representation is empty")
-    vocab = table.vocab
+    vocab = unit.vocab
     content = [vocab[t] for t in tokens
                if t not in SENTINEL_TOKENS
                and (include_target or t != rep.keyword)
                and t in vocab]
-    related = rep.unit_rows(table)
+    related = rep.unit_rows(unit)
     if not content or len(related) == 0:
         return 0.5
-    cosines = _unit_rows(table.matrix[content]) @ related.T
-    return float(np.maximum(cosines, 0.0).mean())
-
-
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = row_norms(matrix)[:, None]
-    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms != 0.0)
+    cosines = unit.rows(content) @ related.T
+    np.maximum(cosines, 0.0, out=cosines)
+    # bitwise cosines.mean(): the same pairwise sum over the same count
+    return float(np.add.reduce(cosines, axis=None)) / cosines.size
 
 
 def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:
@@ -411,6 +416,11 @@ class FigurativeDetector:
         self.threshold = threshold
         self.tagger = pos_tag
         self.include_target = include_target
+        self.unit = UnitRows(table)
+        missing = sorted(self.keywords - table.vocab.keys())
+        if missing:
+            log.warning("%d keyword(s) not in the similarity table, never scored: %s",
+                        len(missing), ", ".join(missing))
         self.representations = {
             kw: build_literal_representation(table, kw, k)
             for kw in sorted(self.keywords) if kw in table.vocab
@@ -422,7 +432,7 @@ class FigurativeDetector:
         tokens = doc.tokens
         positions = [i for i, t in enumerate(tokens) if t in self.keywords]
         # a keyword's score does not depend on where it occurs: score each once
-        scores = [literal_usage_score(tokens, self.representations[keyword], self.table,
+        scores = [literal_usage_score(tokens, self.representations[keyword], self.unit,
                                       include_target=self.include_target)
                   for keyword in dict.fromkeys(tokens[i] for i in positions)
                   if keyword in self.representations]

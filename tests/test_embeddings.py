@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from figphm.cli import main as cli_main
 from figphm.corpus import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
-from figphm.embeddings import (_BLOCK_ROWS, EmbeddingTable, OntologyGraph, _fields,
-                               _loadtxt_block, cosine, load_ontology, load_table,
+from figphm import embeddings
+from figphm.embeddings import (_BLOCK_ROWS, EmbeddingTable, OntologyGraph, UnitRows, _fields,
+                               _loadtxt_block, _unit_rows, cosine, load_ontology, load_table,
                                nearest_neighbors, project_table, random_table, retrofit,
                                retrofit_objective, save_table)
 from figphm.errors import DataError
 from figphm.synthetic import planted_corpus
 
 from conftest import make_table
+from test_corpus import _calls_by_function
 from scalar_reference import (load_table_rows, nearest_neighbors_loop, project_table_loop,
                               retrofit_loop)
 
@@ -654,3 +658,64 @@ class TestProjectTable:
         empty = EmbeddingTable(vocab={}, matrix=np.zeros((0, 7)))
         assert random_table(words, 7, seed=3).matrix.tobytes() == \
             project_table_loop(empty, words, seed=3).matrix.tobytes()
+
+
+def _scaled_table(n: int, dim: int, seed: int) -> EmbeddingTable:
+    """Rows at norms from 1e-3 to 1e3, three of them zero."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    matrix[[0, 7, n - 1]] = 0.0
+    return EmbeddingTable(vocab={f"w{i}": i for i in range(n)}, matrix=matrix)
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 20, 50, 100, 300])
+    def test_subset_rows_are_the_whole_tables_rows(self, dim):
+        """A row's unit row does not depend on the rows normalised with it."""
+        matrix = _scaled_table(60, dim, seed=dim).matrix
+        whole = _unit_rows(matrix)
+        rng = np.random.default_rng(dim)
+        for size in (1, 2, 5, 17, 60):
+            ids = rng.integers(0, 60, size=size)
+            assert _unit_rows(matrix[ids]).tobytes() == whole[ids].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 50])
+    def test_rows_bitwise_in_any_fill_order(self, dim):
+        table = _scaled_table(40, dim, seed=dim + 1)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            unit = UnitRows(table)
+            for _ in range(8):
+                ids = rng.integers(0, 40, size=int(rng.integers(0, 12))).tolist()
+                got = unit.rows(ids)
+                assert got.shape == (len(ids), dim)
+                assert got.tobytes() == _unit_rows(table.matrix[ids]).tobytes()
+            ids = rng.permutation(40).tolist()
+            assert unit.rows(ids).tobytes() == _unit_rows(table.matrix[ids]).tobytes()
+
+    def test_each_row_is_normalised_once(self, monkeypatch):
+        table = _scaled_table(30, 4, seed=0)
+        normalised = []
+
+        def counting(matrix):
+            normalised.append(len(matrix))
+            return _unit_rows(matrix)
+        monkeypatch.setattr(embeddings, "_unit_rows", counting)
+        unit = UnitRows(table)
+        unit.rows([3, 5, 3])
+        unit.rows([5, 3])
+        unit.rows([])
+        unit.rows([9, 5, 9, 11])
+        assert normalised == [2, 2]
+
+    def test_only_unit_rows_normalises(self):
+        """``_unit_rows`` is the one normaliser, and only ``UnitRows`` calls it."""
+        package = Path(embeddings.__file__).parent
+        callers = []
+        for source in sorted(package.glob("*.py")):
+            tree = ast.parse(source.read_text("utf-8"))
+            for function, node in _calls_by_function(tree):
+                if isinstance(node.func, (ast.Name, ast.Attribute)) and \
+                        getattr(node.func, "id", getattr(node.func, "attr", None)) == "_unit_rows":
+                    callers.append((source.stem, function))
+        assert callers == [("embeddings", "rows")]

@@ -1,4 +1,5 @@
 import ast
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from figphm import figurative
+from figphm.cli import main as cli_main
 from figphm.corpus import Document, FIGURATIVE, LITERAL
+from figphm.embeddings import UnitRows
 from figphm.figurative import (FigurativeDetector, FigurativeVerdict,
                                LiteralRepresentation, TAGSET,
                                build_literal_representation, classify,
@@ -94,30 +97,30 @@ class TestLiteralUsageScore:
     def test_identical_vectors_score_one(self):
         table = make_table({"kw": [0.0, 1.0], "u": [1.0, 0.0], "r": [2.0, 0.0]})
         rep = LiteralRepresentation("kw", ["r"])
-        assert literal_usage_score(["u"], rep, table) == pytest.approx(1.0)
+        assert literal_usage_score(["u"], rep, UnitRows(table)) == pytest.approx(1.0)
 
     def test_all_negative_cosines_clamp_to_zero(self):
         table = make_table({"kw": [0.0, 1.0], "u": [1.0, 0.0], "r": [-1.0, 0.0]})
         rep = LiteralRepresentation("kw", ["r"])
-        assert literal_usage_score(["u"], rep, table) == 0.0
+        assert literal_usage_score(["u"], rep, UnitRows(table)) == 0.0
 
     def test_hand_computed_half(self):
         # pairs (u, r1) and (u, r2): cosines 1 and 0, mean 0.5
         table = make_table({"kw": [0.0, 1.0], "u": [1.0, 0.0],
                             "r1": [1.0, 0.0], "r2": [0.0, 1.0]})
         rep = LiteralRepresentation("kw", ["r1", "r2"])
-        assert literal_usage_score(["u"], rep, table) == pytest.approx(0.5)
+        assert literal_usage_score(["u"], rep, UnitRows(table)) == pytest.approx(0.5)
 
     def test_no_content_words_gives_half(self):
         table = make_table({"kw": [1.0], "r": [1.0]})
         rep = LiteralRepresentation("kw", ["r"])
-        assert literal_usage_score(["kw", "oov", "<user>"], rep, table) == 0.5
+        assert literal_usage_score(["kw", "oov", "<user>"], rep, UnitRows(table)) == 0.5
 
     def test_keyword_excluded_by_default_included_on_request(self):
         table = make_table({"kw": [1.0, 0.0], "r": [1.0, 0.0], "u": [0.0, 1.0]})
         rep = LiteralRepresentation("kw", ["r"])
-        without = literal_usage_score(["kw", "u"], rep, table)
-        with_target = literal_usage_score(["kw", "u"], rep, table, include_target=True)
+        without = literal_usage_score(["kw", "u"], rep, UnitRows(table))
+        with_target = literal_usage_score(["kw", "u"], rep, UnitRows(table), include_target=True)
         assert without == 0.0
         assert with_target == pytest.approx(0.5)
 
@@ -126,16 +129,16 @@ class TestLiteralUsageScore:
         table = make_table({w: rng.normal(0, 1, 3).tolist()
                             for w in ["kw", "x", "y", "z", "r1", "r2"]})
         rep = LiteralRepresentation("kw", ["r1", "r2"])
-        a = literal_usage_score(["x", "y", "z"], rep, table)
-        b = literal_usage_score(["z", "x", "y"], rep, table)
+        a = literal_usage_score(["x", "y", "z"], rep, UnitRows(table))
+        b = literal_usage_score(["z", "x", "y"], rep, UnitRows(table))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_scale_invariance_of_rows(self):
         table = make_table({"kw": [1.0, 1.0], "u": [1.0, 0.5], "r": [0.5, 1.0]})
         rep = LiteralRepresentation("kw", ["r"])
-        base = literal_usage_score(["u"], rep, table)
+        base = literal_usage_score(["u"], rep, UnitRows(table))
         table.matrix[table.vocab["u"]] *= 17.0
-        assert literal_usage_score(["u"], rep, table) == pytest.approx(base, abs=1e-12)
+        assert literal_usage_score(["u"], rep, UnitRows(table)) == pytest.approx(base, abs=1e-12)
 
 
 class TestClassify:
@@ -276,6 +279,33 @@ class TestFigurativeDetector:
         })
         return FigurativeDetector(table, {"cough"}, health_lexicon={"doctor"}, k=2)
 
+    def test_missing_keywords_logged_in_one_warning(self, caplog):
+        table = self._detector().table
+        with caplog.at_level(logging.WARNING, logger="figphm.figurative"):
+            FigurativeDetector(table, {"cough"}, health_lexicon={"doctor"}, k=2)
+            assert caplog.records == []
+            det = FigurativeDetector(table, {"cough", "sneeze", "ache"},
+                                     health_lexicon={"doctor"}, k=2)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING and record.name == "figphm.figurative"
+        assert record.getMessage() == \
+            "2 keyword(s) not in the similarity table, never scored: ache, sneeze"
+        assert list(det.representations) == ["cough"]
+
+    def test_missing_keyword_leaves_fig_score_stdout_alone(self, tmp_path, capsys, caplog):
+        assert cli_main(["synth", "--out", str(tmp_path), "--docs", "24", "--seed", "3"]) == 0
+        config = str(tmp_path / "experiment.ini")
+        capsys.readouterr()
+        assert cli_main(["fig-score", "--config", config]) == 0
+        before = capsys.readouterr().out
+        with (tmp_path / "keywords.txt").open("a", encoding="utf-8") as handle:
+            handle.write("zzzmissing\n")
+        with caplog.at_level(logging.WARNING, logger="figphm.figurative"):
+            assert cli_main(["fig-score", "--config", config]) == 0
+        assert capsys.readouterr().out == before
+        assert [r.getMessage() for r in caplog.records] == \
+            ["1 keyword(s) not in the similarity table, never scored: zzzmissing"]
+
     def test_literal_context_scores_high(self):
         det = self._detector()
         doc = Document("1", "other", "", ["doctor", "cough"], "PHM")
@@ -317,7 +347,7 @@ class TestFigurativeDetector:
         })
         det = FigurativeDetector(table, {"cough", "fever"}, health_lexicon={"doctor"}, k=2)
         tokens = ["market", "cough", "doctor", "cough", "fever", "drop", "cough"]
-        occurrences = [literal_usage_score(tokens, det.representations[t], table)
+        occurrences = [literal_usage_score(tokens, det.representations[t], det.unit)
                        for t in tokens if t in det.keywords]
         assert len(occurrences) == 4 and len(set(occurrences)) == 2
         score = max(occurrences)
@@ -397,10 +427,11 @@ class TestArrayPathsMatchLoops:
     @pytest.mark.parametrize("include_target", [False, True])
     def test_scores_on_planted_corpus(self, include_target):
         docs, table, keywords = planted_corpus(n_docs=120, seed=5)
+        unit = UnitRows(table)
         for keyword in sorted(keywords):
             rep = build_literal_representation(table, keyword, 10)
             for doc in docs:
-                got = literal_usage_score(doc.tokens, rep, table, include_target)
+                got = literal_usage_score(doc.tokens, rep, unit, include_target)
                 want = literal_usage_score_loop(doc.tokens, rep, table, include_target)
                 assert abs(got - want) <= 1e-12
 
@@ -411,19 +442,21 @@ class TestArrayPathsMatchLoops:
                             "zero": [0.0, 0.0, 0.0], "r1": [1.0, 2.0, -3.0],
                             "r2": [0.0, 0.0, 0.0], "r3": [-0.1, 0.4, 0.2]})
         rep = LiteralRepresentation("kw", ["r1", "r2", "gone", "r3"])
+        unit = UnitRows(table)
         for tokens in (["u", "zero", "u", "kw", "<url>"], ["zero"], ["u"], ["kw", "r3"]):
-            got = literal_usage_score(tokens, rep, table)
+            got = literal_usage_score(tokens, rep, unit)
             assert abs(got - literal_usage_score_loop(tokens, rep, table)) <= 1e-12
         gone = LiteralRepresentation("kw", ["gone"])
-        assert literal_usage_score(["u"], gone, table) == 0.5
+        assert literal_usage_score(["u"], gone, unit) == 0.5
 
     @pytest.mark.parametrize("include_target", [False, True])
     def test_scores_bitwise_per_call_form_on_planted_corpus(self, include_target):
         docs, table, keywords = planted_corpus(n_docs=120, seed=5)
+        unit = UnitRows(table)      # shared, as a detector shares it
         for keyword in sorted(keywords):
             rep = build_literal_representation(table, keyword, 10)
             for doc in docs:
-                got = literal_usage_score(doc.tokens, rep, table, include_target)
+                got = literal_usage_score(doc.tokens, rep, unit, include_target)
                 want = literal_usage_score_per_call(doc.tokens, rep, table, include_target)
                 assert got.hex() == want.hex()
 
@@ -436,11 +469,12 @@ class TestArrayPathsMatchLoops:
         reps = [LiteralRepresentation("kw", ["r1", "r2", "gone", "r3"]),
                 LiteralRepresentation("kw", ["r3", "r3", "zero", "u"]),
                 LiteralRepresentation("kw", ["gone"])]
+        unit = UnitRows(table)
         for rep in reps:
             for tokens in (["u", "zero", "u", "kw", "<url>"], ["zero"], ["u"], ["kw", "r3"],
                            ["oov", "u", "oov", "r1", "r1"], ["kw", "oov"], []):
                 for include_target in (False, True):
-                    got = literal_usage_score(tokens, rep, table, include_target)
+                    got = literal_usage_score(tokens, rep, unit, include_target)
                     want = literal_usage_score_per_call(tokens, rep, table, include_target)
                     assert got.hex() == want.hex(), (rep.related_words, tokens)
 
@@ -448,7 +482,9 @@ class TestArrayPathsMatchLoops:
         docs, table, keywords = planted_corpus(n_docs=200, seed=9)
         fast = FigurativeDetector(table, keywords, health_lexicon=set()).verdicts(docs)
         monkeypatch.setattr(figurative, "nearest_neighbors", nearest_neighbors_loop)
-        monkeypatch.setattr(figurative, "literal_usage_score", literal_usage_score_loop)
+        monkeypatch.setattr(figurative, "literal_usage_score",
+                            lambda tokens, rep, unit, include_target=False:
+                            literal_usage_score_loop(tokens, rep, unit.table, include_target))
         slow_detector = FigurativeDetector(table, keywords, health_lexicon=set())
         slow = slow_detector.verdicts(docs)
         assert [v.label for v in fast] == [v.label for v in slow]
@@ -456,24 +492,28 @@ class TestArrayPathsMatchLoops:
 
     def test_kept_related_block_scores_bitwise(self):
         """The block a representation keeps gives the scores of a block
-        gathered afresh, and is gathered again for another table or word list."""
+        gathered afresh, and is gathered again for other unit rows, of the
+        same table or another, or for another word list."""
         docs, table, keywords = planted_corpus(n_docs=120, seed=7)
         words = table.words()[2:]
-        other = make_table(dict(zip(words, table.matrix[:1:-1])))
+        other = UnitRows(make_table(dict(zip(words, table.matrix[:1:-1]))))
+        unit = UnitRows(table)
         for keyword in sorted(keywords):
             rep = build_literal_representation(table, keyword, 10)
-            block = rep.unit_rows(table)
+            block = rep.unit_rows(unit)
             for doc in docs:
                 fresh = LiteralRepresentation(keyword, list(rep.related_words))
-                assert literal_usage_score(doc.tokens, rep, table) == \
-                    literal_usage_score(doc.tokens, fresh, table)
-            assert rep.unit_rows(table) is block
+                assert literal_usage_score(doc.tokens, rep, unit) == \
+                    literal_usage_score(doc.tokens, fresh, UnitRows(table))
+            assert rep.unit_rows(unit) is block
+            again = rep.unit_rows(UnitRows(table))
+            assert again is not block and again.tobytes() == block.tobytes()
             tokens = docs[0].tokens
             assert literal_usage_score(tokens, rep, other) == literal_usage_score(
                 tokens, LiteralRepresentation(keyword, list(rep.related_words)), other)
             rep.related_words = rep.related_words[:3]
-            assert literal_usage_score(tokens, rep, table) == literal_usage_score(
-                tokens, LiteralRepresentation(keyword, rep.related_words[:3]), table)
+            assert literal_usage_score(tokens, rep, unit) == literal_usage_score(
+                tokens, LiteralRepresentation(keyword, rep.related_words[:3]), UnitRows(table))
 
     @pytest.mark.parametrize("seed", [0, 41])
     def test_lda_bitwise(self, seed):
