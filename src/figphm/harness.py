@@ -706,6 +706,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         for (name, _, fold), args, future in zip(cells, cell_args, futures):
             try:
                 results = _run_cell(*args) if future is None else future.result()
+            except FloatingPointError as exc:
+                raise _diverged(config.model, f"embedding={name}, fold={fold}", exc) from None
             except Exception as exc:
                 raise RuntimeError(f"experiment cell failed (embedding={name}, "
                                    f"fold={fold}): {exc}") from exc
@@ -817,7 +819,17 @@ def train_full(config: ExperimentConfig, approach: str, embedding_name: str):
         corpus = [example + (row,) for example, row in zip(corpus, rows)]
     seed = derive_seed(config.seed, spec.name, "full")
     model = builders[approach](table, config.model, seed=seed)
-    return model, train(model, corpus, seed=derive_seed(seed, "train"))
+    try:
+        return model, train(model, corpus, seed=derive_seed(seed, "train"))
+    except FloatingPointError as exc:
+        raise _diverged(config.model, f"embedding={embedding_name}, full dataset", exc) from None
+
+
+def _diverged(model: ModelConfig, cell: str, exc: FloatingPointError) -> ConfigError:
+    """The config error for a training run that diverged: the step size is
+    the key that sends a valid config there."""
+    return ConfigError(f"[model] lr = {model.learning_rate}: training diverged "
+                       f"({cell}): {exc}")
 
 
 def evaluate_model(model, documents: list[Document],

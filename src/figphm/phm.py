@@ -542,7 +542,8 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
     seeded here, so identical (corpus, seed) pairs give identical traces.
     The embedding trains as a table of the rows the examples hold, written
     back into the model's own array (unless frozen) when training ends or
-    fails; it keeps no gradient afterwards.
+    fails; it keeps no gradient afterwards. A non-finite loss or parameter
+    raises FloatingPointError naming its epoch, counted from 1.
     """
     if not corpus:
         raise ValueError("training corpus is empty")
@@ -570,20 +571,23 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
         # one set of pass buffers for every minibatch; freed when train returns
         workspace = _Workspace()
         trace = []
-        for _ in range(epochs):
-            order = rng.permutation(len(targets))
-            epoch_loss = 0.0
-            for start in range(0, len(targets), batch):
-                chunk = order[start:start + batch]
-                inputs = ids[chunk] if features is None else (ids[chunk], features[chunk])
-                epoch_loss += model.loss_and_grad(inputs, targets[chunk], train=True, rng=rng,
-                                                  grad_scale=1.0 / len(chunk),
-                                                  workspace=workspace)
-                if not math.isfinite(epoch_loss):
-                    raise FloatingPointError("non-finite training loss")
-                optimizer.step()
-                _check_finite(optimizer.params)
-            trace.append(epoch_loss / len(targets))
+        # a diverging run is caught by the checks below and raised with its
+        # epoch; numpy's overflow warnings on the way would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(1, epochs + 1):
+                order = rng.permutation(len(targets))
+                epoch_loss = 0.0
+                for start in range(0, len(targets), batch):
+                    chunk = order[start:start + batch]
+                    inputs = ids[chunk] if features is None else (ids[chunk], features[chunk])
+                    epoch_loss += model.loss_and_grad(inputs, targets[chunk], train=True,
+                                                      rng=rng, grad_scale=1.0 / len(chunk),
+                                                      workspace=workspace)
+                    if not math.isfinite(epoch_loss):
+                        raise FloatingPointError(f"non-finite training loss in epoch {epoch}")
+                    optimizer.step()
+                    _check_finite(optimizer.params, epoch)
+                trace.append(epoch_loss / len(targets))
         return trace
     finally:
         # restore the model's own array before the write-back can raise; a
@@ -594,13 +598,13 @@ def train(model, corpus, epochs: int | None = None, batch: int | None = None,
             table[rows] = compact
 
 
-def _check_finite(params: list[Parameter]) -> None:
+def _check_finite(params: list[Parameter], epoch: int) -> None:
     """Name the first parameter, in declaration order, with a non-finite
     value."""
     for param in params:
         if not np.isfinite(param.value).all():
             raise FloatingPointError(f"non-finite values in parameter {param.name!r} "
-                                     f"after an Adam step")
+                                     f"after an Adam step in epoch {epoch}")
 
 
 def predict(model, ids, features=None) -> np.ndarray:

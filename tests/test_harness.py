@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +619,33 @@ class TestCli:
         assert err.startswith("config error: ") and key in err and "physical memory" in err
         assert peak < 16 << 20
         assert not (tmp_path / "run").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command, jobs, cell", [
+        ("experiment", "1", "embedding=rand20a, fold=0"),
+        ("experiment", "2", "embedding=rand20a, fold=0"),
+        ("train", None, "embedding=rand20a, full dataset"),
+    ], ids=["experiment_jobs_1", "experiment_jobs_2", "train"])
+    def test_diverging_lr_exit_1_without_numpy_warning(self, tmp_path, capfd, command, jobs,
+                                                       cell):
+        """A step size that the schema accepts but that sends training to
+        non-finite values is a config error naming ``[model] lr``, the cell
+        and the epoch. No numpy warning is printed, by this process or by a
+        pool worker."""
+        assert cli_main(["synth", "--out", str(tmp_path), "--docs", "24", "--seed", "3"]) == 0
+        config = tmp_path / "experiment.ini"
+        text = config.read_text(encoding="utf-8").replace("epochs = 25", "epochs = 2")
+        config.write_text(text.replace("[model]", "[model]\nlr = 1e300", 1), encoding="utf-8")
+        capfd.readouterr()
+        argv = {"experiment": ["--out", str(tmp_path / "run"), "--jobs", str(jobs)],
+                "train": ["--embedding", "rand20a", "--out", str(tmp_path / "m.ckpt")]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main([command, "--config", str(config), *argv[command]])
+        err = capfd.readouterr().err
+        assert code == 1, err
+        assert err == (f"config error: [model] lr = 1e+300: training diverged ({cell}): "
+                       f"non-finite training loss in epoch 2\n")
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_experiment_bad_config_exit_1(self, tmp_path, capsys):
         (tmp_path / "cfg.ini").write_text("[experiment]\nfolds = 2\n", encoding="utf-8")
