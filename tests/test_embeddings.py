@@ -679,22 +679,27 @@ class TestUnitRows:
             ids = rng.integers(0, 60, size=size)
             assert _unit_rows(matrix[ids]).tobytes() == whole[ids].tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7, None])
     @pytest.mark.parametrize("dim", [1, 2, 50])
-    def test_rows_bitwise_in_any_fill_order(self, dim):
-        table = _scaled_table(40, dim, seed=dim + 1)
+    def test_rows_bitwise_in_any_fill_order(self, dim, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(embeddings, "_UNIT_BLOCK_ROWS", block)
+        table = _scaled_table(600, dim, seed=dim + 1)
         rng = np.random.default_rng(dim)
-        for _ in range(20):
+        for _ in range(10):
             unit = UnitRows(table)
             for _ in range(8):
-                ids = rng.integers(0, 40, size=int(rng.integers(0, 12))).tolist()
+                ids = rng.integers(0, 600, size=int(rng.integers(0, 12))).tolist()
                 got = unit.rows(ids)
                 assert got.shape == (len(ids), dim)
                 assert got.tobytes() == _unit_rows(table.matrix[ids]).tobytes()
-            ids = rng.permutation(40).tolist()
+            ids = rng.permutation(600).tolist()
             assert unit.rows(ids).tobytes() == _unit_rows(table.matrix[ids]).tobytes()
 
-    def test_each_row_is_normalised_once(self, monkeypatch):
-        table = _scaled_table(30, 4, seed=0)
+    def test_each_block_is_normalised_once(self, monkeypatch):
+        """The first use of a row fills its block of 256 rows, the last block
+        clipped to the table, and nothing else."""
+        table = _scaled_table(600, 4, seed=0)
         normalised = []
 
         def counting(matrix):
@@ -703,10 +708,10 @@ class TestUnitRows:
         monkeypatch.setattr(embeddings, "_unit_rows", counting)
         unit = UnitRows(table)
         unit.rows([3, 5, 3])
-        unit.rows([5, 3])
+        unit.rows([5, 255])
         unit.rows([])
-        unit.rows([9, 5, 9, 11])
-        assert normalised == [2, 2]
+        unit.rows([599, 5, 300, 599])
+        assert normalised == [256, 256, 88]
 
     def test_only_unit_rows_normalises(self):
         """``_unit_rows`` is the one normaliser, and only ``UnitRows`` calls it."""
