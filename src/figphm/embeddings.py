@@ -341,7 +341,7 @@ class UnitRows:
         filled = self._filled
         if not filled.issuperset(ids):
             matrix = self.table.matrix
-            for block in sorted({i // _UNIT_BLOCK_ROWS for i in ids if i not in filled}):
+            for block in {i // _UNIT_BLOCK_ROWS for i in ids if i not in filled}:
                 span = slice(block * _UNIT_BLOCK_ROWS, (block + 1) * _UNIT_BLOCK_ROWS)
                 self._backing[span] = _unit_rows(matrix[span])
                 filled.update(range(len(matrix))[span])

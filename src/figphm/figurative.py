@@ -6,9 +6,9 @@ content words sit close to that set. Scores below the threshold are called
 figurative. An optional two-topic Gibbs sampler refines per-word and
 per-document literal/figurative distributions from the scores.
 
-A detector normalises each table row once, on its first use, and every
-score reads the kept unit rows (``embeddings.UnitRows``); rows no document
-uses are never normalised.
+A detector normalises its table's rows once, lazily: a block of rows on
+the first use of any of them (``embeddings.UnitRows``). Every score reads
+those kept unit rows, and blocks no document uses are never normalised.
 
 A verdict carries the linguistic block of ``extract_features`` as one
 array; ``feature_rows`` frames a run's blocks with the figurative bit and the
