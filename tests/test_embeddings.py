@@ -720,7 +720,7 @@ class TestUnitRows:
         for source in sorted(package.glob("*.py")):
             tree = ast.parse(source.read_text("utf-8"))
             for function, node in _calls_by_function(tree):
-                if isinstance(node.func, (ast.Name, ast.Attribute)) and \
-                        getattr(node.func, "id", getattr(node.func, "attr", None)) == "_unit_rows":
+                if "_unit_rows" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None)):
                     callers.append((source.stem, function))
         assert callers == [("embeddings", "rows")]

@@ -30,14 +30,18 @@ repository root::
 
 A result is evidence, not the benchmark: a gain is claimed only from
 ``tools/bench_pairs.py``. An A/A run (``--parent HEAD --change HEAD``) shows
-the noise; three per mode on a 2-vCPU host, float64 on OpenBLAS, read:
+the noise. Three per mode on a 2-vCPU x86_64 host (float64, OpenBLAS
+0.3.31, numpy 2.4.6) read:
 
-- ``train``: median ratio 0.991, 1.003 and 1.006 (IQR at most
-  0.976-1.025), change lower in 12, 9 and 8 of 20.
-- ``verdict``: median ratio 0.998, 1.000 and 1.002 (IQR at most
-  0.975-1.026), change lower in 63, 60 and 57 of 120.
+- ``train``: median ratio 1.005, 1.006 and 1.034 (widest IQR
+  0.916-1.331), change lower in 9, 8 and 6 of 20.
+- ``verdict``: median ratio 0.999, 1.010 and 1.003 (widest IQR
+  0.967-1.062), change lower in 61, 53 and 58 of 120.
 
-So a median ratio inside 0.99-1.01 is noise.
+So a median ratio within about 0.99-1.04 (``train``) or 0.99-1.01
+(``verdict``) is noise. For scale, ``verdict`` between the per-call
+normalisation and the per-detector unit rows read 0.621 and 0.628, change
+lower in 108 and 117 of 120.
 """
 
 from __future__ import annotations
