@@ -8,6 +8,8 @@ they can be dropped row-for-row into the CNN embedding layer.
 from __future__ import annotations
 
 import logging
+import math
+import mmap
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,13 +37,6 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # A candidate's mat-vec score may differ from its ``cosine`` in the last few
 # bits; every word within this much of the k-th score is re-scored exactly.
 NEIGHBOR_SLACK = 1e-9
-
-# Rows UnitRows normalises together. A fill's cost is mostly per call, not
-# per row, and the words a corpus uses cluster in a frequency-ordered table:
-# filling row by row, fig-prep's first few hundred verdicts each paid a fill
-# and ran slower than normalising per document.
-_UNIT_BLOCK_ROWS = 256
-
 
 @dataclass(eq=False)
 class EmbeddingTable:
@@ -318,39 +313,50 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
 
 
 class UnitRows:
-    """A table's rows scaled to unit length, normalised on first use and
-    kept; a zero row stays zero.
+    """A table's rows scaled to unit length, each normalised on its first
+    use and kept; a zero row stays zero.
 
-    The rows are normalised in aligned blocks of ``_UNIT_BLOCK_ROWS``: the
-    first use of any row of a block fills the whole block. ``rows(ids)`` is
-    bitwise ``_unit_rows(table.matrix[ids])`` whatever was filled before,
-    since a row's norm and quotients do not depend on the rows normalised
-    with it. Blocks never used are never written, so their pages of the
-    backing array are never touched. The table must not change while its
-    unit rows are in use.
+    ``rows(ids)`` is bitwise ``_unit_rows(table.matrix[ids])`` whatever was
+    asked for before, since a row's norm and quotients do not depend on the
+    rows normalised with it. The backing array is a mapping of small pages
+    (``_small_page_array``), so only the pages of the rows asked for become
+    resident, wherever the table holds them. The table must not change
+    while its unit rows are in use.
     """
 
     def __init__(self, table: EmbeddingTable):
         self.table = table
         self.vocab = table.vocab
-        self._backing = np.empty_like(table.matrix)
-        self._filled: set[int] = set()      # the rows of the blocks filled so far
+        self._backing = _small_page_array(table.matrix.shape, table.matrix.dtype)
+        self._filled: set[int] = set()
 
     def rows(self, ids: list[int]) -> np.ndarray:
         """The unit rows at ``ids``, in order, repeats included."""
         filled = self._filled
         if not filled.issuperset(ids):
-            matrix = self.table.matrix
-            for block in {i // _UNIT_BLOCK_ROWS for i in ids if i not in filled}:
-                span = slice(block * _UNIT_BLOCK_ROWS, (block + 1) * _UNIT_BLOCK_ROWS)
-                self._backing[span] = _unit_rows(matrix[span])
-                filled.update(range(len(matrix))[span])
+            missing = [i for i in dict.fromkeys(ids) if i not in filled]
+            self._backing[missing] = _unit_rows(self.table.matrix[missing])
+            filled.update(missing)
         return self._backing[ids]
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     norms = row_norms(matrix)[:, None]
-    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms != 0.0)
+    return np.divide(matrix, norms, out=np.zeros(matrix.shape, matrix.dtype),
+                     where=norms != 0.0)
+
+
+def _small_page_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array in an anonymous mapping of its own, advised against huge
+    pages where the platform allows: a page becomes resident when first
+    written. numpy advises huge pages for arrays of 4 MB and more, and then
+    writing one row could make 2 MB resident."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, size * dtype.itemsize))
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype, count=size).reshape(shape)
 
 
 def load_ontology(path: str | Path) -> OntologyGraph:

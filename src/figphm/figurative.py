@@ -6,9 +6,9 @@ content words sit close to that set. Scores below the threshold are called
 figurative. An optional two-topic Gibbs sampler refines per-word and
 per-document literal/figurative distributions from the scores.
 
-A detector normalises its table's rows once, lazily: a block of rows on
-the first use of any of them (``embeddings.UnitRows``). Every score reads
-those kept unit rows, and blocks no document uses are never normalised.
+A detector normalises each row of its table once, on the row's first use
+(``embeddings.UnitRows``). Every score reads those kept unit rows, and rows
+no document uses are never normalised.
 
 A verdict carries the linguistic block of ``extract_features`` as one
 array; ``feature_rows`` frames a run's blocks with the figurative bit and the
@@ -417,14 +417,13 @@ class FigurativeDetector:
         self.tagger = pos_tag
         self.include_target = include_target
         self.unit = UnitRows(table)
-        missing = sorted(self.keywords - table.vocab.keys())
+        present = sorted(self.keywords & table.vocab.keys())
+        missing = sorted(self.keywords.difference(present))
         if missing:
             log.warning("%d keyword(s) not in the similarity table, never scored: %s",
                         len(missing), ", ".join(missing))
-        self.representations = {
-            kw: build_literal_representation(table, kw, k)
-            for kw in sorted(self.keywords) if kw in table.vocab
-        }
+        self.representations = {kw: build_literal_representation(table, kw, k)
+                                for kw in present}
 
     def verdict(self, doc: Document) -> FigurativeVerdict:
         """The verdict on ``doc``'s tokens; keyword positions are found here,

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -679,11 +680,8 @@ class TestUnitRows:
             ids = rng.integers(0, 60, size=size)
             assert _unit_rows(matrix[ids]).tobytes() == whole[ids].tobytes()
 
-    @pytest.mark.parametrize("block", [1, 7, None])
     @pytest.mark.parametrize("dim", [1, 2, 50])
-    def test_rows_bitwise_in_any_fill_order(self, dim, block, monkeypatch):
-        if block is not None:
-            monkeypatch.setattr(embeddings, "_UNIT_BLOCK_ROWS", block)
+    def test_rows_bitwise_in_any_fill_order(self, dim):
         table = _scaled_table(600, dim, seed=dim + 1)
         rng = np.random.default_rng(dim)
         for _ in range(10):
@@ -696,9 +694,9 @@ class TestUnitRows:
             ids = rng.permutation(600).tolist()
             assert unit.rows(ids).tobytes() == _unit_rows(table.matrix[ids]).tobytes()
 
-    def test_each_block_is_normalised_once(self, monkeypatch):
-        """The first use of a row fills its block of 256 rows, the last block
-        clipped to the table, and nothing else."""
+    def test_each_row_is_normalised_once(self, monkeypatch):
+        """A call normalises the rows not asked for before, each once, and
+        reads back the rest."""
         table = _scaled_table(600, 4, seed=0)
         normalised = []
 
@@ -710,8 +708,25 @@ class TestUnitRows:
         unit.rows([3, 5, 3])
         unit.rows([5, 255])
         unit.rows([])
+        unit.rows([255, 3, 5])
         unit.rows([599, 5, 300, 599])
-        assert normalised == [256, 256, 88]
+        assert normalised == [2, 1, 2]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs mincore")
+    def test_only_the_pages_of_rows_asked_for_become_resident(self):
+        """At least 4 MB, where numpy advises huge pages: 100 rows spread
+        over the table make at most 2 pages each resident, not the table."""
+        import ctypes
+        import mmap
+        table = _scaled_table(20_000, 50, seed=3)
+        unit = UnitRows(table)
+        unit.rows(np.random.default_rng(3).permutation(20_000)[:100].tolist())
+        start = unit._backing.ctypes.data // mmap.PAGESIZE * mmap.PAGESIZE
+        length = unit._backing.ctypes.data + unit._backing.nbytes - start
+        resident = (ctypes.c_ubyte * -(-length // mmap.PAGESIZE))()
+        libc = ctypes.CDLL(None, use_errno=True)
+        assert libc.mincore(ctypes.c_void_p(start), ctypes.c_size_t(length), resident) == 0
+        assert sum(page & 1 for page in resident) <= 200
 
     def test_only_unit_rows_normalises(self):
         """``_unit_rows`` is the one normaliser, and only ``UnitRows`` calls it."""
