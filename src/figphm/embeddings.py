@@ -332,12 +332,17 @@ class UnitRows:
 
     def rows(self, ids: list[int]) -> np.ndarray:
         """The unit rows at ``ids``, in order, repeats included."""
+        if not self._filled.issuperset(ids):
+            self.fill(ids)
+        return self._backing[ids]
+
+    def fill(self, ids: list[int]) -> None:
+        """Normalise the rows at ``ids`` not normalised yet, in one call."""
         filled = self._filled
-        if not filled.issuperset(ids):
-            missing = [i for i in dict.fromkeys(ids) if i not in filled]
+        missing = [i for i in dict.fromkeys(ids) if i not in filled]
+        if missing:
             self._backing[missing] = _unit_rows(self.table.matrix[missing])
             filled.update(missing)
-        return self._backing[ids]
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:

@@ -738,4 +738,4 @@ class TestUnitRows:
                 if "_unit_rows" in (getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None)):
                     callers.append((source.stem, function))
-        assert callers == [("embeddings", "rows")]
+        assert callers == [("embeddings", "fill")]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from figphm import figurative
+from figphm import embeddings, figurative
 from figphm.cli import main as cli_main
 from figphm.corpus import Document, FIGURATIVE, LITERAL
 from figphm.embeddings import UnitRows
@@ -489,6 +489,26 @@ class TestArrayPathsMatchLoops:
         slow = slow_detector.verdicts(docs)
         assert [v.label for v in fast] == [v.label for v in slow]
         assert max(abs(a.literal_score - b.literal_score) for a, b in zip(fast, slow)) <= 1e-12
+
+    def test_verdicts_fill_document_rows_in_one_call(self, monkeypatch):
+        """``verdicts`` normalises every document row in its first call and
+        gives the bytes of one ``verdict`` at a time."""
+        docs, table, keywords = planted_corpus(n_docs=120, seed=5)
+        one_by_one = FigurativeDetector(table, keywords)
+        want = [one_by_one.verdict(doc) for doc in docs]
+        normalised, unit_rows = [], embeddings._unit_rows
+
+        def counting(matrix):
+            normalised.append(len(matrix))
+            return unit_rows(matrix)
+        monkeypatch.setattr(embeddings, "_unit_rows", counting)
+        det = FigurativeDetector(table, keywords)
+        got = det.verdicts(docs)
+        vocab = table.vocab
+        assert normalised[0] == len({vocab[t] for doc in docs for t in doc.tokens if t in vocab})
+        assert sum(normalised) == len(det.unit._filled)      # each row once
+        assert [(v.literal_score.hex(), v.label, v.features.tobytes()) for v in got] == \
+            [(v.literal_score.hex(), v.label, v.features.tobytes()) for v in want]
 
     def test_kept_related_block_scores_bitwise(self):
         """The block a representation keeps gives the scores of a block
