@@ -40,8 +40,8 @@ the noise. Three per mode on a 2-vCPU x86_64 host (float64, OpenBLAS
 
 So a median ratio within about 0.99-1.04 (``train``) or 0.99-1.01
 (``verdict``) is noise. For scale, ``verdict`` between the per-call
-normalisation and the per-detector unit rows read 0.621 and 0.628, change
-lower in 108 and 117 of 120.
+normalisation and the per-detector unit rows read 0.666 and 0.680, change
+lower in 96 and 105 of 120.
 """
 
 from __future__ import annotations
