@@ -38,6 +38,7 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # bits; every word within this much of the k-th score is re-scored exactly.
 NEIGHBOR_SLACK = 1e-9
 
+
 @dataclass(eq=False)
 class EmbeddingTable:
     """Vocabulary -> dense vector lookup backed by a |V| x d float64 matrix."""

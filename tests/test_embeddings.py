@@ -1,5 +1,7 @@
 import ast
+import ctypes
 import math
+import mmap
 import sys
 import tracemalloc
 import warnings
@@ -716,8 +718,6 @@ class TestUnitRows:
     def test_only_the_pages_of_rows_asked_for_become_resident(self):
         """At least 4 MB, where numpy advises huge pages: 100 rows spread
         over the table make at most 2 pages each resident, not the table."""
-        import ctypes
-        import mmap
         table = _scaled_table(20_000, 50, seed=3)
         unit = UnitRows(table)
         unit.rows(np.random.default_rng(3).permutation(20_000)[:100].tolist())
