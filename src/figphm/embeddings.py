@@ -11,6 +11,7 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -396,9 +397,9 @@ def retrofit(table: EmbeddingTable, graph: OntologyGraph, iterations: int = 10,
     (``uniform``). Ontology words outside the vocabulary are ignored. The
     input table is not mutated.
 
-    Each sweep updates whole levels of rows at once (see ``_sweep_groups``)
-    and sums each row's neighbors one at a time in ascending row order, so
-    it gives bitwise the row-by-row sweep for tables of two or more columns.
+    Each sweep updates whole levels of rows at once, on a schedule built from
+    edge arrays in one linear pass (``_sweep_groups``), and sums each row's
+    neighbors one at a time, ascending: bitwise the row-by-row sweep for d >= 2.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -410,7 +411,7 @@ def retrofit(table: EmbeddingTable, graph: OntologyGraph, iterations: int = 10,
     original = table.matrix
     matrix = original.copy()
     groups = []
-    for rows, neighbor_rows in _sweep_groups(_in_vocab_neighborhoods(table, graph)):
+    for rows, neighbor_rows in _sweep_groups(table, graph):
         degree = len(neighbor_rows)
         beta = 1.0 / degree if beta_mode == "inverse_degree" else 1.0
         groups.append((rows, neighbor_rows, alpha * original[rows], beta,
@@ -425,9 +426,11 @@ def retrofit(table: EmbeddingTable, graph: OntologyGraph, iterations: int = 10,
     return EmbeddingTable(vocab=dict(table.vocab), matrix=matrix)
 
 
-def _sweep_groups(neighborhoods: dict[int, list[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Level schedule of one ascending Gauss-Seidel sweep.
+def _sweep_groups(table: EmbeddingTable,
+                  graph: OntologyGraph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Level schedule of one ascending Gauss-Seidel sweep, built from edge arrays.
 
+    Rows and sorted neighbor rows are those ``_in_vocab_neighborhoods`` keeps.
     A row's level is one more than the highest level among the lower rows it
     shares an edge with (0 if none), so rows on one level share no edge and
     updating a level at once reads exactly what the ascending sweep reads:
@@ -435,20 +438,26 @@ def _sweep_groups(neighborhoods: dict[int, list[int]]) -> list[tuple[np.ndarray,
     by degree; a group is (rows, a degree x len(rows) matrix of their sorted
     neighbor rows), and the groups come in ascending level order.
     """
-    lower: dict[int, list[int]] = {index: [] for index in neighborhoods}
-    for index, neighbor_rows in neighborhoods.items():
-        for j in neighbor_rows:
-            if j < index:
-                lower[index].append(j)
-            elif j in lower:  # a one-sided edge still orders the two updates
-                lower[j].append(index)
-    level: dict[int, int] = {}
-    members: dict[tuple[int, int], list[int]] = {}
-    for index in sorted(neighborhoods):
-        level[index] = 1 + max((level[j] for j in lower[index] if j in level), default=-1)
-        members.setdefault((level[index], len(neighborhoods[index])), []).append(index)
-    return [(np.array(rows), np.array([neighborhoods[i] for i in rows]).T.copy())
-            for _, rows in sorted(members.items())]
+    size, edges = len(table.matrix), graph.edges
+    words = np.fromiter(map(table.vocab.get, chain(edges, *edges.values()), repeat(-1)), np.intp)
+    words[np.isin(words, [table.vocab.get(token, -1) for token in RESERVED_TOKENS])] = -1
+    heads = np.repeat(words[:len(edges)], [len(n) for n in edges.values()])
+    keep = (heads >= 0) & (words[len(edges):] >= 0)
+    heads, neighbors = np.divmod(np.sort(heads[keep] * size + words[len(edges):][keep]), size)
+    rows, starts, degree = np.unique(heads, return_index=True, return_counts=True)
+    # each edge between two distinct rows once, as (higher, lower) positions
+    # in ``rows`` sorted by the higher, so one pass sees each lower level final
+    a, b = np.repeat(np.arange(len(rows)), degree), np.searchsorted(rows, neighbors)
+    between = (rows.take(b, mode="clip") == neighbors) & (a != b)
+    links = np.unique((np.maximum(a, b) * size + np.minimum(a, b))[between])
+    level = [0] * len(rows)
+    for high, low in zip(*(part.tolist() for part in np.divmod(links, size))):
+        level[high] = max(level[high], level[low] + 1)
+    level = np.array(level, np.intp)
+    order = np.lexsort((rows, degree, level))
+    cuts = np.flatnonzero(np.diff(level[order]) | np.diff(degree[order])) + 1
+    return [(rows[group], neighbors[starts[group] + np.arange(degree[group[0]])[:, None]])
+            for group in np.split(order, cuts) if len(group)]
 
 
 def retrofit_objective(original: EmbeddingTable, current: EmbeddingTable,

@@ -668,8 +668,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                           f"documents in {config.dataset}")
     vocab = build_vocab(documents)
     _check_memory(config.model, config.embeddings, len(vocab), len(documents))
-    if out_dir is not None:     # an unwritable out_dir fails before any training
-        (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:     # an unwritable out_dir fails before any training, and
+        # a run that fails later leaves none of the directories made here behind
+        predictions = Path(out_dir) / "predictions"
+        made = [path for path in (predictions, *predictions.parents) if not path.exists()]
+        predictions.mkdir(parents=True, exist_ok=True)
+        for path in made:
+            path.rmdir()
     ids = np.array([pad(d.tokens, vocab, config.model.max_sequence_length)
                     for d in documents], dtype=np.intp)
     labels = np.array([d.label for d in documents])
@@ -775,6 +780,7 @@ def _assemble_report(config, documents, probabilities, figurative,
 
     if out_dir is not None:
         out_dir = Path(out_dir)
+        (out_dir / "predictions").mkdir(parents=True, exist_ok=True)
         (out_dir / "report.tsv").write_text(report.to_structured(), encoding="utf-8")
         (out_dir / "report.txt").write_text(report.to_tables(), encoding="utf-8")
         order = sorted(range(len(documents)), key=lambda i: documents[i].id)

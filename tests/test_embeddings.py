@@ -3,6 +3,7 @@ import ctypes
 import math
 import mmap
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,10 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from figphm.cli import main as cli_main
 from figphm.corpus import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
 from figphm import embeddings
-from figphm.embeddings import (_BLOCK_ROWS, EmbeddingTable, OntologyGraph, UnitRows, _fields,
-                               _loadtxt_block, _unit_rows, cosine, load_ontology, load_table,
-                               nearest_neighbors, project_table, random_table, retrofit,
-                               retrofit_objective, save_table)
+from figphm.embeddings import (_BLOCK_ROWS, BETA_MODES, EmbeddingTable, OntologyGraph,
+                               UnitRows, _fields, _loadtxt_block, _unit_rows, cosine,
+                               load_ontology, load_table, nearest_neighbors, project_table,
+                               random_table, retrofit, retrofit_objective, save_table)
 from figphm.errors import DataError
 from figphm.synthetic import planted_corpus
 
@@ -549,6 +550,98 @@ class TestRetrofitMatchesLoop:
                                      "w2": {"w5"}, "w0": {"w3", "w4"}})
         out = retrofit(table, graph, iterations=5)
         assert np.array_equal(out.matrix, retrofit_loop(table, graph, 5))
+
+
+def _assert_retrofit_is_the_loop(table, graph, iterations=3):
+    for beta_mode in BETA_MODES:
+        out = retrofit(table, graph, iterations=iterations, beta_mode=beta_mode)
+        expected = retrofit_loop(table, graph, iterations, 1.0, beta_mode)
+        assert out.matrix.tobytes() == expected.tobytes(), beta_mode
+
+
+def _chain(n: int, descending: bool = False):
+    """A table of n words and the chain w0 - w1 - ... between them, its edges
+    added in ascending or descending row order."""
+    rng = np.random.default_rng(n)
+    words = [f"w{i}" for i in range(n)]
+    table = make_table({w: v.tolist() for w, v in zip(words, rng.normal(0, 1, (n, 2)))})
+    graph = OntologyGraph()
+    for i in (range(n - 2, -1, -1) if descending else range(n - 1)):
+        graph.add_edge(words[i], words[i + 1])
+    return table, graph
+
+
+_SCHEDULE_WORDS = [f"w{i}" for i in range(10)]
+
+
+class TestSweepSchedule:
+    """The edge-array schedule on graphs the ontology loader never writes."""
+
+    def test_self_loop_in_one_sided_graph(self):
+        # a self-loop stays among the row's neighbors but orders no update
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(6)]
+        table = make_table({w: v.tolist() for w, v in zip(words, rng.normal(0, 1, (6, 3)))})
+        graph = OntologyGraph(edges={"w3": {"w3", "w1"}, "w1": {"w1"}, "w4": {"w4", "w5", "w0"},
+                                     "w5": {"w3"}})
+        # rows 3 and 6 on level 0, 5 above 3, 7 above 5 and 6; 2 and 4 are no heads
+        assert [rows.tolist() for rows, _ in embeddings._sweep_groups(table, graph)] == \
+            [[3], [6], [5], [7]]
+        _assert_retrofit_is_the_loop(table, graph)
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_chain_of_3000_levels(self, descending):
+        table, graph = _chain(3000, descending)
+        groups = embeddings._sweep_groups(table, graph)
+        assert [rows.tolist() for rows, _ in groups] == [[row] for row in range(2, 3002)]
+        _assert_retrofit_is_the_loop(table, graph, iterations=2)
+
+    @pytest.mark.parametrize("edges", [
+        {},
+        {"w0": set(), "ghost": {"w1"}},
+        {"w0": {"ghost", "phantom"}, "w1": {PAD_TOKEN, UNK_TOKEN}, UNK_TOKEN: {"w2"},
+         PAD_TOKEN: {"w0"}, "ghost": {"phantom"}},
+    ], ids=["empty", "oov_heads", "oov_and_reserved_neighbors"])
+    def test_graph_without_in_vocabulary_edges(self, tiny_table, edges):
+        graph = OntologyGraph(edges=edges)
+        assert embeddings._sweep_groups(tiny_table, graph) == []
+        assert retrofit(tiny_table, graph).matrix.tobytes() == tiny_table.matrix.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(edges=st.dictionaries(
+        st.sampled_from(_SCHEDULE_WORDS + ["oov", PAD_TOKEN, UNK_TOKEN]),
+        st.sets(st.sampled_from(_SCHEDULE_WORDS + ["oov", PAD_TOKEN, UNK_TOKEN]), max_size=5),
+        max_size=12), dim=st.integers(2, 3), seed=st.integers(0, 2**16))
+    def test_random_one_sided_graphs(self, edges, dim, seed):
+        rng = np.random.default_rng(seed)
+        table = make_table({w: v.tolist() for w, v in
+                            zip(_SCHEDULE_WORDS, rng.normal(0, 1, (len(_SCHEDULE_WORDS), dim)))})
+        _assert_retrofit_is_the_loop(table, OntologyGraph(edges=edges))
+
+    def test_long_chain_levels_in_one_pass(self, monkeypatch):
+        """A 20,000-row chain has 20,000 levels. Levels found in rounds (a
+        frontier per level, or every edge relaxed until nothing changes)
+        call an array search or reduction once per round; one pass calls
+        each a fixed number of times."""
+        table, graph = _chain(20_000)
+        calls = {"n": 0}
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                calls["n"] += 1
+                return function(*args, **kwargs)
+            return wrapper
+        for name in ("unique", "searchsorted", "isin", "nonzero", "flatnonzero", "where",
+                     "sort", "argsort", "lexsort", "any", "all", "array_equal",
+                     "count_nonzero"):
+            monkeypatch.setattr(np, name, counted(getattr(np, name)))
+        start = time.perf_counter()
+        groups = embeddings._sweep_groups(table, graph)
+        elapsed = time.perf_counter() - start
+        monkeypatch.undo()
+        assert len(groups) == 20_000
+        assert calls["n"] < 50, calls
+        assert elapsed < 1.5, f"schedule of a 20,000-row chain took {elapsed:.2f} s"
 
 
 class TestLoadOntology:

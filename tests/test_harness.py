@@ -647,6 +647,29 @@ class TestCli:
                        f"non-finite training loss in epoch 2\n")
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_experiment_leaves_no_directory_it_made(self, tmp_path, capsys, jobs):
+        """A run that fails after the early check that ``--out`` is writable
+        leaves none of the directories that check made, and keeps every
+        directory and file that was there before."""
+        assert cli_main(["synth", "--out", str(tmp_path), "--docs", "24", "--seed", "3"]) == 0
+        config = tmp_path / "experiment.ini"
+        text = config.read_text(encoding="utf-8").replace("epochs = 25", "epochs = 2")
+        config.write_text(text.replace("[model]", "[model]\nlr = 1e300", 1), encoding="utf-8")
+        kept = tmp_path / "kept"
+        (kept / "predictions").mkdir(parents=True)
+        (kept / "notes.txt").write_text("mine\n", encoding="utf-8")
+        (tmp_path / "empty").mkdir()
+        for out in (tmp_path / "new" / "deeper" / "run", kept, tmp_path / "empty"):
+            assert cli_main(["experiment", "--config", str(config), "--out", str(out),
+                             "--jobs", jobs]) == 1
+        assert "training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert sorted(p.name for p in kept.iterdir()) == ["notes.txt", "predictions"]
+        assert not any((kept / "predictions").iterdir())
+        assert (kept / "notes.txt").read_text(encoding="utf-8") == "mine\n"
+        assert (tmp_path / "empty").is_dir() and not any((tmp_path / "empty").iterdir())
+
     def test_experiment_bad_config_exit_1(self, tmp_path, capsys):
         (tmp_path / "cfg.ini").write_text("[experiment]\nfolds = 2\n", encoding="utf-8")
         assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),

@@ -20,10 +20,13 @@ Modes:
   ontology). A round builds a fresh detector per side, untimed, then times
   its 15 chunks of 100 documents; 8 rounds after one warm-up round. Nothing
   the verdicts read is written.
+- ``retrofit``: one chunk times ``embeddings.retrofit(table, graph,
+  iterations=10)`` on the same inputs' table and ontology, which each side
+  loads once, untimed; 20 chunks after one warm-up chunk per side.
 
 Both sides run from the same inputs and seeds, so they must give the same
-bytes: the trained parameters, or every verdict's score, label and
-features. The tool exits 1 if any chunk's bytes differ. Run from the
+bytes: the trained parameters, every verdict's score, label and features,
+or the retrofitted matrix. The tool exits 1 if any chunk's bytes differ. Run from the
 repository root::
 
     python3 tools/ab.py verdict --parent HEAD~1 --change HEAD
@@ -154,7 +157,32 @@ class VerdictSide:
             for v in verdicts)
 
 
-MODES = {"train": TrainSide, "verdict": VerdictSide}
+class RetrofitSide:
+    """One revision's fig-prep retrofit inputs: the V=50k table and the
+    10k-head ontology, loaded once."""
+
+    rounds, chunks, items = 20, 1, "run"
+
+    def __init__(self, package, work: Path):
+        self.embeddings = package.embeddings
+        paths = fig_inputs(work)
+        self.table = self.embeddings.load_table(paths["embeddings"])
+        self.graph = self.embeddings.load_ontology(paths["ontology"])
+
+    def start_round(self) -> None:
+        pass
+
+    def run_chunk(self, chunk: int) -> tuple[float, int, bytes]:
+        """Seconds in one ``retrofit`` of fig-prep's sweep count, one run,
+        and the retrofitted matrix."""
+        start = time.perf_counter()
+        fitted = self.embeddings.retrofit(self.table, self.graph,
+                                          iterations=VerdictSide.RETROFIT_SWEEPS)
+        elapsed = time.perf_counter() - start
+        return elapsed, 1, fitted.matrix.tobytes()
+
+
+MODES = {"train": TrainSide, "verdict": VerdictSide, "retrofit": RetrofitSide}
 
 
 def fig_inputs(work: Path) -> dict[str, Path]:
