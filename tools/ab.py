@@ -22,12 +22,12 @@ Modes:
   the verdicts read is written.
 - ``retrofit``: one chunk times ``embeddings.retrofit(table, graph,
   iterations=10)`` on the same inputs' table and ontology, which each side
-  loads once, untimed; 20 chunks after one warm-up chunk per side.
+  loads once, untimed; 40 chunks after one warm-up chunk per side.
 
 Both sides run from the same inputs and seeds, so they must give the same
 bytes: the trained parameters, every verdict's score, label and features,
-or the retrofitted matrix. The tool exits 1 if any chunk's bytes differ. Run from the
-repository root::
+or the retrofitted matrix. The tool exits 1 if any chunk's bytes differ.
+Run from the repository root::
 
     python3 tools/ab.py verdict --parent HEAD~1 --change HEAD
 
@@ -40,11 +40,15 @@ the noise. Three per mode on a 2-vCPU x86_64 host (float64, OpenBLAS
   0.916-1.331), change lower in 9, 8 and 6 of 20.
 - ``verdict``: median ratio 0.999, 1.010 and 1.003 (widest IQR
   0.967-1.062), change lower in 61, 53 and 58 of 120.
+- ``retrofit``: median ratio 0.993, 1.010 and 1.026 (widest IQR
+  0.904-1.069), change lower in 21, 20 and 15 of 40.
 
-So a median ratio within about 0.99-1.04 (``train``) or 0.99-1.01
-(``verdict``) is noise. For scale, ``verdict`` between the per-call
-normalisation and the per-detector unit rows read 0.666 and 0.680, change
-lower in 96 and 105 of 120.
+So a median ratio within about 0.99-1.04 (``train``), 0.99-1.01
+(``verdict``) or 0.99-1.03 (``retrofit``) is noise. For scale, ``verdict``
+between the per-call normalisation and the per-detector unit rows read
+0.666 and 0.680, change lower in 96 and 105 of 120; ``retrofit`` between
+the dict-built and the edge-array level schedule read 0.632 and 0.571,
+change lower in 40 and 40 of 40.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ class RetrofitSide:
     """One revision's fig-prep retrofit inputs: the V=50k table and the
     10k-head ontology, loaded once."""
 
-    rounds, chunks, items = 20, 1, "run"
+    rounds, chunks, items = 40, 1, "run"
 
     def __init__(self, package, work: Path):
         self.embeddings = package.embeddings
