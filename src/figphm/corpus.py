@@ -7,10 +7,15 @@ rule cascade; the same input always yields the same token stream.
 
 from __future__ import annotations
 
+import io
+import os
 import re
+import secrets
 from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO
 
 from .errors import DataError
 
@@ -100,6 +105,35 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
         raise DataError(f"{what} {path} is not valid UTF-8 ({exc.reason})") from None
 
 
+@contextmanager
+def write_atomically(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A handle on a new sibling file that replaces ``path`` only once the
+    block completes, so a failed or interrupted write leaves the old file
+    (or none) and no partial one. ``mode`` is ``"w"`` (UTF-8 text) or
+    ``"wb"``. An error in making or moving the sibling names ``path``. A
+    path that exists but is not a regular file (a FIFO, ``/dev/null``) is
+    written in place."""
+    path = Path(path)
+    temp = None
+    try:
+        if path.exists() and not path.is_file():
+            raw = open(path, "wb")
+        else:
+            temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+            raw = open(temp, "xb")
+        with raw if "b" in mode else io.TextIOWrapper(raw, encoding="utf-8") as handle:
+            yield handle
+        if temp:
+            os.replace(temp, path)
+    except BaseException as exc:
+        if temp:
+            with suppress(OSError):
+                temp.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(temp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def read_tsv(path: str | Path, n_fields: int, what: str) -> Iterator[tuple[int, list[str]]]:
     """``read_lines`` split on tabs; every row must have ``n_fields`` fields."""
     for lineno, line in read_lines(path, what):
@@ -140,8 +174,7 @@ def save_dataset(documents: list[Document], path: str | Path) -> None:
     Tabs and newlines inside the raw text are flattened to single spaces so
     the row stays well-formed.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
+    with write_atomically(path) as handle:
         for doc in documents:
             text = re.sub(r"[\t\n\r]+", " ", doc.raw_text)
             handle.write(f"{doc.id}\t{doc.disease}\t{text}\t{doc.label}\n")

@@ -3,20 +3,29 @@ and graph-based retrofitting.
 
 Tables always reserve row 0 for PAD (kept all-zero) and row 1 for UNK, so
 they can be dropped row-for-row into the CNN embedding layer.
+
+A text table parsed once is kept as a binary entry in a cache directory and
+read back from there while the file's bytes stay the same (``load_table``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import mmap
+import os
+import stat
+import struct
+import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN, read_lines
+from .corpus import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN, read_lines, write_atomically
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -34,6 +43,16 @@ BETA_MODES = ("inverse_degree", "uniform")
 _BLOCK_ROWS = 4096
 # Characters np.loadtxt strips from around a value as whitespace; float() does not.
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+# The table cache: the entry layout's version (part of every key), an entry's
+# header (magic, key, rows, dim, duplicates, word bytes, CRC-32 of the words
+# and the matrix), the bytes the cache may hold before its least recently
+# used entries go, and the read size for the digest of a text file.
+_CACHE_VERSION = 1
+_CACHE_MAGIC = b"figphmT1"
+_CACHE_HEADER = struct.Struct("<8s32sQQQQI")
+_CACHE_CAP_BYTES = 1 << 30
+_DIGEST_CHUNK = 1 << 20
 
 # A candidate's mat-vec score may differ from its ``cosine`` in the last few
 # bits; every word within this much of the k-th score is re-scored exactly.
@@ -100,12 +119,28 @@ def load_table(path: str | Path, format: str = "glove_text",
     about 1.3e154), since every cosine divides by that norm; the first such
     row is reported.
 
-    Fields are separated by runs of spaces. Words are read line by line;
-    values are parsed ``_BLOCK_ROWS`` rows at a time (see ``_parse_block``).
+    A regular file is parsed once: its table is kept in a binary cache entry
+    keyed by the SHA-256 digest of the file's bytes, ``format`` and
+    ``strip_prefix`` (``_CacheEntry``), and a later load of the same bytes
+    reads that entry instead, to the same table bitwise.
     """
     if format not in TABLE_FORMATS:
         raise ValueError(f"unknown embedding format: {format!r}")
+    entry = _CacheEntry.locate(path, format, strip_prefix)
+    table = entry.read() if entry else None
+    if table is None:
+        table = _parse_table(path, format, strip_prefix)
+        if entry:
+            entry.store(table)
+    elif table.n_duplicates:
+        _warn_duplicates(path, table.n_duplicates)
+    return table
 
+
+def _parse_table(path: str | Path, format: str, strip_prefix: str | None) -> EmbeddingTable:
+    """``load_table``'s parse of the text. Fields are separated by runs of
+    spaces. Words are read line by line; values are parsed ``_BLOCK_ROWS``
+    rows at a time (see ``_parse_block``)."""
     vocab = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
     kept_lines: list[int] = []  # line number of each matrix row after the reserved ones
     blocks: list[np.ndarray] = []
@@ -148,18 +183,154 @@ def load_table(path: str | Path, format: str = "glove_text",
         blocks.append(_parse_block(path, dim, linenos, texts, dropped))
     del linenos, texts
     if n_duplicates:
-        log.warning("%s: %d duplicate word(s) ignored, first occurrence kept", path, n_duplicates)
+        _warn_duplicates(path, n_duplicates)
 
     matrix = np.concatenate([np.zeros((len(RESERVED_TOKENS), dim)), *blocks])
     del blocks
-    # a row's norm is finite iff its values are and their squares' sum is
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(row_norms(matrix)))
+    bad = _rows_without_norm(matrix)
     if bad.size:
         row = int(bad[0])
         problem = "row norm overflows" if np.isfinite(matrix[row]).all() else "non-finite value"
         raise DataError(f"{path}: line {kept_lines[row - len(RESERVED_TOKENS)]}: {problem}")
     return EmbeddingTable(vocab=vocab, matrix=matrix, n_duplicates=n_duplicates)
+
+
+def _warn_duplicates(path: str | Path, n_duplicates: int) -> None:
+    log.warning("%s: %d duplicate word(s) ignored, first occurrence kept", path, n_duplicates)
+
+
+def _rows_without_norm(matrix: np.ndarray) -> np.ndarray:
+    """The rows whose norm is not finite: those with a non-finite value and
+    those whose squares' sum overflows."""
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(~np.isfinite(row_norms(matrix)))
+
+
+@dataclass(frozen=True)
+class _CacheEntry:
+    """Where one text table's parse is kept: a file of the cache directory
+    (``$XDG_CACHE_HOME/figphm/tables``, else ``~/.cache/figphm/tables``)
+    named by ``key``: the SHA-256 digest of the entry layout's version, the
+    format and ``strip_prefix``, then the text file's bytes.
+
+    An entry holds a header, the words in row order and the little-endian
+    float64 matrix. One that is short, fails its CRC-32, carries another
+    key or holds a row whose norm is not finite reads as missing and is
+    replaced. Any OSError of the cache leaves the load to a plain parse.
+    """
+
+    path: Path
+    key: bytes
+    source: str | Path
+    signature: tuple[int, int, int, int]    # the text file's device, inode, size, mtime
+
+    @classmethod
+    def locate(cls, source: str | Path, format: str,
+               strip_prefix: str | None) -> _CacheEntry | None:
+        """The entry for ``source`` as it is now, or None when there is no
+        cache directory or ``source`` is not a regular file that can be
+        read. Only a regular file is opened here: opening a FIFO would take
+        its data from the parse."""
+        directory = _cache_dir()
+        if directory is None:
+            return None
+        try:
+            if not stat.S_ISREG(os.stat(source).st_mode):
+                return None
+            with open(source, "rb", buffering=0) as handle:
+                signature = _signature(os.fstat(handle.fileno()))
+                digest = hashlib.sha256(repr((_CACHE_VERSION, format, strip_prefix)).encode())
+                buffer = bytearray(_DIGEST_CHUNK)
+                view = memoryview(buffer)
+                while size := handle.readinto(buffer):
+                    digest.update(view[:size])
+        except (OSError, ValueError):
+            return None
+        return cls(directory / f"{digest.hexdigest()}.table", digest.digest(), source, signature)
+
+    def read(self) -> EmbeddingTable | None:
+        """The kept table, or None if there is no whole entry of this key."""
+        try:
+            with open(self.path, "rb") as handle:
+                magic, key, rows, dim, n_duplicates, n_word_bytes, crc = _CACHE_HEADER.unpack(
+                    handle.read(_CACHE_HEADER.size))
+                size = os.fstat(handle.fileno()).st_size
+                if (magic, key) != (_CACHE_MAGIC, self.key) or not dim or (
+                        size != _CACHE_HEADER.size + n_word_bytes + 8 * rows * dim):
+                    return None
+                blob = handle.read(n_word_bytes)
+                matrix = np.empty((rows, dim), dtype="<f8")
+                if handle.readinto(memoryview(matrix).cast("B")) != matrix.nbytes:
+                    return None
+        except (OSError, struct.error):
+            return None
+        if zlib.crc32(memoryview(matrix).cast("B"), zlib.crc32(blob)) != crc:
+            return None
+        try:
+            words = blob.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            return None
+        vocab = dict(zip(words, range(rows)))
+        if (len(words) != rows or len(vocab) != rows or tuple(words[:2]) != RESERVED_TOKENS
+                or _rows_without_norm(matrix).size):
+            return None
+        with suppress(OSError):
+            os.utime(self.path)     # the eviction order: least recently used first
+        return EmbeddingTable(vocab=vocab, matrix=matrix.astype(np.float64, copy=False),
+                              n_duplicates=n_duplicates)
+
+    def store(self, table: EmbeddingTable) -> None:
+        """Keep ``table`` as this entry, unless the text file's size, mtime or
+        inode changed since its digest was taken, then evict down to
+        ``_CACHE_CAP_BYTES``."""
+        words = "\n".join(table.vocab).encode("utf-8")   # vocab order is row order
+        matrix = memoryview(np.ascontiguousarray(table.matrix, dtype="<f8")).cast("B")
+        header = _CACHE_HEADER.pack(_CACHE_MAGIC, self.key, *table.matrix.shape,
+                                    table.n_duplicates, len(words),
+                                    zlib.crc32(matrix, zlib.crc32(words)))
+        if len(header) + len(words) + matrix.nbytes > _CACHE_CAP_BYTES:
+            return
+        with suppress(OSError):
+            if _signature(os.stat(self.source)) != self.signature:
+                return
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with write_atomically(self.path, "wb") as handle:
+                handle.write(header)
+                handle.write(words)
+                handle.write(matrix)
+            _evict(self.path.parent)
+
+
+def _cache_dir() -> Path | None:
+    """The table cache's directory, or None without an absolute
+    ``$XDG_CACHE_HOME`` or ``$HOME``."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        home = os.environ.get("HOME", "")
+        if not os.path.isabs(home):
+            return None
+        base = os.path.join(home, ".cache")
+    return Path(base, "figphm", "tables")
+
+
+def _signature(status: os.stat_result) -> tuple[int, int, int, int]:
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _evict(directory: Path) -> None:
+    """Delete the least recently used files of ``directory`` (by mtime, which
+    a read of an entry renews) until it holds at most ``_CACHE_CAP_BYTES``."""
+    with os.scandir(directory) as items:
+        files = sorted((status.st_mtime_ns, item.path, status.st_size) for item in items
+                       if item.is_file(follow_symlinks=False)
+                       and (status := item.stat(follow_symlinks=False)))
+    total = sum(size for *_, size in files)
+    for _, path, size in files:
+        if total <= _CACHE_CAP_BYTES:
+            break
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+        total -= size
 
 
 def _fields(text: str) -> list[str]:
@@ -216,9 +387,9 @@ def _loadtxt_block(texts: list[str], dim: int) -> np.ndarray | None:
 
 
 def save_table(table: EmbeddingTable, path: str | Path) -> None:
-    """Serialize to glove_text at 6 decimal places; reserved rows are skipped."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
+    """Serialize to glove_text at 6 decimal places; reserved rows are skipped.
+    A failed write leaves the old file in place."""
+    with write_atomically(path) as handle:
         for word in table.words():
             if word in RESERVED_TOKENS:
                 continue

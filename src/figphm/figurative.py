@@ -238,8 +238,9 @@ def literal_usage_score(tokens: Sequence[str], rep: LiteralRepresentation,
         return 0.5
     cosines = unit.rows(content) @ related.T
     np.maximum(cosines, 0.0, out=cosines)
-    # bitwise cosines.mean(): the same pairwise sum over the same count
-    return float(np.add.reduce(cosines, axis=None)) / cosines.size
+    # bitwise cosines.mean(): the same pairwise sum over the same count; a
+    # unit row's self-dot can round to just above 1, so the mean is capped
+    return min(float(np.add.reduce(cosines, axis=None)) / cosines.size, 1.0)
 
 
 def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> str:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_atomically
 from .errors import DataError
 
 CHECKPOINT_VERSION = "figphm-ckpt-1"
@@ -395,13 +396,14 @@ class Checkpoint:
 
 def save_checkpoint(manifest: dict, params: list[Parameter], path: str | Path) -> None:
     """Write a manifest line (JSON) followed by the parameter arrays as raw
-    little-endian float64 in declaration order."""
+    little-endian float64 in declaration order; a failed write leaves the
+    old file in place."""
     manifest = dict(manifest)
     manifest["version"] = CHECKPOINT_VERSION
     manifest["shapes"] = [list(p.value.shape) for p in params]
     manifest["param_names"] = [p.name for p in params]
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as handle:
+    with write_atomically(path, "wb") as handle:
         handle.write(struct.pack("<Q", len(header)))
         handle.write(header)
         for p in params:

@@ -48,6 +48,17 @@ def pool_gap(act: np.ndarray, pool: int) -> float:
     return float(gaps.min()) if gaps.size else math.inf
 
 
+@pytest.fixture(autouse=True, scope="session")
+def table_cache_home(tmp_path_factory):
+    """``XDG_CACHE_HOME`` at a directory of this session's own, so that the
+    table cache of ``embeddings.load_table`` neither reads nor fills the
+    user's; CLI subprocesses and spawned ``--jobs`` workers inherit it."""
+    with pytest.MonkeyPatch.context() as patch:
+        path = tmp_path_factory.mktemp("xdg-cache")
+        patch.setenv("XDG_CACHE_HOME", str(path))
+        yield path
+
+
 @pytest.fixture
 def tiny_table():
     return make_table({"a": [1.0], "b": [2.0], "c": [-1.0]})

@@ -2,7 +2,9 @@ import ast
 import contextlib
 import io
 import json
+import os
 import struct
+import threading
 from argparse import Namespace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from figphm.cli import cmd_report
 from figphm.corpus import (AnnotationPair, Document, PAD_INDEX, UNK_INDEX,
                            build_vocab, cohen_kappa, load_annotations,
                            load_dataset, pad, read_lines, read_tsv, save_dataset,
-                           tokenize)
+                           tokenize, write_atomically)
 from figphm.embeddings import load_ontology, load_table
 from figphm.errors import ConfigError, DataError
 from figphm.figurative import load_word_list
@@ -284,6 +286,52 @@ class TestReadingContract:
             load(_bad_input(kind, tmp_path / "input"))
 
 
+class TestWriteAtomically:
+    @pytest.mark.parametrize("mode, old, new", [("w", "old\n", "new\n"),
+                                                ("wb", b"old", b"new")])
+    def test_write_replaces_the_file(self, tmp_path, mode, old, new):
+        path = tmp_path / "out"
+        for content in (old, new):
+            with write_atomically(path, mode) as handle:
+                handle.write(content)
+            assert (path.read_text() if mode == "w" else path.read_bytes()) == content
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_write_keeps_the_old_file_and_leaves_no_partial_one(self, tmp_path,
+                                                                       existing):
+        path = tmp_path / "out.txt"
+        if existing:
+            path.write_text("old contents\n", encoding="utf-8")
+        with pytest.raises(OSError, match="No space left"):
+            with write_atomically(path) as handle:
+                handle.write("half of the new ")
+                handle.flush()
+                raise OSError(28, "No space left on device")
+        assert [p.name for p in tmp_path.iterdir()] == (["out.txt"] if existing else [])
+        if existing:
+            assert path.read_text(encoding="utf-8") == "old contents\n"
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with write_atomically(path) as handle:
+                handle.write("x")
+        assert info.value.filename == str(path)
+
+    def test_non_regular_target_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        with write_atomically(fifo) as handle:
+            handle.write("through the pipe\n")
+        reader.join(10)
+        assert got == ["through the pipe\n"]
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
 # Lines that make arbitrary text look like each input format (TSV rows,
 # vector rows, config sections and keys, report headers), so the fuzzer
 # reaches the row parsers and not only the decoder.
@@ -349,8 +397,12 @@ class TestFuzzLoaders:
 
 def test_only_read_lines_opens_text_inputs():
     """No function in the package but ``corpus.read_lines`` opens a file for
-    reading text; ``neuralnet.load_checkpoint`` reads its binary checkpoint."""
-    allowed = {("corpus", "read_lines"), ("neuralnet", "load_checkpoint")}
+    reading text; ``neuralnet.load_checkpoint`` reads its binary checkpoint,
+    and the table cache (``embeddings._CacheEntry``) the bytes it digests and
+    its own binary entries. A cache read that fails falls back to the parse
+    through ``read_lines``, so its errors never reach the user."""
+    allowed = {("corpus", "read_lines"), ("neuralnet", "load_checkpoint"),
+               ("embeddings", "locate"), ("embeddings", "read")}
     package = Path(__file__).resolve().parent.parent / "src" / "figphm"
     found = []
     for source in sorted(package.glob("*.py")):

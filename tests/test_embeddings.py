@@ -1,11 +1,16 @@
 import ast
 import ctypes
+import logging
 import math
 import mmap
+import multiprocessing
+import os
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +336,250 @@ class TestOverflowingRows:
         assert cli_main(["fig-score", "--config", str(tmp_path / "experiment.ini")]) == 2
         err = capsys.readouterr().err
         assert f"{path}: line {lineno}: row norm overflows" in err
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """The table cache's directory, under an ``XDG_CACHE_HOME`` of the test's own."""
+    home = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home / "figphm" / "tables"
+
+
+def _entries(cache):
+    return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+
+
+def _forbid_parse(monkeypatch):
+    def parse(*args):
+        raise AssertionError("parsed a table the cache holds")
+    monkeypatch.setattr(embeddings, "_parse_table", parse)
+
+
+def _write_table(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return path
+
+
+_TABLE_CASES = [case for case, (*_, message) in LOAD_CASES.items() if message is None]
+
+
+class TestTableCache:
+    """``load_table`` keeps each parse in a binary entry keyed by the file's
+    bytes, ``format`` and ``strip_prefix``, and reads it back instead of
+    parsing the same bytes again."""
+
+    @pytest.mark.parametrize("case", _TABLE_CASES)
+    def test_hit_equals_parse(self, tmp_path, cache, monkeypatch, caplog, case):
+        content, format, strip_prefix, _ = LOAD_CASES[case]
+        path = _write_table(tmp_path / "vec.txt", content)
+        with caplog.at_level(logging.WARNING, logger="figphm.embeddings"):
+            parsed = load_table(path, format, strip_prefix)
+        assert len(_entries(cache)) == 1
+        parse_log = [(r.levelno, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        _forbid_parse(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="figphm.embeddings"):
+            hit = load_table(path, format, strip_prefix)
+        _assert_same_table(hit, parsed)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == parse_log
+        assert type(hit.matrix) is np.ndarray and hit.matrix.base is None
+        assert hit.matrix.flags.writeable and hit.matrix.flags.c_contiguous
+
+    def test_same_size_and_mtime_rewrite_loads_new_values(self, tmp_path, cache):
+        path = _write_table(tmp_path / "vec.txt", "cat 1.0 2.0\n")
+        assert load_table(path).vector("cat").tolist() == [1.0, 2.0]
+        before = path.stat()
+        _write_table(path, "cat 3.0 4.0\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_table(path).vector("cat").tolist() == [3.0, 4.0]
+        assert len(_entries(cache)) == 2
+
+    def test_format_and_strip_prefix_never_share_an_entry(self, tmp_path, cache, monkeypatch):
+        path = _write_table(tmp_path / "vec.txt", "2 2\n/c/en/cat 1\n/c/en/ 3\n")
+        options = [("glove_text", None), ("glove_text", ""), ("glove_text", "/c/en/"),
+                   ("word2vec_text", None), ("word2vec_text", "/c/en/")]
+        parsed = [load_table(path, format, strip_prefix) for format, strip_prefix in options]
+        assert len(_entries(cache)) == len(options)
+        _forbid_parse(monkeypatch)
+        for (format, strip_prefix), table in zip(options, parsed):
+            _assert_same_table(load_table(path, format, strip_prefix), table)
+
+    @pytest.mark.parametrize("change", ["mtime", "size", "inode"])
+    def test_file_changed_during_the_load_stores_nothing(self, tmp_path, cache, monkeypatch,
+                                                          change):
+        path = _write_table(tmp_path / "vec.txt", "cat 1.0 2.0\ndog 3.0 4.0\n")
+        parse = embeddings._parse_table
+
+        def parse_then_change(*args):
+            table = parse(*args)
+            if change == "mtime":
+                status = path.stat()
+                os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns + 10**9))
+            elif change == "size":
+                with path.open("a", encoding="utf-8") as handle:
+                    handle.write("bird 5.0 6.0\n")
+            else:
+                copy = _write_table(tmp_path / "copy.txt", path.read_bytes())
+                os.replace(copy, path)
+            return table
+
+        monkeypatch.setattr(embeddings, "_parse_table", parse_then_change)
+        assert list(load_table(path).vocab) == [PAD_TOKEN, UNK_TOKEN, "cat", "dog"]
+        assert _entries(cache) == []
+        monkeypatch.setattr(embeddings, "_parse_table", parse)
+        load_table(path)
+        assert len(_entries(cache)) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "invalid_utf8", "bad_row"])
+    def test_errors_unchanged_and_nothing_stored(self, tmp_path, cache, kind):
+        path = tmp_path / "vec.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "invalid_utf8":
+            path.write_bytes(b"cat 1.0\ncaf\xe9 2.0\n")
+        elif kind == "bad_row":
+            path.write_text("cat 1.0 2.0\ndog 1.0\n", encoding="utf-8")
+        with pytest.raises(DataError) as plain:
+            embeddings._parse_table(path, "glove_text", None)
+        for _ in range(2):
+            with pytest.raises(DataError) as cached:
+                load_table(path)
+            assert str(cached.value) == str(plain.value)
+        assert _entries(cache) == []
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "one byte more", "magic",
+                                        "word byte", "matrix byte", "foreign",
+                                        "non-finite row"])
+    def test_damaged_entry_is_ignored_and_replaced(self, tmp_path, cache, damage):
+        path = _write_table(tmp_path / "vec.txt", "cat 1.0 2.0\ndog 3.0 4.0\n")
+        parsed = load_table(path)
+        [name] = _entries(cache)
+        entry = cache / name
+        good = entry.read_bytes()
+        entry.write_bytes(_damaged(good, damage, tmp_path, cache))
+        _assert_same_table(load_table(path), parsed)
+        assert entry.read_bytes() == good
+
+    def test_entry_of_a_table_whose_norm_fails_is_not_used(self, tmp_path, cache):
+        """An entry holding an overflowing row (with a valid checksum) is
+        ignored; the parse then reports the text's own problem, if any."""
+        path = _write_table(tmp_path / "vec.txt", "cat 1e200 1\n")
+        with pytest.raises(DataError, match="line 1: row norm overflows"):
+            load_table(path)
+        assert _entries(cache) == []
+
+    @pytest.mark.parametrize("setting", ["under_a_file", "relative_and_no_home", "no_home",
+                                         "entry_is_a_directory", "write_fails"])
+    def test_unusable_cache_falls_back_to_a_parse(self, tmp_path, monkeypatch, setting):
+        path = _write_table(tmp_path / "vec.txt", "cat 1.0 2.0\ncat 5.0 6.0\n")
+        want = embeddings._parse_table(path, "glove_text", None)
+        blocker = _write_table(tmp_path / "file", "not a directory\n")
+        if setting == "under_a_file":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+        elif setting == "relative_and_no_home":
+            monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+            monkeypatch.delenv("HOME", raising=False)
+        elif setting == "no_home":
+            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+            monkeypatch.delenv("HOME", raising=False)
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        if setting == "entry_is_a_directory":
+            embeddings._CacheEntry.locate(path, "glove_text", None).path.mkdir(parents=True)
+        if setting == "write_fails":
+            write = embeddings.write_atomically
+
+            def full_cache_disk(target, *args):
+                if Path(target).parent.name == "tables":
+                    raise OSError(28, "No space left on device")
+                return write(target, *args)
+            monkeypatch.setattr(embeddings, "write_atomically", full_cache_disk)
+        for _ in range(2):
+            _assert_same_table(load_table(path), want)
+        if setting in ("under_a_file", "write_fails"):
+            out = tmp_path / "out.txt"
+            ontology = _write_table(tmp_path / "ontology.txt", "cat dog\n")
+            assert cli_main(["retrofit", "--embeddings", str(path), "--ontology",
+                             str(ontology), "--out", str(out)]) == 0
+
+    def test_fifo_is_parsed_and_never_cached(self, tmp_path, cache):
+        content = "cat 1.0 2.0\ndog 3.0 4.0\n"
+        fifo = tmp_path / "vec.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(content,), daemon=True)
+        writer.start()
+        got = []
+        reader = threading.Thread(target=lambda: got.append(load_table(fifo)), daemon=True)
+        reader.start()
+        reader.join(10)
+        assert not reader.is_alive(), "load_table blocked on the FIFO"
+        _assert_same_table(got[0], embeddings._parse_table(
+            _write_table(tmp_path / "vec.txt", content), "glove_text", None))
+        assert _entries(cache) == []
+
+    def test_byte_cap_evicts_least_recently_used_first(self, tmp_path, cache, monkeypatch):
+        paths = [_write_table(tmp_path / f"{name}.txt", f"{name} 1.0 2.0\n")
+                 for name in ("a", "b", "c")]
+        names = []
+        for path in paths[:2]:
+            load_table(path)
+            names.append(next(n for n in _entries(cache) if n not in names))
+        size = (cache / names[0]).stat().st_size
+        now = time.time_ns()
+        for age, name in zip((200, 100), names):     # a is the older entry
+            os.utime(cache / name, ns=(now - age * 10**9, now - age * 10**9))
+        load_table(paths[0])                         # a hit makes a the more recent
+        monkeypatch.setattr(embeddings, "_CACHE_CAP_BYTES", 2 * size + size // 2)
+        load_table(paths[2])
+        remaining = _entries(cache)
+        assert names[0] in remaining and names[1] not in remaining and len(remaining) == 2
+        monkeypatch.setattr(embeddings, "_CACHE_CAP_BYTES", size - 1)
+        _write_table(paths[1], "b 7.0 8.0\n")
+        load_table(paths[1])                         # larger than the cap: not stored
+        assert _entries(cache) == remaining
+
+    def test_tier1_and_its_spawned_workers_use_the_session_cache(self, tmp_path,
+                                                                 table_cache_home):
+        assert os.environ["XDG_CACHE_HOME"] == str(table_cache_home)
+        path = _write_table(tmp_path / "vec.txt", f"spawned{time.time_ns()} 1.0 2.0\n")
+        entry = embeddings._CacheEntry.locate(path, "glove_text", None).path
+        assert entry.parent == table_cache_home / "figphm" / "tables"
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            pool.apply(load_table, (path,))
+        assert entry.is_file()
+
+
+def _damaged(good: bytes, damage: str, tmp_path, cache) -> bytes:
+    header = embeddings._CACHE_HEADER
+    magic, key, rows, dim, n_duplicates, n_word_bytes, crc = header.unpack_from(good)
+    matrix_start = header.size + n_word_bytes
+    if damage == "empty":
+        return b""
+    if damage == "truncated":
+        return good[:-8]
+    if damage == "one byte more":
+        return good + b"\0"
+    if damage in ("magic", "word byte", "matrix byte"):
+        at = {"magic": 0, "word byte": header.size, "matrix byte": len(good) - 3}[damage]
+        return good[:at] + bytes([good[at] ^ 0x10]) + good[at + 1:]
+    if damage == "foreign":
+        other = _write_table(tmp_path / "other.txt", "cat 1.0 2.0\ndog 3.0 4.5\n")
+        before = set(_entries(cache))
+        load_table(other)
+        [name] = set(_entries(cache)) - before
+        return (cache / name).read_bytes()
+    matrix = np.frombuffer(good[matrix_start:], dtype="<f8").copy()
+    matrix[2 * dim] = np.inf                    # the first word's first value
+    words = good[header.size:matrix_start]
+    crc = zlib.crc32(matrix.tobytes(), zlib.crc32(words))
+    return (header.pack(magic, key, rows, dim, n_duplicates, n_word_bytes, crc)
+            + words + matrix.tobytes())
 
 
 class TestBlockParse:

@@ -21,6 +21,7 @@ from figphm.figurative import (FigurativeDetector, FigurativeVerdict,
 from figphm.synthetic import planted_corpus
 
 from conftest import make_table
+from test_harness import MIN_CONFIG
 from test_corpus import _calls_by_function
 from scalar_reference import (feature_row_loop, lda_loop, literal_usage_score_loop,
                               literal_usage_score_per_call, nearest_neighbors_loop,
@@ -139,6 +140,42 @@ class TestLiteralUsageScore:
         base = literal_usage_score(["u"], rep, UnitRows(table))
         table.matrix[table.vocab["u"]] *= 17.0
         assert literal_usage_score(["u"], rep, UnitRows(table)) == pytest.approx(base, abs=1e-12)
+
+
+# A unit row whose self-dot through ``@`` rounds to 1.0000000000000002, and a
+# row far from it.
+_ROUNDS_UP = [0.213272, 0.458993, 0.08725]
+_FAR = [-0.458993, 0.213272, 0.0]
+
+
+class TestScoreCappedAtOne:
+    """A document whose only content word is the keyword's one related word
+    scores its unit row's self-dot, which can round above 1."""
+
+    def _table(self):
+        return make_table({"cough": _ROUNDS_UP, "near": _ROUNDS_UP, "far": _FAR})
+
+    def test_the_self_dot_rounds_above_one(self):
+        unit = UnitRows(self._table()).rows([3])
+        assert float((unit @ unit.T)[0, 0]) > 1.0
+
+    def test_verdict_is_literal_with_score_one(self):
+        det = FigurativeDetector(self._table(), {"cough"}, k=1)
+        assert det.representations["cough"].related_words == ["near"]
+        verdict = det.verdict(Document("d", "other", "cough near", ["cough", "near"], "PHM"))
+        assert verdict.literal_score == 1.0
+        assert verdict.label == LITERAL
+
+    def test_fig_score_exits_0(self, tmp_path, capsys):
+        (tmp_path / "data.tsv").write_text("d0\tother\tcough near\tPHM\n", encoding="utf-8")
+        (tmp_path / "fig_vec.txt").write_text(
+            "".join(f"{word} " + " ".join(map(str, row)) + "\n" for word, row in
+                    [("cough", _ROUNDS_UP), ("near", _ROUNDS_UP), ("far", _FAR)]),
+            encoding="utf-8")
+        (tmp_path / "kw.txt").write_text("cough\n", encoding="utf-8")
+        (tmp_path / "cfg.ini").write_text(MIN_CONFIG, encoding="utf-8")
+        assert cli_main(["fig-score", "--config", str(tmp_path / "cfg.ini")]) == 0
+        assert capsys.readouterr().out == "d0\t1.000000\tliteral\n"
 
 
 class TestClassify:

@@ -353,6 +353,25 @@ class TestCheckpoint:
         assert peak <= 1.5 * path.stat().st_size
         assert all(np.array_equal(array, p.value) for array, p in zip(ckpt.arrays, params))
 
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint({"kind": "old"}, [nn.Parameter(np.arange(4.0), name="w")], path)
+        before = path.read_bytes()
+
+        class FailingValue:         # the disk fills up after the manifest is written
+            shape = (4,)
+
+            def astype(self, dtype):
+                raise OSError(28, "No space left on device")
+
+        broken = nn.Parameter(np.zeros(4), name="w")
+        broken.value = FailingValue()
+        with pytest.raises(OSError, match="No space left"):
+            nn.save_checkpoint({"kind": "new"}, [broken], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert nn.load_checkpoint(path).manifest["kind"] == "old"
+
     def test_truncated(self, tmp_path):
         params = [nn.Parameter(np.zeros(8))]
         path = tmp_path / "model.ckpt"

@@ -23,10 +23,18 @@ Modes:
 - ``retrofit``: one chunk times ``embeddings.retrofit(table, graph,
   iterations=10)`` on the same inputs' table and ontology, which each side
   loads once, untimed; 40 chunks after one warm-up chunk per side.
+- ``load``: one chunk times one ``embeddings.load_table`` of the same
+  inputs' table; 20 chunks after one warm-up chunk per side. A revision
+  with the table cache parses in its warm-up chunk and reads its cache
+  entry after that.
+
+Both sides share a table cache in a fresh temporary directory
+(``XDG_CACHE_HOME``), so no run reads or fills the user's.
 
 Both sides run from the same inputs and seeds, so they must give the same
 bytes: the trained parameters, every verdict's score, label and features,
-or the retrofitted matrix. The tool exits 1 if any chunk's bytes differ.
+the retrofitted matrix, or the loaded table's words, rows, duplicate count
+and matrix. The tool exits 1 if any chunk's bytes differ.
 Run from the repository root::
 
     python3 tools/ab.py verdict --parent HEAD~1 --change HEAD
@@ -57,6 +65,7 @@ import argparse
 import hashlib
 import importlib.util
 import io
+import os
 import statistics
 import subprocess
 import sys
@@ -186,7 +195,30 @@ class RetrofitSide:
         return elapsed, 1, fitted.matrix.tobytes()
 
 
-MODES = {"train": TrainSide, "verdict": VerdictSide, "retrofit": RetrofitSide}
+class LoadSide:
+    """One revision's ``load_table`` of fig-prep's V=50k text table."""
+
+    rounds, chunks, items = 20, 1, "run"
+
+    def __init__(self, package, work: Path):
+        self.embeddings = package.embeddings
+        self.path = fig_inputs(work)["embeddings"]
+
+    def start_round(self) -> None:
+        pass
+
+    def run_chunk(self, chunk: int) -> tuple[float, int, bytes]:
+        """Seconds in one ``load_table``, one run, and the table's words,
+        rows, duplicate count and matrix."""
+        start = time.perf_counter()
+        table = self.embeddings.load_table(self.path)
+        elapsed = time.perf_counter() - start
+        return elapsed, 1, b"".join((
+            "\n".join(table.vocab).encode(), np.fromiter(table.vocab.values(), np.int64).tobytes(),
+            np.int64(table.n_duplicates).tobytes(), table.matrix.tobytes()))
+
+
+MODES = {"train": TrainSide, "verdict": VerdictSide, "retrofit": RetrofitSide, "load": LoadSide}
 
 
 def fig_inputs(work: Path) -> dict[str, Path]:
@@ -220,6 +252,8 @@ def main(argv=None) -> int:
     ratios, per_item, mismatches = [], {side: [] for side in SIDES}, 0
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
+        # a table cache of this run's own, shared by both sides
+        os.environ["XDG_CACHE_HOME"] = str(Path(work) / "cache")
         sides = {side: mode(load_package(repo, rev, side, Path(work)), Path(work))
                  for side, rev in zip(SIDES, (args.parent, args.change))}
         for round_ in range(mode.rounds + 1):       # round 0 warms up, not counted

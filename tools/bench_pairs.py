@@ -174,6 +174,13 @@ def environment() -> str:
             f"Python {platform.python_version()}")
 
 
+def table_cache() -> str:
+    """Where the runs' ``embeddings.load_table`` keeps its cache: the
+    environment is passed on to every run."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.environ.get("HOME", "~"), ".cache")
+    return os.path.join(base, "figphm", "tables")
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -210,6 +217,7 @@ def main(argv=None) -> int:
                       f"parent median; pair_ratio = median and quartiles of the per-pair "
                       f"change/parent ratios, iqr = q3 - q1",
             "hardware": environment(),
+            "table_cache": table_cache(),
             "claim": None,
             "final_tree": {},
         }
