@@ -255,7 +255,7 @@ class _CacheEntry:
                 magic, key, rows, dim, n_duplicates, n_word_bytes, crc = _CACHE_HEADER.unpack(
                     handle.read(_CACHE_HEADER.size))
                 size = os.fstat(handle.fileno()).st_size
-                if (magic, key) != (_CACHE_MAGIC, self.key) or not dim or (
+                if (magic, key) != (_CACHE_MAGIC, self.key) or (
                         size != _CACHE_HEADER.size + n_word_bytes + 8 * rows * dim):
                     return None
                 blob = handle.read(n_word_bytes)
