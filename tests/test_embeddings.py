@@ -544,6 +544,23 @@ class TestTableCache:
         load_table(paths[1])                         # larger than the cap: not stored
         assert _entries(cache) == remaining
 
+    def test_concurrent_loads_under_eviction_give_the_parse(self, tmp_path, cache):
+        """More workers than cores store, read and evict the same entries at
+        once; every load still gives the parsed table, and no temporary file
+        is left."""
+        rng = np.random.default_rng(0)
+        paths = [_write_table(tmp_path / f"v{i}.txt", "".join(
+            f"w{j} " + " ".join(f"{v:.6f}" for v in row) + "\n"
+            for j, row in enumerate(rng.uniform(-1, 1, (300, 8))))) for i in range(3)]
+        want = [embeddings._parse_table(path, "glove_text", None).matrix.tobytes()
+                for path in paths]
+        cap = 3 * (8 * 302 * 8) // 2                # room for about one and a half entries
+        with multiprocessing.get_context("spawn").Pool(3) as pool:
+            results = [pool.apply_async(_load_under_a_cap, (paths, cap, 10)) for _ in range(3)]
+            got = [result.get(timeout=60) for result in results]
+        assert all(loads == want * 10 for loads in got)
+        assert all(name.endswith(".table") for name in _entries(cache))
+
     def test_tier1_and_its_spawned_workers_use_the_session_cache(self, tmp_path,
                                                                  table_cache_home):
         assert os.environ["XDG_CACHE_HOME"] == str(table_cache_home)
@@ -553,6 +570,13 @@ class TestTableCache:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
             pool.apply(load_table, (path,))
         assert entry.is_file()
+
+
+def _load_under_a_cap(paths, cap, rounds):
+    """A spawned worker's loads of ``paths``, ``rounds`` times over, with the
+    cache's byte cap at ``cap``: each table's matrix bytes."""
+    embeddings._CACHE_CAP_BYTES = cap
+    return [load_table(path).matrix.tobytes() for _ in range(rounds) for path in paths]
 
 
 def _damaged(good: bytes, damage: str, tmp_path, cache) -> bytes:

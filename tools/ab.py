@@ -51,12 +51,17 @@ the noise. Three per mode on a 2-vCPU x86_64 host (float64, OpenBLAS
 - ``retrofit``: median ratio 0.993, 1.010 and 1.026 (widest IQR
   0.904-1.069), change lower in 21, 20 and 15 of 40.
 
+- ``load``: median ratio 0.966, 1.028 and 1.022 (widest IQR
+  0.918-1.073), change lower in 12, 9 and 10 of 20.
+
 So a median ratio within about 0.99-1.04 (``train``), 0.99-1.01
-(``verdict``) or 0.99-1.03 (``retrofit``) is noise. For scale, ``verdict``
+(``verdict``), 0.99-1.03 (``retrofit``) or 0.96-1.03 (``load``) is noise. For scale, ``verdict``
 between the per-call normalisation and the per-detector unit rows read
 0.666 and 0.680, change lower in 96 and 105 of 120; ``retrofit`` between
 the dict-built and the edge-array level schedule read 0.632 and 0.571,
-change lower in 40 and 40 of 40.
+change lower in 40 and 40 of 40; ``load`` between the plain parse and the
+table cache read 0.161 (0.251 against 0.042 s per load), change lower in
+20 of 20.
 """
 
 from __future__ import annotations
