@@ -11,6 +11,7 @@ import io
 import os
 import re
 import secrets
+import stat
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -110,26 +111,41 @@ def write_atomically(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """A handle on a new sibling file that replaces ``path`` only once the
     block completes, so a failed or interrupted write leaves the old file
     (or none) and no partial one. ``mode`` is ``"w"`` (UTF-8 text) or
-    ``"wb"``. An error in making or moving the sibling names ``path``. A
-    path that exists but is not a regular file (a FIFO, ``/dev/null``) is
-    written in place."""
-    path = Path(path)
+    ``"wb"``. A symlink's target is the file replaced, and the replaced
+    file's permission bits carry over to the new one. An error names
+    ``path``.
+
+    Where no sibling can replace the file, it is written in place as by
+    ``open``: a path that exists but is not a regular file (a FIFO,
+    ``/dev/null``), or a file whose directory the user may not add to."""
+    target = Path(os.path.realpath(path))
+    status = None
+    with suppress(OSError):
+        status = os.stat(target)
     temp = None
     try:
-        if path.exists() and not path.is_file():
-            raw = open(path, "wb")
+        if status and not stat.S_ISREG(status.st_mode):
+            raw = open(target, "wb")
         else:
-            temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-            raw = open(temp, "xb")
+            temp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+            try:
+                raw = open(temp, "xb")
+            except PermissionError:
+                if not status:
+                    raise
+                temp = None
+                raw = open(target, "wb")
         with raw if "b" in mode else io.TextIOWrapper(raw, encoding="utf-8") as handle:
+            if temp and status:
+                os.fchmod(raw.fileno(), stat.S_IMODE(status.st_mode))
             yield handle
         if temp:
-            os.replace(temp, path)
+            os.replace(temp, target)
     except BaseException as exc:
         if temp:
             with suppress(OSError):
                 temp.unlink()
-        if isinstance(exc, OSError) and exc.filename == str(temp):
+        if isinstance(exc, OSError) and exc.filename in (str(temp), str(target)):
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 

@@ -222,7 +222,7 @@ class _CacheEntry:
     path: Path
     key: bytes
     source: str | Path
-    signature: tuple[int, int, int, int]    # the text file's device, inode, size, mtime
+    signature: tuple[int, ...]      # the text file's device, inode, size, mtime, ctime
 
     @classmethod
     def locate(cls, source: str | Path, format: str,
@@ -280,9 +280,12 @@ class _CacheEntry:
                               n_duplicates=n_duplicates)
 
     def store(self, table: EmbeddingTable) -> None:
-        """Keep ``table`` as this entry, unless the text file's size, mtime or
-        inode changed since its digest was taken, then evict down to
-        ``_CACHE_CAP_BYTES``."""
+        """Keep ``table`` as this entry, unless the text file's size, mtime,
+        inode or change time moved since its digest was taken, then evict
+        down to ``_CACHE_CAP_BYTES``. The parse reads the file again, so a
+        rewrite in between could put other bytes' table under this key; no
+        write leaves the change time as it was, even one that restores the
+        mtime."""
         words = "\n".join(table.vocab).encode("utf-8")   # vocab order is row order
         matrix = memoryview(np.ascontiguousarray(table.matrix, dtype="<f8")).cast("B")
         header = _CACHE_HEADER.pack(_CACHE_MAGIC, self.key, *table.matrix.shape,
@@ -313,8 +316,9 @@ def _cache_dir() -> Path | None:
     return Path(base, "figphm", "tables")
 
 
-def _signature(status: os.stat_result) -> tuple[int, int, int, int]:
-    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+def _signature(status: os.stat_result) -> tuple[int, ...]:
+    return (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns,
+            status.st_ctime_ns)
 
 
 def _evict(directory: Path) -> None:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import struct
 import threading
 from argparse import Namespace
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from figphm import corpus
 from figphm.cli import cmd_report
 from figphm.corpus import (AnnotationPair, Document, PAD_INDEX, UNK_INDEX,
                            build_vocab, cohen_kappa, load_annotations,
@@ -331,6 +333,61 @@ class TestWriteAtomically:
         assert got == ["through the pipe\n"]
         assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
+    def test_symlink_target_is_replaced(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        with write_atomically(link) as handle:
+            handle.write("new\n")
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_text(encoding="utf-8") == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    @pytest.mark.parametrize("bits", [0o600, 0o640, 0o755], ids=oct)
+    def test_permission_bits_carry_over(self, tmp_path, bits):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"old")
+        path.chmod(bits)
+        with write_atomically(path, "wb") as handle:
+            handle.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert stat.S_IMODE(path.stat().st_mode) == bits
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        with write_atomically(tmp_path / "new.txt") as handle:
+            handle.write("x")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
+            handle.write("x")
+        assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_directory_without_room_for_a_sibling(self, tmp_path, monkeypatch, existing):
+        """A file whose directory takes no new file is written in place, as
+        by ``open``; a new file there fails, naming the target. (The
+        directory's refusal is simulated: a superuser is never refused.)"""
+        path = tmp_path / "out.txt"
+        if existing:
+            path.write_text("old\n", encoding="utf-8")
+
+        def refusing_open(file, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(corpus, "open", refusing_open, raising=False)
+        if not existing:
+            with pytest.raises(PermissionError) as info:
+                with write_atomically(path) as handle:
+                    handle.write("new\n")
+            assert info.value.filename == str(path)
+            assert list(tmp_path.iterdir()) == []
+            return
+        inode = path.stat().st_ino
+        with write_atomically(path) as handle:
+            handle.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n" and path.stat().st_ino == inode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
 
 # Lines that make arbitrary text look like each input format (TSV rows,
 # vector rows, config sections and keys, report headers), so the fuzzer
@@ -398,11 +455,12 @@ class TestFuzzLoaders:
 def test_only_read_lines_opens_text_inputs():
     """No function in the package but ``corpus.read_lines`` opens a file for
     reading text; ``neuralnet.load_checkpoint`` reads its binary checkpoint,
-    and the table cache (``embeddings._CacheEntry``) the bytes it digests and
-    its own binary entries. A cache read that fails falls back to the parse
-    through ``read_lines``, so its errors never reach the user."""
+    and the table cache's ``_CacheEntry.locate`` and ``_CacheEntry.read``
+    the bytes it digests and its own binary entries. A cache read that fails
+    falls back to the parse through ``read_lines``, so its errors never
+    reach the user."""
     allowed = {("corpus", "read_lines"), ("neuralnet", "load_checkpoint"),
-               ("embeddings", "locate"), ("embeddings", "read")}
+               ("embeddings", "_CacheEntry.locate"), ("embeddings", "_CacheEntry.read")}
     package = Path(__file__).resolve().parent.parent / "src" / "figphm"
     found = []
     for source in sorted(package.glob("*.py")):
@@ -412,14 +470,18 @@ def test_only_read_lines_opens_text_inputs():
     assert not found, "files opened for reading outside corpus.read_lines: " + ", ".join(found)
 
 
-def _calls_by_function(tree, function="<module>", kind=ast.Call):
-    """(enclosing function's name, node) for every ``kind`` node in ``tree``."""
+def _calls_by_function(tree, function="<module>", kind=ast.Call, classes=""):
+    """(enclosing function's name, node) for every ``kind`` node in ``tree``.
+    A method's name is qualified by its class (``UnitRows.fill``)."""
     for node in ast.iter_child_nodes(tree):
-        name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-            else function
+        name, inner = function, classes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, inner = classes + node.name, ""
+        elif isinstance(node, ast.ClassDef):
+            inner = f"{classes}{node.name}."
         if isinstance(node, kind):
             yield function, node
-        yield from _calls_by_function(node, name, kind)
+        yield from _calls_by_function(node, name, kind, inner)
 
 
 def _reads_a_file(call: ast.Call) -> bool:

@@ -436,6 +436,32 @@ class TestTableCache:
         load_table(path)
         assert len(_entries(cache)) == 1
 
+    def test_rewrite_keeping_size_and_mtime_during_the_load_stores_nothing(
+            self, tmp_path, cache, monkeypatch):
+        """The parse reads the file after its digest: a rewrite in between
+        that keeps the size and restores the mtime still changes the change
+        time, so the new bytes' table is never kept under the old bytes'
+        key."""
+        path = _write_table(tmp_path / "vec.txt", "cat 1.0 2.0\n")
+        time.sleep(0.05)            # past the clock tick of the file's change time
+        locate = embeddings._CacheEntry.locate
+
+        def locate_then_rewrite(*args):
+            entry = locate(*args)
+            before = path.stat()
+            _write_table(path, "cat 3.0 4.0\n")
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            return entry
+
+        monkeypatch.setattr(embeddings._CacheEntry, "locate", locate_then_rewrite)
+        load_table(path)
+        assert _entries(cache) == []
+        monkeypatch.setattr(embeddings._CacheEntry, "locate", locate)
+        _write_table(path, "cat 1.0 2.0\n")
+        assert load_table(path).vector("cat").tolist() == [1.0, 2.0]
+        _write_table(path, "cat 3.0 4.0\n")
+        assert load_table(path).vector("cat").tolist() == [3.0, 4.0]
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "invalid_utf8", "bad_row"])
     def test_errors_unchanged_and_nothing_stored(self, tmp_path, cache, kind):
         path = tmp_path / "vec.txt"
@@ -1104,4 +1130,4 @@ class TestUnitRows:
                 if "_unit_rows" in (getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None)):
                     callers.append((source.stem, function))
-        assert callers == [("embeddings", "fill")]
+        assert callers == [("embeddings", "UnitRows.fill")]

@@ -71,6 +71,7 @@ import hashlib
 import importlib.util
 import io
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -223,7 +224,36 @@ class LoadSide:
             np.int64(table.n_duplicates).tobytes(), table.matrix.tobytes()))
 
 
-MODES = {"train": TrainSide, "verdict": VerdictSide, "retrofit": RetrofitSide, "load": LoadSide}
+class FigScoreSide:
+    """One revision's ``figphm fig-score`` over fig-prep's table, keywords
+    and documents, each run in a new Python process."""
+
+    rounds, chunks, items = 20, 1, "run"
+    CONFIG = ("[experiment]\ndataset = dataset.tsv\n\n"
+              "[figurative]\nembedding = vectors.txt\nkeywords = keywords.txt\n\n"
+              "[embedding rand]\nsource = random\ndim = 20\n")
+
+    def __init__(self, package, work: Path):
+        self.src = Path(package.__file__).parent.parent
+        self.config = fig_inputs(work)["embeddings"].with_name("fig-score.ini")
+        self.config.write_text(self.CONFIG, encoding="utf-8")
+
+    def start_round(self) -> None:
+        pass
+
+    def run_chunk(self, chunk: int) -> tuple[float, int, bytes]:
+        """Wall seconds of one ``fig-score`` process, from its start to its
+        exit, one run, and the verdicts it printed."""
+        env = dict(os.environ, PYTHONPATH=str(self.src))
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "figphm.cli", "fig-score",
+                               "--config", str(self.config)],
+                              env=env, capture_output=True, check=True)
+        return time.perf_counter() - start, 1, done.stdout
+
+
+MODES = {"train": TrainSide, "verdict": VerdictSide, "retrofit": RetrofitSide,
+         "load": LoadSide, "fig-score": FigScoreSide}
 
 
 def fig_inputs(work: Path) -> dict[str, Path]:
@@ -246,6 +276,8 @@ def parse_args(argv):
     parser.add_argument("mode", choices=sorted(MODES), help="the timed path")
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
+    parser.add_argument("--cold", action="store_true",
+                        help="empty the table cache before every run, so each load is a miss")
     return parser.parse_args(argv)
 
 
@@ -258,7 +290,8 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
         # a table cache of this run's own, shared by both sides
-        os.environ["XDG_CACHE_HOME"] = str(Path(work) / "cache")
+        cache = Path(work) / "cache"
+        os.environ["XDG_CACHE_HOME"] = str(cache)
         sides = {side: mode(load_package(repo, rev, side, Path(work)), Path(work))
                  for side, rev in zip(SIDES, (args.parent, args.change))}
         for round_ in range(mode.rounds + 1):       # round 0 warms up, not counted
@@ -268,6 +301,8 @@ def main(argv=None) -> int:
                 seconds, outputs = {}, {}
                 first = SIDES if (round_ * mode.chunks + chunk) % 2 == 0 else SIDES[::-1]
                 for name in first:
+                    if args.cold:
+                        shutil.rmtree(cache, ignore_errors=True)
                     seconds[name], count, outputs[name] = sides[name].run_chunk(chunk)
                     if round_:
                         per_item[name].append(seconds[name] / count)
