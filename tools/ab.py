@@ -2,7 +2,8 @@
 
 Unpacks ``src`` of each revision into a temporary directory and imports it
 as its own package (``figphm_parent``, ``figphm_change``), so both sides run
-in one process, on one heap and one set of BLAS threads. The sides take
+in one process, on one heap and one set of BLAS threads (``fig-score`` runs
+each side's command in a new process instead). The sides take
 turns chunk by chunk, the side that runs first alternating from chunk to
 chunk, so a slow spell of the host falls on both sides of most pairs. The
 tool prints each side's median time per item, then the median and IQR of
@@ -27,9 +28,17 @@ Modes:
   inputs' table; 20 chunks after one warm-up chunk per side. A revision
   with the table cache parses in its warm-up chunk and reads its cache
   entry after that.
+- ``fig-score``: one chunk runs ``figphm fig-score`` over the same inputs'
+  table, keywords and documents in a new Python process per side, timed
+  from its start to its exit; 20 chunks after one warm-up chunk per side.
+  A revision with the table cache stores the entry in its warm-up chunk,
+  so each counted chunk reads it in a process of its own.
 
 Both sides share a table cache in a fresh temporary directory
-(``XDG_CACHE_HOME``), so no run reads or fills the user's.
+(``XDG_CACHE_HOME``), so no run reads or fills the user's. ``--cold``
+empties it before every run, so that each load of a revision with the
+cache digests, parses and stores: the cost of a first load of a file, in
+process (``load``) or for a whole command (``fig-score``).
 
 Both sides run from the same inputs and seeds, so they must give the same
 bytes: the trained parameters, every verdict's score, label and features,
@@ -50,18 +59,25 @@ the noise. Three per mode on a 2-vCPU x86_64 host (float64, OpenBLAS
   0.967-1.062), change lower in 61, 53 and 58 of 120.
 - ``retrofit``: median ratio 0.993, 1.010 and 1.026 (widest IQR
   0.904-1.069), change lower in 21, 20 and 15 of 40.
-
 - ``load``: median ratio 0.966, 1.028 and 1.022 (widest IQR
-  0.918-1.073), change lower in 12, 9 and 10 of 20.
+  0.918-1.073), change lower in 12, 9 and 10 of 20; with ``--cold``
+  0.998 (IQR 0.983-1.063), lower in 11 of 20.
+- ``fig-score``: median ratio 1.025, 1.005 and 1.028 (widest IQR
+  1.009-1.116), change lower in 7, 9 and 3 of 20; with ``--cold`` 1.000
+  (IQR 0.840-1.029), lower in 10 of 20.
 
 So a median ratio within about 0.99-1.04 (``train``), 0.99-1.01
-(``verdict``), 0.99-1.03 (``retrofit``) or 0.96-1.03 (``load``) is noise. For scale, ``verdict``
-between the per-call normalisation and the per-detector unit rows read
-0.666 and 0.680, change lower in 96 and 105 of 120; ``retrofit`` between
-the dict-built and the edge-array level schedule read 0.632 and 0.571,
-change lower in 40 and 40 of 40; ``load`` between the plain parse and the
-table cache read 0.161 (0.251 against 0.042 s per load), change lower in
-20 of 20.
+(``verdict``), 0.99-1.03 (``retrofit``), 0.96-1.03 (``load``) or
+1.00-1.03 (``fig-score``) is noise. For scale, ``verdict`` between the
+per-call normalisation and the per-detector unit rows read 0.666 and
+0.680, change lower in 96 and 105 of 120; ``retrofit`` between the
+dict-built and the edge-array level schedule read 0.632 and 0.571, change
+lower in 40 and 40 of 40. Between the plain parse and the table cache,
+``load`` read 0.163 (0.246 against 0.040 s per load) and ``fig-score``
+0.568 and 0.578 (0.474 against 0.272 s and 0.547 against 0.296 s per
+command), change lower in 20 of 20 each; with ``--cold``, a first load,
+``load`` read 1.109 and 1.121 and ``fig-score`` 1.051 and 1.107, change
+lower in at most 3 of 20.
 """
 
 from __future__ import annotations
