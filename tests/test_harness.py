@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -133,6 +134,65 @@ class TestStratifiedKfold:
             stratified_kfold(docs, 4, seed=0)
         with pytest.raises(ValueError):
             stratified_kfold(docs, 1, seed=0)
+
+
+def _fold_positions(docs, k, seed):
+    """Each fold's document positions, in fold order."""
+    position = {doc.id: i for i, doc in enumerate(docs)}
+    return [np.array([position[doc.id] for doc in fold], dtype=np.intp)
+            for fold in stratified_kfold(docs, k, seed)]
+
+
+def _fold_cases(name):
+    """(docs, k, seed) inputs: the fold-partition oracle's 200 random specs
+    (the same draws from seed 80) or one of TestStratifiedKfold's inputs."""
+    if name != "oracle":
+        spec, k, seed = {
+            "single_stratum": ([("cancer", PHM, 100)], 10, 0),
+            "fifteen_in_ten": ([("cancer", PHM, 15)], 10, 1),
+            "four_strata": ([("cancer", PHM, 13), ("cancer", NONPHM, 22),
+                             ("stroke", PHM, 9), ("stroke", NONPHM, 17)], 5, 2),
+            "two_strata": ([("cancer", PHM, 13), ("depression", NONPHM, 29)], 4, 3),
+            "one_disease": ([("cancer", PHM, 20), ("cancer", NONPHM, 20)], 4, 9),
+        }[name]
+        yield _docs(spec), k, seed
+        return
+    rng = np.random.default_rng(80)
+    diseases = ("cancer", "stroke", "depression")
+    for _ in range(200):
+        docs = _docs([(d, label, int(rng.integers(1, 12)))
+                      for d in rng.choice(diseases, size=int(rng.integers(1, 4)), replace=False)
+                      for label in (PHM, NONPHM)])
+        k = int(rng.integers(2, min(10, len(docs)) + 1))
+        yield docs, k, int(rng.integers(0, 1000))
+
+
+# SHA-256 of every fold's positions (little-endian int64, one "|" after each
+# fold), over all the cases of each input set
+FOLD_DIGESTS = {
+    "oracle":
+        "42d390143e463a5c9dfc6723d899f8c5a76a4ba2502f74d0a102f8c227dfde57",
+    "single_stratum":
+        "823b457dd65015aa511be60d6a66aeb60bea0f944368c82be7d63ed27a0d2daf",
+    "fifteen_in_ten":
+        "b1a2c3cb6ba24b535a8c437c2cf478375a901ca389508bd866506eefb5937868",
+    "four_strata":
+        "e194434e7818640e3709050e63d298d757dfee8acf2695d3051754b1da70a135",
+    "two_strata":
+        "1418be9d6b5797b665663b720d9097ee9cc4c3c450f30c3b31a6b9f038ab18a0",
+    "one_disease":
+        "786d1c5d00263d69ee94745603e2687f6b886ef6081891a47095bb333754b26f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_DIGESTS))
+def test_fold_positions_match_recorded_digests(name):
+    """The folds hold the same documents in the same order as when recorded."""
+    digest = hashlib.sha256()
+    for docs, k, seed in _fold_cases(name):
+        for fold in _fold_positions(docs, k, seed):
+            digest.update(np.asarray(fold, dtype="<i8").tobytes() + b"|")
+    assert digest.hexdigest() == FOLD_DIGESTS[name]
 
 
 class TestConfigParsing:
