@@ -121,11 +121,11 @@ def cmd_fig_score(args) -> int:
 def cmd_fig_eval(args) -> int:
     config = harness.load_config(args.config)
     detector = harness.build_detector(config)
-    labeled = harness.load_figurative_gold(args.gold)
-    if not labeled:
+    documents = harness.load_figurative_gold(args.gold)
+    if not documents:
         raise DataError(f"no labeled examples in {args.gold}")
     results = harness.evaluate_figurative(
-        labeled, detector, use_lda=config.figurative.use_lda,
+        documents, detector, use_lda=config.figurative.use_lda,
         lda_iterations=config.figurative.lda_iterations,
         lda_seed=harness.derive_seed(config.seed, "fig-eval-lda"))
     for mode, metrics in results.items():

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, NONPHM, PHM,
+from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, PHM,
                      Document, build_vocab, load_dataset, pad, read_lines)
 from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
                          load_table, project_table, random_table, retrofit)
@@ -419,29 +419,25 @@ def _check_memory(model: ModelConfig, specs: list[EmbeddingSpec], vocab_size: in
                       f"{budget / 2**30:.3g} GiB of physical memory")
 
 
-def stratified_kfold(corpus: list[Document], k: int, seed: int) -> list[list[Document]]:
-    """Partition into k folds balanced within every (disease, label) stratum.
+def stratified_kfold(labels, diseases, k: int, seed: int) -> list[np.ndarray]:
+    """Partition document positions into k folds balanced within every
+    (disease, label) stratum, given each document's label and disease.
 
-    Within each stratum, fold counts differ by at most one; stratum starting
-    offsets rotate so overall fold sizes stay even. Deterministic per seed.
+    The strata, in sorted order, each shuffled, deal their positions round
+    the folds in turn, so fold counts differ by at most one within every
+    stratum and overall. Deterministic per seed.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if k > len(corpus):
-        raise ValueError(f"k={k} exceeds corpus size {len(corpus)}")
+    if k > len(labels):
+        raise ValueError(f"k={k} exceeds corpus size {len(labels)}")
     strata: dict[tuple[str, str], list[int]] = {}
-    for index, doc in enumerate(corpus):
-        strata.setdefault((doc.disease, doc.label), []).append(index)
+    for position, key in enumerate(zip(diseases, labels)):
+        strata.setdefault(key, []).append(position)
     rng = np.random.default_rng(seed)
-    folds: list[list[Document]] = [[] for _ in range(k)]
-    offset = 0
-    for key in sorted(strata):
-        indices = np.array(strata[key])
-        order = rng.permutation(len(indices))
-        for j, position in enumerate(order):
-            folds[(offset + j) % k].append(corpus[indices[position]])
-        offset = (offset + len(indices)) % k
-    return folds
+    order = np.concatenate([rng.permutation(np.array(strata[key], dtype=np.intp))
+                            for key in sorted(strata)])
+    return [order[fold::k] for fold in range(k)]
 
 
 def build_spec_table(spec: EmbeddingSpec, vocab: list[str], run_seed: int) -> EmbeddingTable:
@@ -677,7 +673,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             path.rmdir()
     ids = np.array([pad(d.tokens, vocab, config.model.max_sequence_length)
                     for d in documents], dtype=np.intp)
+    doc_ids = [d.id for d in documents]
     labels = np.array([d.label for d in documents])
+    diseases = np.array([d.disease for d in documents])
     rows = np.empty((len(documents), 0))    # only FeatAug reads a feature row
     verdict_labels = gate_labels = None
     if config.needs_detector():
@@ -690,10 +688,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             flipped = np.where(gate_labels == FIGURATIVE, LITERAL, FIGURATIVE)
             gate_labels = np.where(rng.random(len(documents)) < rate, flipped, gate_labels)
 
-    # the folds hold the loaded Document objects themselves
-    position = {id(doc): i for i, doc in enumerate(documents)}
-    folds = [np.array([position[id(doc)] for doc in fold], dtype=np.intp)
-             for fold in stratified_kfold(documents, config.folds, config.seed)]
+    folds = stratified_kfold(labels, diseases, config.folds, config.seed)
     tables = [build_spec_table(spec, list(vocab), config.seed)
               for spec in config.embeddings]
     cells = [(spec.name, table, fold) for spec, table in zip(config.embeddings, tables)
@@ -727,7 +722,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     # each dump's figurative column: what gated +Pipeline and what fed +FeatAug
     figurative = {"phmd": np.full(len(documents), "-"), "pipeline": gate_labels,
                   "feataug": verdict_labels}
-    return _assemble_report(config, documents, probabilities, figurative, out_dir)
+    return _assemble_report(config, doc_ids, labels, diseases, probabilities, figurative,
+                            out_dir)
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -755,14 +751,12 @@ def _cell_pool(jobs: int):
                 os.environ[name] = value
 
 
-def _assemble_report(config, documents, probabilities, figurative,
+def _assemble_report(config, doc_ids, golds, disease_of, probabilities, figurative,
                      out_dir) -> ExperimentReport:
-    """Score each (approach, embedding)'s probabilities, which are in
-    document order, overall and per disease; write the report files to
-    ``out_dir``, with ``figurative[approach]`` (document order) as the
-    last column of that approach's prediction dumps."""
-    golds = np.array([d.label for d in documents])
-    disease_of = np.array([d.disease for d in documents])
+    """Score each (approach, embedding)'s probabilities against the gold
+    labels, overall and per disease; write the report files to ``out_dir``,
+    with ``figurative[approach]`` as the last column of that approach's
+    prediction dumps. Every array is in document order."""
     diseases = [disease for disease in DISEASES if disease in disease_of]
     overall = {}
     per_disease = {}
@@ -783,12 +777,12 @@ def _assemble_report(config, documents, probabilities, figurative,
         (out_dir / "predictions").mkdir(parents=True, exist_ok=True)
         (out_dir / "report.tsv").write_text(report.to_structured(), encoding="utf-8")
         (out_dir / "report.txt").write_text(report.to_tables(), encoding="utf-8")
-        order = sorted(range(len(documents)), key=lambda i: documents[i].id)
-        doc_ids = [documents[i].id for i in order]
+        order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         for (approach, emb), probs in sorted(probabilities.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
             (out_dir / "predictions" / f"{safe}__{approach}.tsv").write_text(
-                format_predictions(doc_ids, probs[order], figurative[approach][order]),
+                format_predictions([doc_ids[i] for i in order], probs[order],
+                                   figurative[approach][order]),
                 encoding="utf-8")
     return report
 
@@ -857,33 +851,30 @@ def evaluate_model(model, documents: list[Document],
 # ---------------------------------------------------------------------------
 # figurative-detector evaluation
 
-def load_figurative_gold(path: str | Path) -> list[tuple[Document, str]]:
-    """4-column TSV (id, disease, text, figurative|literal) with gold usage
-    labels; the PHM label field of each Document is a placeholder."""
-    return [(replace(doc, label=NONPHM), doc.label)
-            for doc in load_dataset(path, FIG_LABELS, "usage label", "gold file")]
+def load_figurative_gold(path: str | Path) -> list[Document]:
+    """The documents of a 4-column TSV (id, disease, text, figurative|literal)
+    whose label is the gold usage label."""
+    return load_dataset(path, FIG_LABELS, "usage label", "gold file")
 
 
-def evaluate_figurative(labeled: list[tuple[Document, str]],
-                        detector: FigurativeDetector,
+def evaluate_figurative(documents: list[Document], detector: FigurativeDetector,
                         use_lda: bool = False, lda_iterations: int = 200,
                         lda_seed: int = 0) -> dict[str, Metrics]:
     """Score the detector against gold figurative/literal labels.
 
-    Always reports the score-only mode; with ``use_lda`` also reports the
-    Gibbs-refined mode, where a document is figurative when its posterior
-    figurative mass exceeds the literal mass. ``figurative`` is the positive
-    class.
+    Each document's label is its gold usage label. Always reports the
+    score-only mode; with ``use_lda`` also reports the Gibbs-refined mode,
+    where a document is figurative when its posterior figurative mass
+    exceeds the literal mass. ``figurative`` is the positive class.
     """
-    if not labeled:
+    if not documents:
         raise ValueError("evaluate_figurative requires labeled examples")
-    docs = [doc for doc, _ in labeled]
-    golds = [gold for _, gold in labeled]
-    verdicts = detector.verdicts(docs)
+    golds = [doc.label for doc in documents]
+    verdicts = detector.verdicts(documents)
     results = {"score": compute_metrics([v.label for v in verdicts], golds,
                                         positive_class=FIGURATIVE)}
     if use_lda:
-        estimate = lda_estimate([doc.tokens for doc in docs],
+        estimate = lda_estimate([doc.tokens for doc in documents],
                                 [v.literal_score for v in verdicts],
                                 iterations=lda_iterations, seed=lda_seed)
         lda_labels = [FIGURATIVE if p_fig > p_lit else LITERAL

@@ -321,18 +321,19 @@ def test_fold_partition_properties():
         docs = _docs(spec)
         k = int(rng.integers(2, min(10, len(docs)) + 1))
         seed = int(rng.integers(0, 1000))
-        folds = stratified_kfold(docs, k, seed)
+        labels = [d.label for d in docs]
+        diseases_of = [d.disease for d in docs]
+        folds = stratified_kfold(labels, diseases_of, k, seed)
 
-        ids = [d.id for fold in folds for d in fold]
-        assert len(ids) == len(docs) and set(ids) == {d.id for d in docs}
+        positions = [int(i) for fold in folds for i in fold]
+        assert len(positions) == len(docs) and set(positions) == set(range(len(docs)))
         for disease, label, count in spec:
-            per_fold = [sum(1 for d in fold if d.disease == disease and d.label == label)
-                        for fold in folds]
+            per_fold = [sum(1 for i in fold if docs[i].disease == disease
+                            and docs[i].label == label) for fold in folds]
             assert max(per_fold) - min(per_fold) <= 1
             assert sum(per_fold) == count
-        again = stratified_kfold(docs, k, seed)
-        assert [[d.id for d in fold] for fold in folds] == \
-            [[d.id for d in fold] for fold in again]
+        again = stratified_kfold(labels, diseases_of, k, seed)
+        assert [fold.tolist() for fold in folds] == [fold.tolist() for fold in again]
 
 
 # -------------------------------------------------------------------------

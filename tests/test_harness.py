@@ -92,15 +92,21 @@ def _docs(spec):
     return docs
 
 
+def _fold_positions(docs, k, seed):
+    """Each fold's document positions, in fold order."""
+    return stratified_kfold([doc.label for doc in docs], [doc.disease for doc in docs],
+                            k, seed)
+
+
 class TestStratifiedKfold:
     def test_single_stratum_even_split(self):
         docs = _docs([("cancer", PHM, 100)])
-        folds = stratified_kfold(docs, 10, seed=0)
+        folds = _fold_positions(docs, 10, seed=0)
         assert [len(f) for f in folds] == [10] * 10
 
     def test_stratum_of_fifteen_across_ten_folds(self):
         docs = _docs([("cancer", PHM, 15)])
-        folds = stratified_kfold(docs, 10, seed=1)
+        folds = _fold_positions(docs, 10, seed=1)
         counts = sorted(len(f) for f in folds)
         assert set(counts) <= {1, 2}
         assert sum(counts) == 15
@@ -108,39 +114,33 @@ class TestStratifiedKfold:
     def test_disjoint_and_covering(self):
         docs = _docs([("cancer", PHM, 13), ("cancer", NONPHM, 22),
                       ("stroke", PHM, 9), ("stroke", NONPHM, 17)])
-        folds = stratified_kfold(docs, 5, seed=2)
-        ids = [d.id for fold in folds for d in fold]
-        assert len(ids) == len(docs)
-        assert set(ids) == {d.id for d in docs}
+        folds = _fold_positions(docs, 5, seed=2)
+        assert all(fold.dtype == np.intp for fold in folds)
+        positions = [int(i) for fold in folds for i in fold]
+        assert len(positions) == len(docs)
+        assert set(positions) == set(range(len(docs)))
 
     def test_within_stratum_balance(self):
         docs = _docs([("cancer", PHM, 13), ("depression", NONPHM, 29)])
-        folds = stratified_kfold(docs, 4, seed=3)
+        folds = _fold_positions(docs, 4, seed=3)
         for disease, label, count in (("cancer", PHM, 13), ("depression", NONPHM, 29)):
-            per_fold = [sum(1 for d in fold if d.disease == disease and d.label == label)
-                        for fold in folds]
+            per_fold = [sum(1 for i in fold if docs[i].disease == disease
+                            and docs[i].label == label) for fold in folds]
             assert max(per_fold) - min(per_fold) <= 1
             assert sum(per_fold) == count
 
     def test_deterministic(self):
         docs = _docs([("cancer", PHM, 20), ("cancer", NONPHM, 20)])
-        a = stratified_kfold(docs, 4, seed=9)
-        b = stratified_kfold(docs, 4, seed=9)
-        assert [[d.id for d in fold] for fold in a] == [[d.id for d in fold] for fold in b]
+        a = _fold_positions(docs, 4, seed=9)
+        b = _fold_positions(docs, 4, seed=9)
+        assert [fold.tolist() for fold in a] == [fold.tolist() for fold in b]
 
     def test_k_validation(self):
         docs = _docs([("cancer", PHM, 3)])
         with pytest.raises(ValueError):
-            stratified_kfold(docs, 4, seed=0)
+            _fold_positions(docs, 4, seed=0)
         with pytest.raises(ValueError):
-            stratified_kfold(docs, 1, seed=0)
-
-
-def _fold_positions(docs, k, seed):
-    """Each fold's document positions, in fold order."""
-    position = {doc.id: i for i, doc in enumerate(docs)}
-    return [np.array([position[doc.id] for doc in fold], dtype=np.intp)
-            for fold in stratified_kfold(docs, k, seed)]
+            _fold_positions(docs, 1, seed=0)
 
 
 def _fold_cases(name):
@@ -550,7 +550,7 @@ class TestEvaluateFigurative:
             ("f5", "nothing here", LITERAL),       # keyword-free, 0.5    -> TN
             ("f6", "drop cough", FIGURATIVE),      # low score            -> TP
         ]
-        return [(Document(i, "other", t, t.split(), NONPHM), g) for i, t, g in rows]
+        return [Document(i, "other", t, t.split(), g) for i, t, g in rows]
 
     def test_exact_confusion_counts(self):
         results = evaluate_figurative(self._labeled(), _planted_detector())
@@ -558,9 +558,8 @@ class TestEvaluateFigurative:
         assert (metrics.tp, metrics.fp, metrics.fn, metrics.tn) == (2, 1, 1, 2)
 
     def test_all_literal_degenerate_flagged(self):
-        labeled = [(Document("a", "other", "doctor cough",
-                             ["doctor", "cough"], NONPHM), LITERAL)]
-        metrics = evaluate_figurative(labeled, _planted_detector())["score"]
+        documents = [Document("a", "other", "doctor cough", ["doctor", "cough"], LITERAL)]
+        metrics = evaluate_figurative(documents, _planted_detector())["score"]
         assert metrics.f_score == 0.0
         assert metrics.flags()
 
@@ -578,8 +577,8 @@ class TestLoadFigurativeGold:
     def test_load(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("g1\tother\tsome text\tfigurative\n", encoding="utf-8")
-        labeled = load_figurative_gold(path)
-        assert labeled[0][1] == FIGURATIVE
+        documents = load_figurative_gold(path)
+        assert documents[0].label == FIGURATIVE
 
     def test_bad_usage_label(self, tmp_path):
         path = tmp_path / "gold.tsv"
