@@ -578,8 +578,8 @@ def retrofit(table: EmbeddingTable, graph: OntologyGraph, iterations: int = 10,
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if beta_mode not in BETA_MODES:
         raise ValueError(f"unknown beta_mode: {beta_mode!r}")
 

@@ -194,13 +194,7 @@ class ExperimentConfig:
     def _referenced_files(self) -> list[Path]:
         files = [self.dataset]
         if self.needs_detector():
-            for key in ("embedding", "keywords"):
-                if getattr(self.figurative, key) is None:
-                    raise ConfigError(f"[figurative] {key} is required for the "
-                                      f"pipeline/feataug approaches")
-            files += [self.figurative.embedding, self.figurative.keywords]
-            if self.figurative.health_lexicon is not None:
-                files.append(self.figurative.health_lexicon)
+            files += _detector_files(self.figurative)
         for spec in self.embeddings:
             if spec.source == "random" and spec.dim < 1:
                 raise ConfigError(f"[embedding {spec.name}] random source needs dim >= 1")
@@ -212,12 +206,23 @@ class ExperimentConfig:
         return files
 
 
+def _detector_files(fig: FigurativeConfig) -> list[Path]:
+    """The files the figurative detector reads, or a ConfigError naming the
+    required ``[figurative]`` key that is unset."""
+    for key in ("embedding", "keywords"):
+        if getattr(fig, key) is None:
+            raise ConfigError(f"[figurative] {key} is required by the figurative detector "
+                              f"(the pipeline/feataug approaches, fig-score and fig-eval)")
+    return [fig.embedding, fig.keywords] + (
+        [] if fig.health_lexicon is None else [fig.health_lexicon])
+
+
 def check_retrofit_settings(iterations: int, alpha: float, where: str = "") -> None:
     """The bounds on retrofitting settings, for configs and the CLI alike."""
     if iterations < 0:
         raise ConfigError(f"{where}iterations must be >= 0, got {iterations}")
-    if not alpha > 0.0:
-        raise ConfigError(f"{where}alpha must be > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ConfigError(f"{where}alpha must be finite and > 0, got {alpha}")
 
 
 def parse_config_sections(lines: str | Iterable[tuple[int, str]],
@@ -455,6 +460,7 @@ def build_spec_table(spec: EmbeddingSpec, vocab: list[str], run_seed: int) -> Em
 
 def build_detector(config: ExperimentConfig) -> FigurativeDetector:
     fig = config.figurative
+    _detector_files(fig)
     table = load_table(fig.embedding, fig.embedding_format, strip_prefix=fig.strip_prefix)
     keywords = load_word_list(fig.keywords)
     lexicon = load_word_list(fig.health_lexicon) if fig.health_lexicon else None

@@ -1019,8 +1019,9 @@ class TestRetrofit:
     def test_bad_arguments(self, tiny_table):
         with pytest.raises(ValueError):
             retrofit(tiny_table, _chain_graph(), iterations=-1)
-        with pytest.raises(ValueError):
-            retrofit(tiny_table, _chain_graph(), alpha=0.0)
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                retrofit(tiny_table, _chain_graph(), alpha=alpha)
         with pytest.raises(ValueError):
             retrofit(tiny_table, _chain_graph(), beta_mode="nope")
 

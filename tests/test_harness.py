@@ -706,6 +706,66 @@ class TestCli:
                        f"non-finite training loss in epoch 2\n")
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("argv, where", [
+        (["experiment", "--config", "cfg.ini", "--out", "run"], "[embedding r] "),
+        (["retrofit", "--embeddings", "fig_vec.txt", "--ontology", "onto.txt",
+          "--alpha", "inf", "--out", "out.txt"], "retrofit --"),
+    ], ids=["config", "retrofit_flag"])
+    def test_infinite_alpha_exit_1(self, tmp_path, capfd, monkeypatch, argv, where):
+        """An infinite retrofitting weight is a config error naming
+        ``alpha``, raised before any retrofit sweep warns or writes."""
+        _experiment_config(tmp_path)
+        (tmp_path / "onto.txt").write_text("cough doctor market\n", encoding="utf-8")
+        config = (tmp_path / "cfg.ini").read_text(encoding="utf-8")
+        (tmp_path / "cfg.ini").write_text(config.replace(
+            "[embedding tiny]", "[embedding r]\nsource = retrofit\npath = fig_vec.txt\n"
+                                "ontology = onto.txt\nalpha = inf\n[embedding tiny]"),
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(argv)
+        captured = capfd.readouterr()
+        assert code == 1, captured.err
+        assert captured.out == ""
+        assert captured.err.endswith(f"{where}alpha must be finite and > 0, got inf\n")
+        assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("key", ["embedding", "keywords"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "cfg.ini", "--approach", "feataug", "--embedding", "tiny",
+         "--out", "m.ckpt"],
+        ["fig-score", "--config", "cfg.ini"],
+        ["fig-eval", "--config", "cfg.ini", "--gold", "gold.tsv"],
+        ["evaluate", "--model", "feataug.ckpt", "--dataset", "data.tsv",
+         "--config", "cfg.ini"],
+    ], ids=["train_feataug", "fig_score", "fig_eval", "evaluate_feataug"])
+    def test_detector_without_figurative_key_exit_1(self, tmp_path, capfd, monkeypatch,
+                                                     argv, key):
+        """A config for the phmd approach alone may leave the detector's
+        ``[figurative]`` files unset; a command that builds the detector
+        then names the key."""
+        _experiment_config(tmp_path, approaches="phmd")
+        config = (tmp_path / "cfg.ini").read_text(encoding="utf-8")
+        line = {"embedding": "embedding = fig_vec.txt\n", "keywords": "keywords = kw.txt\n"}
+        (tmp_path / "cfg.ini").write_text(config.replace(line[key], ""), encoding="utf-8")
+        (tmp_path / "gold.tsv").write_text("g1\tother\tcough here\tfigurative\n",
+                                           encoding="utf-8")
+        save_model(build_feataug(make_table({"cough": [0.1, 0.2]}),
+                                 ModelConfig(max_sequence_length=6, filters=2), seed=0),
+                   tmp_path / "feataug.ckpt")
+        monkeypatch.chdir(tmp_path)
+        capfd.readouterr()
+        assert cli_main(argv) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: [figurative] {key} is required by the "
+                                f"figurative detector (the pipeline/feataug approaches, "
+                                f"fig-score and fig-eval)\n")
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_experiment_leaves_no_directory_it_made(self, tmp_path, capsys, jobs):
         """A run that fails after the early check that ``--out`` is writable
