@@ -111,7 +111,8 @@ def cmd_fig_score(args) -> int:
     verdicts = detector.verdicts(documents)
     text = figurative.format_verdicts(documents, verdicts)
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        with corpus.write_atomically(args.out) as handle:
+            handle.write(text)
         print(f"wrote {len(verdicts)} verdicts -> {args.out}")
     else:
         print(text, end="")
@@ -153,7 +154,8 @@ def cmd_evaluate(args) -> int:
         detector = harness.build_detector(harness.load_config(args.config))
     metrics, dump = harness.evaluate_model(model, documents, detector)
     if args.out:
-        args.out.write_text(dump, encoding="utf-8")
+        with corpus.write_atomically(args.out) as handle:
+            handle.write(dump)
     print(metrics.summary())
     return 0
 
@@ -183,7 +185,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"synth --docs must be >= 1, got {args.docs}")
     paths = synthetic.write_planted_fixture(args.out, seed=args.seed, n_docs=args.docs)
     config_path = Path(args.out) / "experiment.ini"
-    config_path.write_text(_SYNTH_CONFIG, encoding="utf-8")
+    with corpus.write_atomically(config_path) as handle:
+        handle.write(_SYNTH_CONFIG)
     print(f"wrote {paths['dataset'].name}, {paths['embeddings'].name}, "
           f"{paths['keywords'].name}, {config_path.name} in {args.out}")
     print(f"run: figphm experiment --config {config_path} --out {Path(args.out) / 'run'}")

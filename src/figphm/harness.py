@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (DISEASES, FIG_LABELS, FIGURATIVE, LITERAL, PHM,
-                     Document, build_vocab, load_dataset, pad, read_lines)
+                     Document, build_vocab, load_dataset, pad, read_lines, write_atomically)
 from .embeddings import (BETA_MODES, TABLE_FORMATS, EmbeddingTable, load_ontology,
                          load_table, project_table, random_table, retrofit)
 from .errors import ConfigError, DataError
@@ -781,15 +781,17 @@ def _assemble_report(config, doc_ids, golds, disease_of, probabilities, figurati
     if out_dir is not None:
         out_dir = Path(out_dir)
         (out_dir / "predictions").mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.tsv").write_text(report.to_structured(), encoding="utf-8")
-        (out_dir / "report.txt").write_text(report.to_tables(), encoding="utf-8")
         order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         for (approach, emb), probs in sorted(probabilities.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
-            (out_dir / "predictions" / f"{safe}__{approach}.tsv").write_text(
-                format_predictions([doc_ids[i] for i in order], probs[order],
-                                   figurative[approach][order]),
-                encoding="utf-8")
+            with write_atomically(out_dir / "predictions" / f"{safe}__{approach}.tsv") as handle:
+                handle.write(format_predictions([doc_ids[i] for i in order], probs[order],
+                                                figurative[approach][order]))
+        # report.tsv last: once it is on disk, the run's other files are whole
+        for name, text in (("report.txt", report.to_tables()),
+                           ("report.tsv", report.to_structured())):
+            with write_atomically(out_dir / name) as handle:
+                handle.write(text)
     return report
 
 

@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NONPHM, PHM, Document, save_dataset
+from .corpus import NONPHM, PAD_TOKEN, PHM, UNK_TOKEN, Document, save_dataset, write_atomically
 from .embeddings import EmbeddingTable, save_table
-from .corpus import PAD_TOKEN, UNK_TOKEN
 
 SYMPTOM_WORDS = ("cough", "fever", "chill", "wheeze")
 _DISEASES = ("cancer", "depression", "stroke")
@@ -129,5 +128,6 @@ def write_planted_fixture(out_dir: str | Path, seed: int = 0, n_docs: int = 240,
     }
     save_dataset(docs, paths["dataset"])
     save_table(table, paths["embeddings"])
-    paths["keywords"].write_text("\n".join(sorted(keywords)) + "\n", encoding="utf-8")
+    with write_atomically(paths["keywords"]) as handle:
+        handle.write("\n".join(sorted(keywords)) + "\n")
     return paths

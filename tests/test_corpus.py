@@ -470,6 +470,19 @@ def test_only_read_lines_opens_text_inputs():
     assert not found, "files opened for reading outside corpus.read_lines: " + ", ".join(found)
 
 
+def test_only_write_atomically_writes_files():
+    """No function in the package but ``corpus.write_atomically`` writes a
+    file or opens one for writing, so every output is replaced whole or
+    left as it was."""
+    package = Path(__file__).resolve().parent.parent / "src" / "figphm"
+    found = []
+    for source in sorted(package.glob("*.py")):
+        for function, call in _calls_by_function(ast.parse(source.read_text("utf-8"))):
+            if _writes_a_file(call) and (source.stem, function) != ("corpus", "write_atomically"):
+                found.append(f"{source.name}:{call.lineno} in {function}")
+    assert not found, "files written outside corpus.write_atomically: " + ", ".join(found)
+
+
 def _calls_by_function(tree, function="<module>", kind=ast.Call, classes=""):
     """(enclosing function's name, node) for every ``kind`` node in ``tree``.
     A method's name is qualified by its class (``UnitRows.fill``)."""
@@ -492,9 +505,30 @@ def _reads_a_file(call: ast.Call) -> bool:
         return True
     if name != "open":
         return False
+    return not any(flag in (_open_mode(call) or "r") for flag in "wax+")
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A ``write_text``/``write_bytes`` call, or an ``open`` whose mode
+    writes or is not a literal."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = _open_mode(call)
+    return mode is None or any(flag in mode for flag in "wax+")
+
+
+def _open_mode(call: ast.Call) -> str | None:
+    """An ``open`` call's mode: "r" when it gives none, None when it is not
+    a literal."""
     # open(file, mode) takes the mode second; Path.open(mode) takes it first
-    position = 1 if isinstance(func, ast.Name) else 0
+    position = 1 if isinstance(call.func, ast.Name) else 0
     modes = ([kw.value for kw in call.keywords if kw.arg == "mode"]
              + call.args[position:position + 1])
-    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
-    return not any(flag in str(mode) for flag in "wax+")
+    if not modes:
+        return "r"
+    return str(modes[0].value) if isinstance(modes[0], ast.Constant) else None

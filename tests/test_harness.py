@@ -789,6 +789,19 @@ class TestCli:
         assert (kept / "notes.txt").read_text(encoding="utf-8") == "mine\n"
         assert (tmp_path / "empty").is_dir() and not any((tmp_path / "empty").iterdir())
 
+    def test_report_tsv_is_written_last(self, tmp_path, capsys):
+        """A run whose report.txt cannot be written exits 2 naming it and
+        leaves no report.tsv, so a report.tsv on disk means the run's other
+        files are whole."""
+        _experiment_config(tmp_path, approaches="phmd")
+        (tmp_path / "run" / "report.txt").mkdir(parents=True)
+        assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert re.fullmatch(r"data error: cannot write \S*report\.txt: .*\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "run" / "report.tsv").exists()
+        assert len(list((tmp_path / "run" / "predictions").iterdir())) == 1
+
     def test_experiment_bad_config_exit_1(self, tmp_path, capsys):
         (tmp_path / "cfg.ini").write_text("[experiment]\nfolds = 2\n", encoding="utf-8")
         assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),

@@ -10,7 +10,9 @@ pairs come the Tier-1 runs, interleaved the same way, each in a fresh copy.
 
 There are 10 pairs with seeds ``100 * pr + 1`` on, each run measures for the
 parent's ``BENCHMARK.json`` ``run_seconds`` at full scale, and each side gets
-3 Tier-1 runs. The JSON is rewritten after every pair, so an interrupted run
+3 Tier-1 runs. The record holds each side's ``src/figphm/*.py`` line count
+(``src_lines``), so a simplicity change's count comes from the same record
+as its pairs. The JSON is rewritten after every pair, so an interrupted run
 keeps what it measured; notes are added by editing it. Run from the
 repository root::
 
@@ -74,6 +76,12 @@ class Tree:
         self.rev = git(repo, "rev-parse", "--short", rev).decode().strip()
         self.archive = git(repo, "archive", "--format=tar", rev, *TREE)
         self.work = work
+
+    def src_lines(self) -> int:
+        """The line count of ``src/figphm/*.py``, as ``wc -l`` gives it."""
+        with tarfile.open(fileobj=io.BytesIO(self.archive)) as tar:
+            return sum(tar.extractfile(member).read().count(b"\n") for member in tar
+                       if member.isfile() and re.fullmatch(r"src/figphm/[^/]+\.py", member.name))
 
     def fresh_copy(self) -> Path:
         path = Path(tempfile.mkdtemp(prefix=f"{self.rev}-", dir=self.work))
@@ -218,6 +226,7 @@ def main(argv=None) -> int:
                       f"change/parent ratios, iqr = q3 - q1",
             "hardware": environment(),
             "table_cache": table_cache(),
+            "src_lines": {side: trees[side].src_lines() for side in SIDES},
             "claim": None,
             "final_tree": {},
         }
