@@ -213,8 +213,8 @@ def _detector_files(fig: FigurativeConfig) -> list[Path]:
         if getattr(fig, key) is None:
             raise ConfigError(f"[figurative] {key} is required by the figurative detector "
                               f"(the pipeline/feataug approaches, fig-score and fig-eval)")
-    return [fig.embedding, fig.keywords] + (
-        [] if fig.health_lexicon is None else [fig.health_lexicon])
+    return [path for path in (fig.embedding, fig.keywords, fig.health_lexicon)
+            if path is not None]
 
 
 def check_retrofit_settings(iterations: int, alpha: float, where: str = "") -> None:
