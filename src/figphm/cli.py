@@ -11,6 +11,7 @@ included), 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,10 @@ from . import corpus, embeddings, figurative, harness, phm, synthetic
 from .errors import ConfigError, DataError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` keeps
+    nothing of a call, so every in-process ``main`` shares it."""
     parser = argparse.ArgumentParser(prog="figphm",
                                      description="Personal health mention detection "
                                                  "with figurative-usage awareness")

@@ -267,15 +267,16 @@ def extract_features(tokens: Sequence[str], target_index: int | None,
         raise IndexError(f"target_index {target_index} out of range for {len(tokens)} tokens")
 
     features = np.zeros(_FEATURES)
-    features[0] = any(t in SUBORDINATORS for t in tokens)
+    features[0] = not SUBORDINATORS.isdisjoint(tokens)
     if target_index is not None:
         if target_index > 0:
             features[1 + _TAG_INDEX[tags[target_index - 1]]] = 1.0
         if target_index < len(tokens) - 1:
             features[1 + len(TAGSET) + _TAG_INDEX[tags[target_index + 1]]] = 1.0
 
-    health_count = sum(1 for i, t in enumerate(tokens)
-                       if i != target_index and t in health_lexicon)
+    health_count = len([t for t in tokens if t in health_lexicon])
+    if target_index is not None and tokens[target_index] in health_lexicon:
+        health_count -= 1
     features[-2] = health_count > 0
     features[-1] = health_count / len(tokens) if tokens else 0.0
     return features
@@ -423,8 +424,10 @@ class FigurativeDetector:
         if missing:
             log.warning("%d keyword(s) not in the similarity table, never scored: %s",
                         len(missing), ", ".join(missing))
-        self.representations = {kw: build_literal_representation(table, kw, k)
-                                for kw in present}
+        # one ranking of the table for all the keywords
+        self.representations = {
+            kw: LiteralRepresentation(keyword=kw, related_words=[w for w, _ in neighbors])
+            for kw, neighbors in zip(present, nearest_neighbors(table, present, k))}
 
     def verdict(self, doc: Document) -> FigurativeVerdict:
         """The verdict on ``doc``'s tokens; keyword positions are found here,

@@ -21,7 +21,7 @@ import multiprocessing
 import os
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -782,16 +782,19 @@ def _assemble_report(config, doc_ids, golds, disease_of, probabilities, figurati
         out_dir = Path(out_dir)
         (out_dir / "predictions").mkdir(parents=True, exist_ok=True)
         order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+        outputs = {out_dir / "report.tsv": report.to_structured()}
         for (approach, emb), probs in sorted(probabilities.items()):
             safe = "".join(ch if ch.isalnum() else "_" for ch in emb)
-            with write_atomically(out_dir / "predictions" / f"{safe}__{approach}.tsv") as handle:
-                handle.write(format_predictions([doc_ids[i] for i in order], probs[order],
-                                                figurative[approach][order]))
-        # report.tsv last: once it is on disk, the run's other files are whole
-        for name, text in (("report.txt", report.to_tables()),
-                           ("report.tsv", report.to_structured())):
-            with write_atomically(out_dir / name) as handle:
-                handle.write(text)
+            outputs[out_dir / "predictions" / f"{safe}__{approach}.tsv"] = format_predictions(
+                [doc_ids[i] for i in order], probs[order], figurative[approach][order])
+        outputs[out_dir / "report.txt"] = report.to_tables()
+        # Every file is written whole before any replaces its old one; the
+        # stack replaces them in reverse, report.tsv last, so a report.tsv on
+        # disk means the run's other files are whole, and a failed write
+        # removes every temporary and replaces nothing.
+        with ExitStack() as stack:
+            for path, text in outputs.items():
+                stack.enter_context(write_atomically(path)).write(text)
     return report
 
 

@@ -788,6 +788,35 @@ class TestNearestNeighborsMatchLoop:
                 assert nearest_neighbors(table, word, k) == \
                     nearest_neighbors_loop(table, word, k)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_several_words_match_the_loop(self, data):
+        """Several query words rank in one call as the loop ranks each: rows
+        drawn from a few small integer vectors tie exactly and include zero
+        rows, k reaches past V, query words repeat, and the vocabulary's
+        order need not be the rows' order."""
+        dim = data.draw(st.integers(1, 3))
+        pool = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                                  min_size=1, max_size=4))
+        n = data.draw(st.integers(1, 12))
+        vectors = {f"w{i:02d}": [float(x) for x in data.draw(st.sampled_from(pool))]
+                   for i in range(n)}
+        table = make_table(vectors)
+        if data.draw(st.booleans()):
+            items = data.draw(st.permutations(list(table.vocab.items())))
+            table = EmbeddingTable(vocab=dict(items), matrix=table.matrix)
+        words = data.draw(st.lists(st.sampled_from(sorted(vectors)), max_size=5))
+        k = data.draw(st.integers(1, n + 3))
+        assert nearest_neighbors(table, words, k) == \
+            [nearest_neighbors_loop(table, word, k) for word in words]
+        for word in set(words):
+            assert nearest_neighbors(table, word, k) == nearest_neighbors_loop(table, word, k)
+
+    def test_several_words_check_every_word(self, tiny_table):
+        with pytest.raises(KeyError, match="zzz"):
+            nearest_neighbors(tiny_table, ["a", "zzz"], 1)
+        assert nearest_neighbors(tiny_table, [], 3) == []
+
 
 def _schedule_graph():
     """A d=3 table and a graph with a hub of degree 18, a chain of nine

@@ -518,7 +518,9 @@ class TestArrayPathsMatchLoops:
     def test_detector_matches_loop_detector(self, monkeypatch):
         docs, table, keywords = planted_corpus(n_docs=200, seed=9)
         fast = FigurativeDetector(table, keywords, health_lexicon=set()).verdicts(docs)
-        monkeypatch.setattr(figurative, "nearest_neighbors", nearest_neighbors_loop)
+        monkeypatch.setattr(figurative, "nearest_neighbors",
+                            lambda table, words, k: [nearest_neighbors_loop(table, w, k)
+                                                     for w in words])
         monkeypatch.setattr(figurative, "literal_usage_score",
                             lambda tokens, rep, unit, include_target=False:
                             literal_usage_score_loop(tokens, rep, unit.table, include_target))

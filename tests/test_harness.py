@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from figphm import cli
 from figphm.cli import main as cli_main
 from figphm.corpus import Document, FIGURATIVE, LITERAL, NONPHM, PHM, build_vocab, pad
 from figphm.errors import ConfigError, DataError
@@ -792,15 +793,21 @@ class TestCli:
     def test_report_tsv_is_written_last(self, tmp_path, capsys):
         """A run whose report.txt cannot be written exits 2 naming it and
         leaves no report.tsv, so a report.tsv on disk means the run's other
-        files are whole."""
+        files are whole. It leaves no dump and no temporary of its own
+        either: an older dump stays as it was."""
         _experiment_config(tmp_path, approaches="phmd")
-        (tmp_path / "run" / "report.txt").mkdir(parents=True)
+        run = tmp_path / "run"
+        (run / "report.txt").mkdir(parents=True)
+        (run / "predictions").mkdir()
+        (run / "predictions" / "rand20__phmd.tsv").write_text("older\n", encoding="utf-8")
         assert cli_main(["experiment", "--config", str(tmp_path / "cfg.ini"),
-                         "--out", str(tmp_path / "run")]) == 2
+                         "--out", str(run)]) == 2
         assert re.fullmatch(r"data error: cannot write \S*report\.txt: .*\n",
                             capsys.readouterr().err)
-        assert not (tmp_path / "run" / "report.tsv").exists()
-        assert len(list((tmp_path / "run" / "predictions").iterdir())) == 1
+        assert sorted(p.name for p in run.iterdir()) == ["predictions", "report.txt"]
+        assert [p.name for p in (run / "predictions").iterdir()] == ["rand20__phmd.tsv"]
+        assert (run / "predictions" / "rand20__phmd.tsv").read_text(encoding="utf-8") == "older\n"
+        assert not any((run / "report.txt").iterdir())
 
     def test_experiment_bad_config_exit_1(self, tmp_path, capsys):
         (tmp_path / "cfg.ini").write_text("[experiment]\nfolds = 2\n", encoding="utf-8")
@@ -1063,6 +1070,36 @@ class TestCli:
                          "--out", str(tmp_path / "verdicts.tsv")]) == 0
         assert (tmp_path / "verdicts.tsv").read_text(encoding="utf-8") == stdout
         assert stdout.count("\n") == 12 and stdout.startswith("d0\t")
+
+    def test_calls_share_only_the_parser(self, tmp_path, capsys):
+        """In-process calls reuse one parser and nothing of each other's
+        arguments: a usage error leaves the next call whole, and a
+        ``--dataset`` given to one call does not carry over to the next."""
+        assert cli.build_parser() is cli.build_parser()
+        _experiment_config(tmp_path)
+        config = str(tmp_path / "cfg.ini")
+        with pytest.raises(SystemExit) as usage:
+            cli_main(["fig-score", "--config"])
+        assert usage.value.code == 2
+        assert cli_main(["fig-score", "--config", config]) == 0
+        full = capsys.readouterr().out
+        assert full.count("\n") == 12
+        rows = (tmp_path / "data.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "other.tsv").write_text("".join(rows[5:8]), encoding="utf-8")
+        assert cli_main(["fig-score", "--config", config,
+                         "--dataset", str(tmp_path / "other.tsv")]) == 0
+        assert [row.split("\t")[0] for row in capsys.readouterr().out.splitlines()] == \
+            ["d5", "d6", "d7"]
+        assert cli_main(["fig-score", "--config", config]) == 0
+        assert capsys.readouterr().out == full
+
+    def test_help_lists_every_command(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as done:
+                cli_main(["--help"])
+            assert done.value.code == 0
+            listed = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+            assert listed.split(",") == list(cli._COMMANDS) and len(cli._COMMANDS) == 9
 
     @pytest.mark.parametrize("argv", [
         ["fig-score", "--config", "cfg.ini"],

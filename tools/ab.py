@@ -83,7 +83,9 @@ lower in at most 3 of 20.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
 import importlib.util
 import io
 import os
@@ -268,8 +270,48 @@ class FigScoreSide:
         return time.perf_counter() - start, 1, done.stdout
 
 
+class DeskScoreSide:
+    """One revision's ``figphm fig-score`` on the desk fixture, run in
+    process through its own ``cli.main``, as desk-sweep's read path runs it."""
+
+    rounds, chunks, items = 40, 1, "document"
+    CALLS = 10
+
+    def __init__(self, package, work: Path):
+        self.main = importlib.import_module(f"{package.__name__}.cli").main
+        self.argv = ["fig-score", "--config", str(desk_inputs(package, work)),
+                     "--out", str(work / f"{package.__name__}-verdicts.tsv")]
+
+    def start_round(self) -> None:
+        pass
+
+    def run_chunk(self, chunk: int) -> tuple[float, int, bytes]:
+        """Seconds for the chunk's calls, the documents they scored, and the
+        verdict file the last one wrote."""
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter()
+            codes = [self.main(self.argv) for _ in range(self.CALLS)]
+            elapsed = time.perf_counter() - start
+        if set(codes) != {0}:
+            raise RuntimeError(f"fig-score exited {codes}")
+        verdicts = Path(self.argv[-1]).read_bytes()
+        return elapsed, self.CALLS * verdicts.count(b"\n"), verdicts
+
+
 MODES = {"train": TrainSide, "verdict": VerdictSide, "retrofit": RetrofitSide,
-         "load": LoadSide, "fig-score": FigScoreSide}
+         "load": LoadSide, "fig-score": FigScoreSide, "desk-score": DeskScoreSide}
+
+
+def desk_inputs(package, work: Path) -> Path:
+    """The config of the desk fixture, which the first side's ``figphm
+    synth --docs 120`` writes once per run."""
+    out = work / "desk"
+    if not out.exists():
+        main = importlib.import_module(f"{package.__name__}.cli").main
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["synth", "--out", str(out), "--docs", "120"]) != 0:
+                raise RuntimeError("figphm synth failed")
+    return out / "experiment.ini"
 
 
 def fig_inputs(work: Path) -> dict[str, Path]:
