@@ -33,6 +33,11 @@ Modes:
   from its start to its exit; 20 chunks after one warm-up chunk per side.
   A revision with the table cache stores the entry in its warm-up chunk,
   so each counted chunk reads it in a process of its own.
+- ``desk-score``: one chunk makes 10 in-process ``fig-score --out`` calls
+  through the side's own ``cli.main`` on the fixture ``figphm synth --docs
+  120`` writes (once per run, by the parent), as desk-sweep's read path
+  makes them; 40 chunks after one warm-up chunk per side, timed per
+  document. Its bytes are the verdict file.
 
 Both sides share a table cache in a fresh temporary directory
 (``XDG_CACHE_HOME``), so no run reads or fills the user's. ``--cold``
@@ -42,8 +47,9 @@ process (``load``) or for a whole command (``fig-score``).
 
 Both sides run from the same inputs and seeds, so they must give the same
 bytes: the trained parameters, every verdict's score, label and features,
-the retrofitted matrix, or the loaded table's words, rows, duplicate count
-and matrix. The tool exits 1 if any chunk's bytes differ.
+the retrofitted matrix, the loaded table's words, rows, duplicate count
+and matrix, or the verdict file. The tool exits 1 if any chunk's bytes
+differ.
 Run from the repository root::
 
     python3 tools/ab.py verdict --parent HEAD~1 --change HEAD
@@ -65,19 +71,24 @@ the noise. Three per mode on a 2-vCPU x86_64 host (float64, OpenBLAS
 - ``fig-score``: median ratio 1.025, 1.005 and 1.028 (widest IQR
   1.009-1.116), change lower in 7, 9 and 3 of 20; with ``--cold`` 1.000
   (IQR 0.840-1.029), lower in 10 of 20.
+- ``desk-score``: median ratio 0.954, 0.990 and 0.980 (widest IQR
+  0.899-1.073), change lower in 27, 23 and 24 of 40.
 
 So a median ratio within about 0.99-1.04 (``train``), 0.99-1.01
-(``verdict``), 0.99-1.03 (``retrofit``), 0.96-1.03 (``load``) or
-1.00-1.03 (``fig-score``) is noise. For scale, ``verdict`` between the
-per-call normalisation and the per-detector unit rows read 0.666 and
-0.680, change lower in 96 and 105 of 120; ``retrofit`` between the
-dict-built and the edge-array level schedule read 0.632 and 0.571, change
-lower in 40 and 40 of 40. Between the plain parse and the table cache,
+(``verdict``), 0.99-1.03 (``retrofit``), 0.96-1.03 (``load``), 1.00-1.03
+(``fig-score``) or 0.95-1.04 (``desk-score``) is noise. For scale,
+``verdict`` between the per-call normalisation and the per-detector unit
+rows read 0.666 and 0.680, change lower in 96 and 105 of 120; ``retrofit``
+between the dict-built and the edge-array level schedule read 0.632 and
+0.571, change lower in 40 and 40 of 40. Between the plain parse and the table cache,
 ``load`` read 0.163 (0.246 against 0.040 s per load) and ``fig-score``
 0.568 and 0.578 (0.474 against 0.272 s and 0.547 against 0.296 s per
 command), change lower in 20 of 20 each; with ``--cold``, a first load,
 ``load`` read 1.109 and 1.121 and ``fig-score`` 1.051 and 1.107, change
-lower in at most 3 of 20.
+lower in at most 3 of 20. ``desk-score`` read a parser built once per
+process and one neighbour ranking per detector, against a parser built on
+every call and one ranking per keyword, at 0.691 and 0.709, change lower in
+39 and 40 of 40.
 """
 
 from __future__ import annotations
